@@ -46,6 +46,7 @@ from .expansions import (
     build_series,
     eval_series,
     eval_series_with_derivatives,
+    ladder,
     recurrence_coeffs,
     resubstitution_residual,
     series_ode_residual,
@@ -83,6 +84,7 @@ from .twostate import (
     match_against_rk,
     reduce_to_che,
     return_spectrum_relation,
+    scan_return_delta0,
 )
 
 __version__ = "0.1.0"

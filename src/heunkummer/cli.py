@@ -32,7 +32,6 @@ import os
 import random
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -45,13 +44,12 @@ from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
                      identity_residual)
 from .termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                           KIND_GAMMA_DELTA_ALPHA, TerminationCondition,
-                          _admissible_kinds, detect_termination,
+                          admissible_kinds, detect_termination,
                           enumerate_termination_conditions, q_spectrum,
                           verify_termination)
-from .twostate import (DELTA0_CLAMP, LorentzianModel, closed_form_solution,
-                       equation_residual_in_t, integrate_rk,
-                       locate_return_delta0, match_against_rk, reduce_to_che,
-                       return_spectrum_relation)
+from .twostate import (LorentzianModel, closed_form_solution,
+                       equation_residual_in_t, integrate_rk, match_against_rk,
+                       reduce_to_che, scan_return_delta0)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -209,7 +207,6 @@ class Opt(NamedTuple):
 
 COMMON_OPTS = (
     Opt("format", ("json", "csv"), "json", "output format"),
-    Opt("jobs", "int", 1, "worker threads for sweep commands"),
     Opt("config", "str", None, "flat key = value file with option defaults"),
 )
 
@@ -279,6 +276,8 @@ def run_verify_identities(ns):
                    "max_residual": max(residuals.values())}
         return results, {"mode": "point"}
 
+    if ns.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {ns.draws}")
     rng = random.Random(ns.seed)
     draws = [_draw_identity_point(rng, ns.radius) for _ in range(ns.draws)]
 
@@ -291,11 +290,7 @@ def run_verify_identities(ns):
                 top, argmax = res, (a, c, x)
         return top, argmax
 
-    if ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as ex:
-            sweep = list(ex.map(worst, ids))
-    else:
-        sweep = [worst(i) for i in ids]
+    sweep = [worst(i) for i in ids]
     residuals = {i: sweep[k][0] for k, i in enumerate(ids)}
     overall = max(residuals.values())
     k_worst = max(range(len(ids)), key=lambda k: sweep[k][0])
@@ -376,8 +371,8 @@ def run_detect_termination(ns):
         conditions = [found] if found is not None else []
     results = {"found": bool(conditions),
                "conditions": [{"kind": c.kind, "N": c.N} for c in conditions]}
-    diagnostics = {"admissible_kinds": list(_admissible_kinds(family,
-                                                              ns.alpha0_choice))}
+    diagnostics = {"admissible_kinds": list(admissible_kinds(family,
+                                                             ns.alpha0_choice))}
     return results, diagnostics
 
 
@@ -469,23 +464,8 @@ def run_return_spectrum_scan(ns):
         raise ConditionNotMetError(
             f"R = {probe.R} but a level-{ns.n} return point needs "
             f"R = {ns.n + 1}; adjust --u0/--delta1")
-    grid = np.linspace(ns.delta0_min, ns.delta0_max, ns.points)
-
-    def resid(delta0: float) -> float:
-        delta0 = float(delta0)
-        if abs(delta0) < DELTA0_CLAMP:
-            delta0 = DELTA0_CLAMP if delta0 >= 0 else -DELTA0_CLAMP
-        return return_spectrum_relation(
-            LorentzianModel(ns.u0, delta0, ns.delta1), ns.n)
-
-    if ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as ex:
-            values = list(ex.map(resid, grid))
-    else:
-        values = [resid(d) for d in grid]
-    best_delta0, best_residual = locate_return_delta0(
-        ns.u0, ns.delta1, ns.n, ns.delta0_min, ns.delta0_max,
-        points=ns.points)
+    grid, values, best_delta0, best_residual = scan_return_delta0(
+        ns.u0, ns.delta1, ns.n, ns.delta0_min, ns.delta0_max, points=ns.points)
     i_min = int(np.argmin(values))
     LOG.info("scan minimum %.6g at delta0 = %.6g, refined to %.6g",
              values[i_min], grid[i_min], best_delta0)
@@ -493,7 +473,7 @@ def run_return_spectrum_scan(ns):
                "table": {"columns": ["delta0", "residual"],
                          "rows": [[float(d), float(v)]
                                   for d, v in zip(grid, values)]}}
-    diagnostics = {"R": probe.R, "points": ns.points, "jobs": ns.jobs,
+    diagnostics = {"R": probe.R, "points": ns.points,
                    "grid_minimum": {"delta0": float(grid[i_min]),
                                     "residual": float(values[i_min])}}
     return results, diagnostics

@@ -25,7 +25,8 @@ from .expansions import (
     applicability,
     build_series,
     eval_series,
-    recurrence_coeffs,
+    ladder,
+    resolve_alpha0_gamma0,
 )
 from .errors import ApplicabilityError
 from .kummer import nonpositive_int
@@ -63,7 +64,7 @@ class QSpectrum:
     root_residuals: tuple
 
 
-def _admissible_kinds(family: Family, alpha0_choice):
+def admissible_kinds(family: Family, alpha0_choice):
     if family is Family.A2_ThreeTerm:
         return [KIND_ALPHA_OVER_EPS, KIND_DELTA_INT]
     if family is Family.B3_ThreeTerm:
@@ -92,7 +93,7 @@ def enumerate_termination_conditions(params: CheParams, family: Family,
                                      alpha0_choice=None) -> list[TerminationCondition]:
     """All admissible integer coincidences for the family, smallest N first."""
     found = []
-    for kind in _admissible_kinds(family, alpha0_choice):
+    for kind in admissible_kinds(family, alpha0_choice):
         m = nonpositive_int(_kind_value(params, kind))
         if m is not None:
             found.append(TerminationCondition(family=family, kind=kind, N=m))
@@ -118,32 +119,20 @@ def _coefficient_polynomials(params: CheParams, family: Family,
     Q_n is degree 1 in q with dQ/dq = -1 for every three-term family here;
     R_n and P_n are q-free, so deg a_n = n.
     """
-    from .expansions import _resolve_alpha0_gamma0
-
     p0 = dataclasses.replace(params, q=0)
-    alpha0, _ = _resolve_alpha0_gamma0(p0, family, alpha0_choice)
-    s0 = -p0.epsilon
+    alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
+    steps = ladder(p0, family, alpha0, -p0.epsilon, upto)
     polys = [np.array([1.0 + 0j])]
     for n in range(1, upto + 1):
-        R, _, _, _ = recurrence_coeffs(p0, family, alpha0, s0, n)
+        R = steps[n][0]
         if abs(R) <= 1e-12 * (1 + n) ** 2:
             raise LeadingCoefficientVanishesError(
                 f"R_{n} = {R} vanishes; spectrum polynomial cannot be built")
-        _, Q0, _, _ = recurrence_coeffs(p0, family, alpha0, s0, n - 1)
-        num = npoly.polymul(polys[n - 1], np.array([Q0, -1.0 + 0j]))
+        num = npoly.polymul(polys[n - 1], np.array([steps[n - 1][1], -1.0 + 0j]))
         if n >= 2:
-            _, _, P, _ = recurrence_coeffs(p0, family, alpha0, s0, n - 2)
-            num = npoly.polyadd(num, P * polys[n - 2])
+            num = npoly.polyadd(num, steps[n - 2][2] * polys[n - 2])
         polys.append(-num / R)
     return polys
-
-
-def _a_next_via_recurrence(params: CheParams, family: Family,
-                           alpha0_choice, N: int, q) -> complex:
-    """a_{N+1} at a concrete q, by plain forward recurrence (no polynomials)."""
-    p = dataclasses.replace(params, q=q)
-    sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
-    return sol.coefficients[N + 1]
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -165,8 +154,9 @@ def q_spectrum(params: CheParams, family: Family,
     """All N+1 accessory-parameter values terminating the series at N.
 
     The q field of params is ignored. Roots come from the companion matrix
-    of a_{N+1}(q), then one Newton step (value from the recurrence,
-    derivative from the polynomial), then a rebuild verification per root.
+    of a_{N+1}(q), then one Newton step (value from an N+1 rebuild at the
+    root, derivative from the polynomial). One N+2 rebuild at each polished
+    root gives its residual |a_{N+1}| and its termination check.
     """
     p0 = dataclasses.replace(params, q=0)
     violations = applicability(p0, family)
@@ -183,12 +173,23 @@ def q_spectrum(params: CheParams, family: Family,
     dpoly = npoly.polyder(target)
     polished = []
     residuals = []
+    rebuilt = []
     for r in roots:
-        fval = _a_next_via_recurrence(params, family, alpha0_choice, N, r)
+        fval = build_series(dataclasses.replace(params, q=r), family, N + 1,
+                            alpha0_choice=alpha0_choice).coefficients[N + 1]
         fder = npoly.polyval(r, dpoly)
         if abs(fder) > 1e-12 * max(1.0, abs(fval)):
             r = r - fval / fder  # one Newton step; multiple roots skip it
-        fval = _a_next_via_recurrence(params, family, alpha0_choice, N, r)
+        p = dataclasses.replace(params, q=r)
+        try:
+            sol = build_series(p, family, N + 2, alpha0_choice=alpha0_choice)
+            fval = sol.coefficients[N + 1]
+        except (LeadingCoefficientVanishesError, ZeroDivisionError) as exc:
+            # a failure at step N+2 belongs to the termination check, which
+            # waits until every root has passed the polish check
+            sol = exc
+            fval = build_series(p, family, N + 1,
+                                alpha0_choice=alpha0_choice).coefficients[N + 1]
         scale = max(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(target))
         if abs(fval) > POLISH_TOL * scale:
             raise IllConditionedRootsError(
@@ -196,10 +197,11 @@ def q_spectrum(params: CheParams, family: Family,
                 f"above {POLISH_TOL:.0e} of the polynomial scale {scale:.3e}")
         polished.append(complex(r))
         residuals.append(abs(fval))
+        rebuilt.append(sol)
     verified = []
-    for r in polished:
-        sol = build_series(dataclasses.replace(params, q=r), family, N + 2,
-                           alpha0_choice=alpha0_choice)
+    for sol in rebuilt:
+        if isinstance(sol, Exception):
+            raise sol
         verified.append(verify_termination(sol, N))
     order = sorted(range(len(polished)),
                    key=lambda i: (polished[i].real, polished[i].imag))

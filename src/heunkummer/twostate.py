@@ -329,14 +329,15 @@ def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     return min(abs(red.che.q - r) for r in spec.roots) / scale
 
 
-def locate_return_delta0(U0: float, Delta1: float, N: int,
-                         delta0_min: float, delta0_max: float,
-                         points: int = 81):
+def scan_return_delta0(U0: float, Delta1: float, N: int,
+                       delta0_min: float, delta0_max: float,
+                       points: int = 81):
     """Scan Delta0 for a return-spectrum point at fixed (U0, Delta1).
 
-    Returns (delta0, residual) at the refined minimum of
-    return_spectrum_relation over the grid. The result is clamped away from
-    exactly 0 (|Delta0| >= 1e-10) so the reduced equation keeps eps != 0.
+    Returns (grid, residuals, delta0, residual): return_spectrum_relation
+    on an evenly spaced grid of `points` values, then its refined minimum
+    over that grid. Every Delta0 is clamped away from exactly 0
+    (|Delta0| >= DELTA0_CLAMP) so the reduced equation keeps eps != 0.
     """
     def f(d0: float) -> float:
         d0 = _clamp(d0)
@@ -370,4 +371,11 @@ def locate_return_delta0(U0: float, Delta1: float, N: int,
         if b - a < 1e-13 * max(1.0, abs(a)):
             break
     best = _clamp((a + b) / 2)
-    return best, f(best)
+    return grid, vals, best, f(best)
+
+
+def locate_return_delta0(U0: float, Delta1: float, N: int,
+                         delta0_min: float, delta0_max: float,
+                         points: int = 81):
+    """(delta0, residual) at the refined minimum of scan_return_delta0."""
+    return scan_return_delta0(U0, Delta1, N, delta0_min, delta0_max, points)[2:]

@@ -157,6 +157,32 @@ def test_return_spectrum_scan_record(capsys):
     assert len(record["results"]["table"]["rows"]) == 11
 
 
+def test_return_spectrum_scan_evaluates_its_grid_once(capsys, monkeypatch):
+    import heunkummer.cli
+    import heunkummer.twostate as twostate
+
+    calls = []
+    relation = twostate.return_spectrum_relation
+
+    def counted(model, N):
+        calls.append(model.Delta0)
+        return relation(model, N)
+
+    # every namespace that binds the name, so a private grid loop counts too
+    for module in (twostate, heunkummer.cli):
+        monkeypatch.setattr(module, "return_spectrum_relation", counted,
+                            raising=False)
+    u0 = math.sqrt(0.75)
+    code, _ = run_json(capsys, ["return-spectrum-scan", "--u0", repr(u0),
+                                "--delta1=-1", "--n", "0", "--delta0-min=-0.3",
+                                "--delta0-max", "0.7", "--points", "11"])
+    assert code == 0
+    by_cli = len(calls)
+    calls.clear()
+    twostate.locate_return_delta0(u0, -1.0, 0, -0.3, 0.7, points=11)
+    assert by_cli == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # determinism and replay
 
@@ -166,12 +192,15 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_sweep_is_byte_identical_across_jobs(capsys):
+def test_sweep_holds_tolerance_and_rejects_jobs(capsys):
     base = ["verify-identities", "--draws", "20", "--seed", "3"]
-    _, serial = run_json(capsys, base + ["--jobs", "1"])
-    _, pooled = run_json(capsys, base + ["--jobs", "3"])
-    assert serial["results"] == pooled["results"]
-    assert serial["results"]["max_residual"] <= 1e-10
+    code, record = run_json(capsys, base)
+    assert code == 0
+    assert record["results"]["max_residual"] <= 1e-10
+    # --jobs is not an option, so a saved record that still carries it fails
+    code = main(base + ["--jobs", "2"])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_replay_reproduces_the_record(capsys, tmp_path):
@@ -248,6 +277,13 @@ def test_csv_flatten_output(capsys):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_sweep_without_draws_is_a_domain_error(capsys, draws):
+    code, record = run_json(capsys, ["verify-identities", f"--draws={draws}"])
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "--draws" in record["error"]["message"]
 
 def test_domain_error_yields_structured_record(capsys):
     code, record = run_json(capsys, ["che-series", "--family", "a2",

@@ -201,6 +201,24 @@ def test_resubstitution_closes_for_every_family():
             assert max(resubstitution_residual(sol, n) for n in range(1, 12)) <= 1e-12
 
 
+def test_build_series_reads_each_ladder_index_once(monkeypatch):
+    import heunkummer.expansions as expansions
+
+    calls = []
+    formula = expansions.recurrence_coeffs
+
+    def counted(params, family, alpha0, s0, n):
+        calls.append(n)
+        return formula(params, family, alpha0, s0, n)
+
+    monkeypatch.setattr(expansions, "recurrence_coeffs", counted)
+    p = draw_params(random.Random(8))
+    build_series(p, Family.B4_FourTerm, 12, s0=0.4 + 0.1j)
+    assert calls == list(range(13))
+    assert expansions.ladder(p, Family.A2_ThreeTerm, 0.5, -1.0, 3) == \
+        [formula(p, Family.A2_ThreeTerm, 0.5, -1.0, n) for n in range(4)]
+
+
 def test_resubstitution_rejects_bad_indices():
     sol = build_series(params(1.5, 0.5, 1.0, 1.0, 0.5), Family.A2_ThreeTerm, 5)
     with pytest.raises(IndexError):

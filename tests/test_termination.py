@@ -26,7 +26,7 @@ from heunkummer.termination import (
     KIND_ALPHA_OVER_EPS,
     KIND_DELTA_INT,
     KIND_GAMMA_DELTA_ALPHA,
-    _admissible_kinds,
+    admissible_kinds,
 )
 
 
@@ -63,18 +63,18 @@ def test_detection_enumerates_and_keeps_the_smallest():
 
 
 def test_admissible_kinds_by_family():
-    assert _admissible_kinds(Family.A2_ThreeTerm, None) == \
+    assert admissible_kinds(Family.A2_ThreeTerm, None) == \
         [KIND_ALPHA_OVER_EPS, KIND_DELTA_INT]
-    assert _admissible_kinds(Family.B3_ThreeTerm, None) == \
+    assert admissible_kinds(Family.B3_ThreeTerm, None) == \
         [KIND_ALPHA_OVER_EPS, KIND_DELTA_INT]
-    assert _admissible_kinds(Family.B3_ThreeTerm, GAMMA_CHOICE) == \
+    assert admissible_kinds(Family.B3_ThreeTerm, GAMMA_CHOICE) == \
         [KIND_GAMMA_DELTA_ALPHA]
-    assert _admissible_kinds(Family.C_ThreeTerm, None) == \
+    assert admissible_kinds(Family.C_ThreeTerm, None) == \
         [KIND_GAMMA_DELTA_ALPHA, KIND_DELTA_INT]
     with pytest.raises(ValueError):
-        _admissible_kinds(Family.A1_TwoTerm, None)
+        admissible_kinds(Family.A1_TwoTerm, None)
     with pytest.raises(ValueError):
-        _admissible_kinds(Family.B4_FourTerm, None)
+        admissible_kinds(Family.B4_FourTerm, None)
 
 
 def test_gamma_delta_alpha_coincidence_on_the_gamma_branch():
