@@ -53,7 +53,6 @@ from .expansions import (
 )
 from .kummer import (
     IDENTITY_IDS,
-    KummerArgs,
     eval_1f1,
     eval_1f1_derivative,
     identity_residual,

@@ -12,8 +12,9 @@ diagnostics, so a saved record can be re-run byte-identically:
 
 Complex values are written RE or RE+IMi (e.g. 1.5, 2+0.5i, -0.25i). Values
 starting with a minus sign must use the --opt=value form. A config file in
-flat "key = value" lines supplies defaults for any option; explicit flags
-win. HEUN_LOG_LEVEL (error|warn|info|debug) controls stderr logging.
+flat "key = value" lines supplies defaults for any option; an explicit flag
+beats a replayed record, which beats the config file. HEUN_LOG_LEVEL
+(error|warn|info|debug) controls stderr logging.
 
 Exit codes: 0 on success, 1 on a domain error (a structured error record is
 still printed), 2 on usage errors.
@@ -80,96 +81,30 @@ def format_complex(z: complex) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == 0:
-        return "0"  # fold negative zero
-    return format(float(x), ".17g")
-
-
-def _coerce(v):
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.complexfloating):
-        return complex(v)
-    return v
-
-
-def _scalar_json(v) -> str:
-    v = _coerce(v)
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
+def _json_default(v):
     if isinstance(v, complex):
-        return '{"re": %s, "im": %s}' % (_fmt_float(v.real), _fmt_float(v.imag))
-    if isinstance(v, str):
-        return json.dumps(v)
+        return {"re": v.real, "im": v.imag}
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _write_json(v, buf: list, indent: int) -> None:
-    v = _coerce(v)
-    pad = "  " * indent
-    if isinstance(v, dict):
-        if not v:
-            buf.append("{}")
-            return
-        buf.append("{\n")
-        for i, (k, item) in enumerate(v.items()):
-            buf.append("  " * (indent + 1) + json.dumps(str(k)) + ": ")
-            _write_json(item, buf, indent + 1)
-            buf.append(",\n" if i < len(v) - 1 else "\n")
-        buf.append(pad + "}")
-    elif isinstance(v, (list, tuple, np.ndarray)):
-        items = list(v)
-        if not items:
-            buf.append("[]")
-            return
-        buf.append("[\n")
-        for i, item in enumerate(items):
-            buf.append("  " * (indent + 1))
-            _write_json(item, buf, indent + 1)
-            buf.append(",\n" if i < len(items) - 1 else "\n")
-        buf.append(pad + "]")
-    else:
-        buf.append(_scalar_json(v))
-
-
 def render_json(record: dict) -> str:
-    buf: list[str] = []
-    _write_json(record, buf, 0)
-    buf.append("\n")
-    return "".join(buf)
+    # floats print as the shortest text that reads back to the same double
+    return json.dumps(record, indent=2, default=_json_default) + "\n"
 
 
 def _csv_cell(v) -> str:
-    v = _coerce(v)
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
     if isinstance(v, complex):
         return format_complex(v)
-    return str(v)
+    if isinstance(v, str):
+        return v
+    return json.dumps(v, default=_json_default)  # as in the JSON record
 
 
 def _flatten(v, prefix: str = ""):
-    v = _coerce(v)
     if isinstance(v, dict):
         for k, item in v.items():
             yield from _flatten(item, f"{prefix}.{k}" if prefix else str(k))
@@ -200,15 +135,14 @@ def render_csv(record: dict) -> str:
 
 class Opt(NamedTuple):
     name: str       # long option name, kebab case
-    conv: object    # "complex" | "float" | "int" | "str" | "flag" | choices tuple
+    conv: object    # "complex" | "float" | "int" | "flag" | choices tuple
     default: object
     help: str
 
 
-COMMON_OPTS = (
-    Opt("format", ("json", "csv"), "json", "output format"),
-    Opt("config", "str", None, "flat key = value file with option defaults"),
-)
+_TYPES = {"complex": parse_complex, "float": float, "int": int}
+
+COMMON_OPTS = (Opt("format", ("json", "csv"), "json", "output format"),)
 
 _CHE_OPTS = (
     Opt("gamma", "complex", REQUIRED, "exponent parameter at z = 0"),
@@ -231,6 +165,16 @@ class CommandSpec(NamedTuple):
 
 def _params_from(ns) -> CheParams:
     return CheParams(ns.gamma, ns.delta, ns.eps, ns.alpha, ns.q)
+
+
+def _ode_residual(params: CheParams, u, u1, u2, z):
+    """Relative ODE residual at z; None at z = 0 or 1, where the value is
+    still meaningful but the operator is singular."""
+    try:
+        r = residual(params, u, u1, u2, z)
+    except SingularPointError:
+        return None
+    return abs(r) / max(1.0, abs(u), abs(u1), abs(u2))
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +265,12 @@ def run_che_series(ns):
                                   terminated=True, terminal_index=cond.N)
         LOG.info("series terminates at n = %d (%s)", cond.N, cond.kind)
     u, u1, u2, tail = eval_series_with_derivatives(sol, ns.z)
-    try:
-        r = residual(params, u, u1, u2, ns.z)
-        ode_residual = abs(r) / max(1.0, abs(u), abs(u1), abs(u2))
-    except SingularPointError:
-        ode_residual = None  # value is still meaningful at z = 0 or 1
     results = {"value": u, "derivative": u1, "second_derivative": u2,
                "terminated": sol.terminated,
                "terminal_index": sol.terminal_index,
                "alpha0": sol.alpha0, "gamma0": sol.gamma0, "s0": sol.s0}
-    diagnostics = {"tail_estimate": tail, "ode_residual": ode_residual,
+    diagnostics = {"tail_estimate": tail,
+                   "ode_residual": _ode_residual(params, u, u1, u2, ns.z),
                    "n_coefficients": len(sol.coefficients)}
     return results, diagnostics
 
@@ -339,13 +279,9 @@ def run_frobenius(ns):
     params = _params_from(ns)
     series = frobenius_coefficients(params, ns.k_terms)
     u, u1, u2 = frobenius_eval(series, ns.z)
-    try:
-        r = residual(params, u, u1, u2, ns.z)
-        ode_residual = abs(r) / max(1.0, abs(u), abs(u1), abs(u2))
-    except SingularPointError:
-        ode_residual = None
     results = {"u": u, "du": u1, "d2u": u2}
-    diagnostics = {"ode_residual": ode_residual, "k_terms": ns.k_terms,
+    diagnostics = {"ode_residual": _ode_residual(params, u, u1, u2, ns.z),
+                   "k_terms": ns.k_terms,
                    "last_coefficient": series.coefficients[-1]}
     return results, diagnostics
 
@@ -363,12 +299,10 @@ def run_transform(ns):
 def run_detect_termination(ns):
     params = _params_from(ns)
     family = Family.from_string(ns.family)
-    if ns.all:
-        conditions = enumerate_termination_conditions(params, family,
-                                                      ns.alpha0_choice)
-    else:
-        found = detect_termination(params, family, ns.alpha0_choice)
-        conditions = [found] if found is not None else []
+    conditions = enumerate_termination_conditions(params, family,
+                                                  ns.alpha0_choice)
+    if not ns.all:
+        conditions = conditions[:1]
     results = {"found": bool(conditions),
                "conditions": [{"kind": c.kind, "N": c.N} for c in conditions]}
     diagnostics = {"admissible_kinds": list(admissible_kinds(family,
@@ -562,139 +496,93 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _build_parser() -> argparse.ArgumentParser:
+def _file_options() -> argparse.ArgumentParser:
+    # no abbreviations, so eval-1f1's --c is never taken for --config
+    files = argparse.ArgumentParser(prog="heunkummer", add_help=False,
+                                    allow_abbrev=False)
+    files.add_argument("--replay", metavar="RECORD",
+                       help="re-run a saved output record byte-identically")
+    files.add_argument("--config", metavar="FILE",
+                       help="flat key = value file with option defaults")
+    return files
+
+
+def _build_parser(files: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="heunkummer",
+        prog="heunkummer", parents=[files], allow_abbrev=False,
         description="Kummer-function series solutions of the confluent "
                     "Heun equation")
-    parser.add_argument("--replay", metavar="FILE",
-                        help="re-run a saved output record byte-identically")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, spec in COMMANDS.items():
         sp = sub.add_parser(name, help=spec.summary, description=spec.summary)
         for opt in COMMON_OPTS + spec.opts:
-            flag = "--" + opt.name
+            kwargs = {"help": opt.help}
             if opt.conv == "flag":
-                sp.add_argument(flag, action="store_true",
-                                default=argparse.SUPPRESS, help=opt.help)
+                kwargs["action"] = "store_true"
             elif isinstance(opt.conv, tuple):
-                sp.add_argument(flag, choices=list(opt.conv),
-                                default=argparse.SUPPRESS, help=opt.help)
+                kwargs["choices"] = opt.conv
             else:
-                sp.add_argument(flag, type=str, default=argparse.SUPPRESS,
-                                help=opt.help, metavar=opt.conv.upper())
+                kwargs.update(type=_TYPES[opt.conv], metavar=opt.conv.upper())
+            if opt.default is REQUIRED:
+                kwargs["required"] = True
+            else:
+                kwargs["default"] = opt.default
+            sp.add_argument("--" + opt.name, **kwargs)
     return parser
 
 
-def _convert(parser, command: str, opt: Opt, text: str):
-    try:
-        if isinstance(opt.conv, tuple):
-            if text not in opt.conv:
-                raise ValueError(f"must be one of {', '.join(opt.conv)}")
-            return text
-        if opt.conv == "complex":
-            return parse_complex(text)
-        if opt.conv == "float":
-            return float(text)
-        if opt.conv == "int":
-            return int(text)
-        if opt.conv == "flag":
-            return text.strip().lower() in ("1", "true", "yes", "on")
-        return text
-    except ValueError as exc:
-        parser.error(f"{command}: bad value for --{opt.name}: {exc}")
-
-
-def _read_config(parser, path: str) -> dict:
+def _read(files, path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read()
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    out = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            parser.error(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("_", "-")] = value.strip()
-    return out
+        files.error(f"cannot read {what} file: {exc}")
 
 
-def _input_repr(opt: Opt, value):
-    if opt.conv == "flag":
-        return bool(value)
-    if opt.conv == "complex":
-        return format_complex(value)
-    if opt.conv == "float":
-        return float(value)
-    if opt.conv == "int":
-        return int(value)
-    return str(value)
-
-
-def _resolve_options(parser, command: str, spec: CommandSpec, parsed):
-    supplied = vars(parsed)
-    config = {}
-    config_path = supplied.get("config")
-    if config_path:
-        config = _read_config(parser, config_path)
-    ns = argparse.Namespace(command=command)
-    inputs = {}
-    all_opts = COMMON_OPTS + spec.opts
-    for opt in all_opts:
-        dest = opt.name.replace("-", "_")
-        if dest in supplied:
-            value = supplied[dest]
-            if isinstance(value, str) and not isinstance(opt.conv, tuple) \
-                    and opt.conv not in ("str", "flag"):
-                value = _convert(parser, command, opt, value)
-        elif opt.name in config:
-            value = _convert(parser, command, opt, config[opt.name])
+def _splice_files(files, argv: list) -> list:
+    """argv with the --config lines and the --replay record's inputs spliced
+    in as --key=value tokens right after the command, in that order and
+    ahead of the user's own flags. The later token wins, so an explicit flag
+    beats the record and the record beats the config file."""
+    given, rest = files.parse_known_args(argv)
+    pairs = []  # (key, value, from_config)
+    if given.config:
+        lines = _read(files, given.config, "config").splitlines()
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                files.error(f"{given.config}:{lineno}: expected key = value")
+            key, value = line.split("=", 1)
+            pairs.append((key.strip().replace("_", "-"), value.strip(), True))
+    if given.replay:
+        try:
+            record = json.loads(_read(files, given.replay, "replay"))
+        except json.JSONDecodeError as exc:
+            files.error(f"cannot read replay file: {exc}")
+        if not isinstance(record, dict) \
+                or not isinstance(record.get("command"), str) \
+                or not isinstance(record.get("inputs"), dict):
+            files.error("replay file must carry 'command' and 'inputs'")
+        rest = [record["command"]] + rest
+        pairs += [(key, value, False) for key, value in record["inputs"].items()]
+    at = next((i for i, arg in enumerate(rest) if not arg.startswith("-")), None)
+    if at is None:
+        return rest
+    spec = COMMANDS.get(rest[at])
+    opts = {o.name: o for o in COMMON_OPTS + spec.opts} if spec else {}
+    tokens = []
+    for key, value, from_config in pairs:
+        opt = opts.get(key)
+        if opt is None and from_config:
+            LOG.warning("config key %r is not an option of %s", key, rest[at])
+        elif opt is not None and opt.conv == "flag":
+            if str(value).strip().lower() in ("1", "true", "yes", "on"):
+                tokens.append(f"--{key}")
         else:
-            value = opt.default
-            if value is REQUIRED:
-                parser.error(f"{command}: --{opt.name} is required")
-        setattr(ns, dest, value)
-        if opt.name == "config" or value is None:
-            continue
-        inputs[opt.name] = _input_repr(opt, value)
-    known = {o.name for o in all_opts}
-    for key in config:
-        if key not in known:
-            LOG.warning("config key %r is not an option of %s", key, command)
-    return ns, inputs
-
-
-def _expand_replay(argv: list, parser) -> list:
-    if "--replay" not in argv:
-        return argv
-    i = argv.index("--replay")
-    if i + 1 >= len(argv):
-        parser.error("--replay needs a file argument")
-    path = argv[i + 1]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read replay file: {exc}")
-    command = record.get("command")
-    inputs = record.get("inputs")
-    if not isinstance(command, str) or not isinstance(inputs, dict):
-        parser.error("replay file must carry 'command' and 'inputs'")
-    rebuilt = [command]
-    for key, value in inputs.items():
-        if isinstance(value, bool):
-            if value:
-                rebuilt.append(f"--{key}")
-        else:
-            text = value if isinstance(value, str) else \
-                repr(value) if isinstance(value, float) else str(value)
-            rebuilt.append(f"--{key}={text}")
-    # anything else on the line overrides the recorded inputs
-    return rebuilt + argv[:i] + argv[i + 2:]
+            tokens.append(f"--{key}={value}")
+    return rest[:at + 1] + tokens + rest[at + 1:]
 
 
 def _setup_logging() -> None:
@@ -710,21 +598,24 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    files = _file_options()
+    parser = _build_parser(files)
     try:
-        raw = _expand_replay(raw, parser)
-        parsed = parser.parse_args(raw)
-        command = getattr(parsed, "command", None)
-        if command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
-        spec = COMMANDS[command]
-        ns, inputs = _resolve_options(parser, command, spec, parsed)
+        ns = parser.parse_args(_splice_files(
+            files, list(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-
-    record = {"command": command, "inputs": inputs}
+    if ns.command is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    spec = COMMANDS[ns.command]
+    inputs = {}
+    for opt in COMMON_OPTS + spec.opts:
+        value = getattr(ns, opt.name.replace("-", "_"))
+        if value is not None:
+            inputs[opt.name] = (format_complex(value) if opt.conv == "complex"
+                                else value)
+    record = {"command": ns.command, "inputs": inputs}
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import warnings
-from typing import NamedTuple
 
 from .errors import LargeArgumentWarning, NonConvergenceError, PoleAtLowerParameterError
 
@@ -21,19 +20,6 @@ DEFAULT_MAX_TERMS = 10000
 LARGE_X = 30.0          # beyond this the direct series loses digits; warn
 
 IDENTITY_IDS = ("D6", "R14", "R27", "R28", "R29", "R46", "R47")
-
-
-class KummerArgs(NamedTuple):
-    """Argument bundle (a, c, x) for 1F1(a; c; x).
-
-    c must not be zero or a negative integer unless a is a non-positive
-    integer -m with m <= |c|, in which case the series terminates before
-    reaching the pole. eval_1f1 accepts the unpacked form: eval_1f1(*args).
-    """
-
-    a: complex
-    c: complex
-    x: complex
 
 
 def nonpositive_int(value) -> int | None:

@@ -45,6 +45,10 @@ class TerminationCondition:
     kind: str
     N: int
 
+    def __post_init__(self):
+        if self.N < 0:
+            raise ValueError(f"termination index N must be >= 0, got N = {self.N}")
+
 
 @dataclass(frozen=True)
 class QSpectrum:
@@ -53,8 +57,9 @@ class QSpectrum:
     polynomial holds ascending coefficients of a_{N+1}(q); roots are its
     N+1 roots (counted with multiplicity); verified[i] records whether
     rebuilding the series at roots[i] drives a_{N+1} and a_{N+2} below
-    1e-9 of the largest coefficient; root_residuals[i] is |a_{N+1}(root)|
-    from the rebuilt recurrence.
+    1e-9 of the largest coefficient, and is False where the rebuild cannot
+    take step N+2 (R_{N+2} = 0 with a non-negligible numerator);
+    root_residuals[i] is |a_{N+1}(root)| from the rebuilt recurrence.
     """
 
     condition: TerminationCondition
@@ -156,7 +161,9 @@ def q_spectrum(params: CheParams, family: Family,
     The q field of params is ignored. Roots come from the companion matrix
     of a_{N+1}(q), then one Newton step (value from an N+1 rebuild at the
     root, derivative from the polynomial). One N+2 rebuild at each polished
-    root gives its residual |a_{N+1}| and its termination check.
+    root gives its residual |a_{N+1}| and its termination check; where that
+    build fails at step N+2, an N+1 build gives the residual and the root
+    is unverified.
     """
     p0 = dataclasses.replace(params, q=0)
     violations = applicability(p0, family)
@@ -173,7 +180,7 @@ def q_spectrum(params: CheParams, family: Family,
     dpoly = npoly.polyder(target)
     polished = []
     residuals = []
-    rebuilt = []
+    verified = []
     for r in roots:
         fval = build_series(dataclasses.replace(params, q=r), family, N + 1,
                             alpha0_choice=alpha0_choice).coefficients[N + 1]
@@ -183,13 +190,10 @@ def q_spectrum(params: CheParams, family: Family,
         p = dataclasses.replace(params, q=r)
         try:
             sol = build_series(p, family, N + 2, alpha0_choice=alpha0_choice)
-            fval = sol.coefficients[N + 1]
-        except (LeadingCoefficientVanishesError, ZeroDivisionError) as exc:
-            # a failure at step N+2 belongs to the termination check, which
-            # waits until every root has passed the polish check
-            sol = exc
-            fval = build_series(p, family, N + 1,
-                                alpha0_choice=alpha0_choice).coefficients[N + 1]
+        except (LeadingCoefficientVanishesError, ZeroDivisionError):
+            # no step N+2 to check: the root is polished but unverified
+            sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
+        fval = sol.coefficients[N + 1]
         scale = max(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(target))
         if abs(fval) > POLISH_TOL * scale:
             raise IllConditionedRootsError(
@@ -197,12 +201,8 @@ def q_spectrum(params: CheParams, family: Family,
                 f"above {POLISH_TOL:.0e} of the polynomial scale {scale:.3e}")
         polished.append(complex(r))
         residuals.append(abs(fval))
-        rebuilt.append(sol)
-    verified = []
-    for sol in rebuilt:
-        if isinstance(sol, Exception):
-            raise sol
-        verified.append(verify_termination(sol, N))
+        verified.append(len(sol.coefficients) > N + 2
+                        and verify_termination(sol, N))
     order = sorted(range(len(polished)),
                    key=lambda i: (polished[i].real, polished[i].imag))
     return QSpectrum(condition=condition,

@@ -257,6 +257,73 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert record["inputs"]["z"] == "0.4"
 
 
+def test_config_flag_key_turns_the_flag_on(capsys, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("all = yes\n", encoding="utf-8")
+    code, record = run_json(capsys, ["detect-termination", "--family", "a2",
+                                     "--gamma", "2.3", "--delta=-1", "--eps",
+                                     "1.1", "--alpha=-2.2", "--config",
+                                     str(cfg)])
+    assert code == 0
+    assert record["inputs"]["all"] is True
+    assert len(record["results"]["conditions"]) == 2
+
+
+def test_config_unknown_key_warns_and_is_ignored(capsys, caplog, tmp_path):
+    cfg = tmp_path / "che.cfg"
+    cfg.write_text("gamma = 1\ndelta = 0\neps = 1\nalpha = 1\nq = 1\n"
+                   "no_such_key = 3\n", encoding="utf-8")
+    code, record = run_json(capsys, ["che-series", "--family", "a2",
+                                     "--config", str(cfg), "--z", "0.3"])
+    assert code == 0
+    assert "no-such-key" not in record["inputs"]
+    assert "config key 'no-such-key' is not an option of che-series" \
+        in caplog.text
+    _, expected = run_json(capsys, CHE_EXAMPLE)
+    assert record == expected
+
+
+def test_config_line_without_equals_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("gamma = 1\ndelta\n", encoding="utf-8")
+    code = main(["che-series", "--family", "a2", "--config", str(cfg),
+                 "--z", "0.3"])
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_flag_beats_replay_beats_config(capsys, tmp_path):
+    _, original = run(capsys, CHE_EXAMPLE)
+    path = tmp_path / "record.json"
+    path.write_text(original, encoding="utf-8")
+    cfg = tmp_path / "che.cfg"
+    cfg.write_text("q = 5\nz = 0.2\n", encoding="utf-8")
+    code, record = run_json(capsys, ["--replay", str(path), "--config",
+                                     str(cfg), "--z", "0.4"])
+    assert code == 0
+    assert record["inputs"]["q"] == "1.0"
+    assert record["inputs"]["z"] == "0.4"
+
+
+def test_csv_cells_read_back_to_the_json_values(capsys):
+    _, record = run_json(capsys, CHE_EXAMPLE)
+    code, out = run(capsys, CHE_EXAMPLE + ["--format", "csv"])
+    assert code == 0
+    rows = [line.split(",", 1) for line in out.splitlines()[1:]]
+    numbers = 0
+    for path, cell in rows:
+        value = record
+        for key in path.split("."):
+            value = value[key]
+        if isinstance(value, dict):
+            assert parse_complex(cell) == complex(value["re"], value["im"])
+            numbers += 1
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            assert float(cell) == value
+            numbers += 1
+    assert numbers >= 10
+
+
 def test_csv_table_output(capsys):
     code, out = run(capsys, SPECTRUM_EXAMPLE + ["--format", "csv"])
     assert code == 0
@@ -285,6 +352,15 @@ def test_sweep_without_draws_is_a_domain_error(capsys, draws):
     assert record["error"]["type"] == "ValueError"
     assert "--draws" in record["error"]["message"]
 
+@pytest.mark.parametrize("n", ["-1", "-2", "-3"])
+def test_q_spectrum_with_negative_n_is_a_domain_error(capsys, n):
+    code, record = run_json(capsys, SPECTRUM_EXAMPLE + ["--kind", "DeltaInt",
+                                                        f"--n={n}"])
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert f"N = {n}" in record["error"]["message"]
+
+
 def test_domain_error_yields_structured_record(capsys):
     code, record = run_json(capsys, ["che-series", "--family", "a2",
                                      "--gamma", "1", "--delta=-2", "--eps",
@@ -304,6 +380,16 @@ def test_unknown_command_is_a_usage_error(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    [], ["eval-1f1"], ["verify-identities"], ["che-series"], ["frobenius"],
+    ["transform"], ["detect-termination"], ["q-spectrum"], ["two-state"],
+    ["return-spectrum-scan"]])
+def test_help_exits_zero(capsys, command):
+    code = main(command + ["--help"])
+    assert code == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def test_no_command_prints_usage(capsys):

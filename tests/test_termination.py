@@ -204,6 +204,23 @@ def test_polynomial_tracks_the_recurrence():
             1e-11 * max(1.0, abs(sol.coefficients[2]))
 
 
+def test_root_whose_rebuild_cannot_take_step_n_plus_2_is_unverified():
+    # gamma - alpha/eps = N+2 makes R_{N+2} vanish; the spectrum still comes
+    # back whole, with the roots whose rebuild meets that step unverified
+    p = params(19.8, -16.0, 1.0, 1.8)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 16)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
+    assert len(spec.roots) == len(spec.root_residuals) == 17
+    assert spec.verified.count(True) == 12
+    assert spec.verified.count(False) == 5
+
+
+@pytest.mark.parametrize("N", [-1, -2, -3])
+def test_condition_rejects_negative_index(N):
+    with pytest.raises(ValueError, match=f"N = {N}"):
+        TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, N)
+
+
 def test_spectrum_respects_applicability():
     cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 1)
     with pytest.raises(ApplicabilityError):
