@@ -21,7 +21,6 @@ from .che_core import (
 )
 from .errors import (
     ApplicabilityError,
-    BranchAmbiguityWarning,
     ConditionNotMetError,
     HeunKummerError,
     HeunKummerWarning,
@@ -42,7 +41,6 @@ from .expansions import (
     Family,
     SeriesSolution,
     applicability,
-    build_a1_descending,
     build_series,
     eval_series,
     eval_series_with_derivatives,
@@ -75,7 +73,6 @@ from .twostate import (
     MatchResult,
     Trajectory,
     TwoStateReduction,
-    closed_form_a2,
     closed_form_solution,
     equation_residual_in_t,
     integrate_rk,

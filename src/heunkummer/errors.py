@@ -65,7 +65,3 @@ class TruncationWarning(HeunKummerWarning):
 
 class LargeArgumentWarning(HeunKummerWarning):
     """|x| is beyond the range where the direct power series is trusted."""
-
-
-class BranchAmbiguityWarning(HeunKummerWarning):
-    """One-sided limits at a branch-cut crossing differ beyond tolerance."""

@@ -69,8 +69,6 @@ class SeriesSolution:
 
     terminated=True means the sum is exact (trailing coefficients are
     structural zeros); terminal_index is then the last contributing index.
-    descending=True marks the mirror two-term variant whose parameter walk
-    runs downward (alpha0-n, gamma0-n); see build_a1_descending.
     """
 
     params: CheParams
@@ -81,12 +79,9 @@ class SeriesSolution:
     coefficients: tuple
     terminated: bool = False
     terminal_index: Optional[int] = None
-    descending: bool = False
 
     def basis_parameters(self, n: int):
         """(alpha_n, gamma_n) of the n-th basis function."""
-        if self.descending:
-            return self.alpha0 - n, self.gamma0 - n
         if self.family in (Family.B4_FourTerm, Family.B3_ThreeTerm):
             return self.alpha0 + n, self.gamma0
         if self.family is Family.C_ThreeTerm:
@@ -264,49 +259,10 @@ def build_series(params: CheParams, family: Family, N: int,
                           terminal_index=len(coeffs) - 1 - run if terminated else None)
 
 
-def build_a1_descending(params: CheParams, n_terms: Optional[int] = None) -> SeriesSolution:
-    """The mirror two-term form: coefficients (1-gamma0)_n/n! with basis
-    functions 1F1(-n; gamma0-n; -eps z), gamma0 = 1 + gamma + delta - alpha/eps.
-
-    This object is formal. For positive integer gamma0 = M+1 the coefficients
-    vanish beyond n = M and the finite sum is returned terminated, but the
-    finite sum does NOT solve the equation (its recurrence boundary survives;
-    tests pin a counterexample). For non-integer gamma0 with Re gamma0 > 1
-    the infinite series converges to the zero function (partial sums scale
-    like N^(1-gamma0)). It is exposed for inspection, not for solving.
-    """
-    g, d, e, al, q = (params.gamma, params.delta, params.epsilon,
-                      params.alpha, params.q)
-    if e == 0:
-        raise ApplicabilityError("mirror two-term form needs eps != 0")
-    if abs(q - (al - d * e)) > INT_TOL * max(1.0, abs(al), abs(d * e)):
-        raise ApplicabilityError("mirror two-term form needs q = alpha - delta*eps")
-    gamma0 = 1 + g + d - al / e
-    m = None
-    g0_int = round(gamma0.real) if abs(gamma0.imag) <= INT_TOL else None
-    if g0_int is not None and g0_int >= 1 and abs(gamma0 - g0_int) <= INT_TOL:
-        m = g0_int - 1  # (1-gamma0)_n = 0 for n > m
-    if m is None and n_terms is None:
-        raise ValueError("n_terms is required when gamma0 is not a positive integer")
-    count = m + 1 if m is not None else n_terms
-    coeffs = []
-    b = 1.0 + 0j
-    for n in range(count):
-        coeffs.append(b)
-        b *= (n + 1 - gamma0) / (n + 1)
-    return SeriesSolution(params=params, family=Family.A1_TwoTerm,
-                          alpha0=0j, gamma0=complex(gamma0),
-                          s0=-complex(e), coefficients=tuple(coeffs),
-                          terminated=m is not None, terminal_index=m,
-                          descending=True)
-
-
 def resubstitution_residual(sol: SeriesSolution, n: int) -> float:
     """|R_n a_n + Q_{n-1} a_{n-1} + P_{n-2} a_{n-2} (+ S_{n-3} a_{n-3})|
     relative to the largest participating term. Checks a built solution
     against its own recurrence."""
-    if sol.descending:
-        raise ValueError("resubstitution applies to ascending builds only")
     a = sol.coefficients
     if not 1 <= n < len(a):
         raise IndexError(f"n={n} out of range for {len(a)} coefficients")

@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .che_core import CheParams
-from .errors import BranchAmbiguityWarning, ConditionNotMetError, StepTooCoarseError
-from .expansions import Family, SeriesSolution, build_series, eval_series_with_derivatives
-from .termination import (KIND_DELTA_INT, detect_termination,
-                          enumerate_termination_conditions, q_spectrum,
-                          terminated_solution)
+from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
+                     StepTooCoarseError)
+from .expansions import Family, SeriesSolution, eval_series_with_derivatives
+from .termination import (KIND_DELTA_INT, enumerate_termination_conditions,
+                          q_spectrum, terminated_solution)
 
 DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
@@ -86,14 +85,19 @@ class TwoStateReduction:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Amplitudes along the time grid: a1 and a2 have the grid on their last
+    axis, after one leading axis per stacked initial state."""
+
     times: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     source: str
 
     def norm_drift(self) -> float:
+        """Largest change of |a1|^2 + |a2|^2 from its start, over every
+        stacked trajectory."""
         norms = np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2
-        return float(np.max(np.abs(norms - norms[0])))
+        return float(np.max(np.abs(norms - norms[..., :1])))
 
 
 def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
@@ -113,38 +117,43 @@ def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
                              exp_alpha2=complex(-alpha1), R=R)
 
 
-def _system_rhs(model: LorentzianModel, t: float, y: np.ndarray) -> np.ndarray:
+def _coupling_pair(model: LorentzianModel, t: float) -> np.ndarray:
+    """(-i U e^{-i delta}, -i U e^{+i delta}) at t: the system is
+    y' = pair * y[..., ::-1] for one state (a1, a2) or a stack of them."""
     u = model.coupling(t)
     ph = cmath.exp(1j * model.phase(t))
-    return np.array([-1j * u * y[1] / ph, -1j * u * y[0] * ph])
+    return np.array([-1j * u / ph, -1j * u * ph])
 
 
 def _rk4_run(model: LorentzianModel, t_start, t_end, steps, init):
     h = (t_end - t_start) / steps
     times = np.empty(steps + 1)
-    a = np.empty((steps + 1, 2), dtype=complex)
-    times[0] = t_start
-    a[0] = init
     y = np.array(init, dtype=complex)
+    a = np.empty((steps + 1,) + y.shape, dtype=complex)
+    times[0] = t_start
+    a[0] = y
     t = t_start
     for i in range(steps):
-        k1 = _system_rhs(model, t, y)
-        k2 = _system_rhs(model, t + h / 2, y + h / 2 * k1)
-        k3 = _system_rhs(model, t + h / 2, y + h / 2 * k2)
-        k4 = _system_rhs(model, t + h, y + h * k3)
+        mid = _coupling_pair(model, t + h / 2)
+        k1 = _coupling_pair(model, t) * y[..., ::-1]
+        k2 = mid * (y + h / 2 * k1)[..., ::-1]
+        k3 = mid * (y + h / 2 * k2)[..., ::-1]
+        k4 = _coupling_pair(model, t + h) * (y + h * k3)[..., ::-1]
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t_start + (i + 1) * h
         times[i + 1] = t
         a[i + 1] = y
-    return times, a
+    return times, np.moveaxis(a, 0, -2)  # (stack..., time, component)
 
 
 def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
                  steps: int = DEFAULT_STEPS, init=(1 + 0j, 0j)) -> Trajectory:
     """Classical fixed-step RK4 integration of the two-state system.
 
-    A step-halving check must move the endpoint by no more than 1e-8,
-    otherwise StepTooCoarseError is raised.
+    init is one state (a1, a2) or a stack of states along its first axis,
+    each integrated exactly as it would be alone; a1 and a2 of the result
+    then carry one row per state. A step-halving check must move every
+    endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised.
     """
     if steps < 100:
         raise ValueError("steps must be at least 100")
@@ -152,11 +161,11 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
         raise ValueError("time range must be finite")
     times, a = _rk4_run(model, t_start, t_end, steps, init)
     _, a_fine = _rk4_run(model, t_start, t_end, 2 * steps, init)
-    diff = float(np.max(np.abs(a[-1] - a_fine[-1])))
+    diff = float(np.max(np.abs(a[..., -1, :] - a_fine[..., -1, :])))
     if diff > HALVING_TOL:
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
-    return Trajectory(times=times, a1=a[:, 0], a2=a[:, 1], source="RungeKutta")
+    return Trajectory(times=times, a1=a[..., 0], a2=a[..., 1], source="RungeKutta")
 
 
 class ClosedForm:
@@ -197,47 +206,23 @@ class ClosedForm:
 
 
 def closed_form_solution(model: LorentzianModel,
-                         family: Family = Family.B3_ThreeTerm,
-                         N: int = 16) -> ClosedForm:
-    """Build the series solution once and wrap it for evaluation along t.
+                         family: Family = Family.B3_ThreeTerm) -> ClosedForm:
+    """Build the terminated series solution once and wrap it for evaluation
+    along t.
 
-    If the reduced equation right-terminates and q sits in the spectrum, the
-    exact finite sum is used; otherwise a plain N-term series.
+    The first termination condition whose spectrum holds the reduced q
+    gives the exact finite sum. Off those lines there is no finite closed
+    form, and ConditionNotMetError is raised.
     """
     red = reduce_to_che(model)
-    sol = None
-    try:
-        conditions = enumerate_termination_conditions(red.che, family)
-    except ValueError:
-        conditions = []
-    for cond in conditions:
+    for cond in enumerate_termination_conditions(red.che, family):
         try:
-            sol = terminated_solution(red.che, family, cond)
-            break
-        except ValueError:
+            return ClosedForm(model, red, terminated_solution(red.che, family, cond))
+        except (ValueError, LeadingCoefficientVanishesError):
             continue  # q not in this condition's spectrum; try the next
-    if sol is None:
-        sol = build_series(red.che, family, N)
-    return ClosedForm(model, red, sol)
-
-
-def closed_form_a2(model: LorentzianModel, t: float,
-                   family: Family = Family.B3_ThreeTerm, N: int = 16) -> complex:
-    """a2(t) from the reduced equation's series solution.
-
-    At t = 0 the path sits on the standard branch cut of (z-1); the
-    continuous branch is used and the two one-sided limits are compared,
-    warning if they disagree beyond 1e-8.
-    """
-    cf = closed_form_solution(model, family, N)
-    if t == 0:
-        h = 1e-12
-        jump = abs(cf.value(h) - cf.value(-h))
-        if jump > 1e-8:
-            warnings.warn(
-                f"one-sided limits at t=0 differ by {jump:.3e}",
-                BranchAmbiguityWarning, stacklevel=2)
-    return cf.value(t)
+    raise ConditionNotMetError(
+        f"the {family.name} series of the reduced equation does not terminate "
+        f"at q = {red.che.q}: no finite closed form")
 
 
 def equation_residual_in_t(model: LorentzianModel, cf: ClosedForm, t: float) -> float:
@@ -272,38 +257,34 @@ class MatchResult:
 
 
 def match_against_rk(model: LorentzianModel,
-                     family: Family = Family.B3_ThreeTerm, N: int = 16,
+                     family: Family = Family.B3_ThreeTerm,
                      t_start: float = -5.0, t_end: float = 5.0,
                      steps: int = DEFAULT_STEPS, samples: int = 101) -> MatchResult:
     """Fit the closed form in the basis of two RK trajectories and measure
     the worst-case deviation along the window.
 
-    The basis trajectories start from (1,0) and (0,1) at t_start. The 2x2
-    anchor system uses the closed form's value and t-derivative there; the
-    a2-derivative of a basis trajectory is -i U e^{i delta} a1 from the
-    first-order system.
+    The basis trajectories start from (1,0) and (0,1) at t_start and are
+    integrated as one stacked run. The anchor uses the closed form's value
+    and t-derivative there; the a2-derivative of a basis trajectory is
+    -i U e^{i delta} a1 from the first-order system, so with the identity
+    as starting states the value fixes mu and the derivative fixes lam.
     """
-    cf = closed_form_solution(model, family, N)
-    traj_a = integrate_rk(model, t_start, t_end, steps, init=(1 + 0j, 0j))
-    traj_b = integrate_rk(model, t_start, t_end, steps, init=(0j, 1 + 0j))
+    cf = closed_form_solution(model, family)
+    traj = integrate_rk(model, t_start, t_end, steps, init=np.eye(2))
     c0, c0dot, _ = cf.value_and_derivatives(t_start)
     coupling0 = -1j * model.coupling(t_start) * cmath.exp(1j * model.phase(t_start))
-    # a2 rows: [a2_a(t0), a2_b(t0)] = [0, 1]; derivative rows use a1(t0)
-    m = np.array([[traj_a.a2[0], traj_b.a2[0]],
-                  [coupling0 * traj_a.a1[0], coupling0 * traj_b.a1[0]]],
-                 dtype=complex)
-    lam, mu = np.linalg.solve(m, np.array([c0, c0dot], dtype=complex))
-    idx = np.linspace(0, len(traj_a.times) - 1, samples).round().astype(int)
-    ts = traj_a.times[idx]
+    lam, mu = c0dot / coupling0, c0
+    idx = np.linspace(0, len(traj.times) - 1, samples).round().astype(int)
+    ts = traj.times[idx]
     closed = np.array([cf.value(t) for t in ts], dtype=complex)
-    combined = lam * traj_a.a2[idx] + mu * traj_b.a2[idx]
+    combined = lam * traj.a2[0, idx] + mu * traj.a2[1, idx]
     dev = float(np.max(np.abs(closed - combined)))
-    drift = max(traj_a.norm_drift(), traj_b.norm_drift())
-    p1 = np.abs(traj_a.a1[idx]) ** 2
-    p2 = np.abs(traj_a.a2[idx]) ** 2
+    p1 = np.abs(traj.a1[0, idx]) ** 2
+    p2 = np.abs(traj.a2[0, idx]) ** 2
     return MatchResult(max_deviation=dev, lam=complex(lam), mu=complex(mu),
                        anchor=t_start, sample_times=ts, closed=closed,
-                       combined=combined, p1=p1, p2=p2, norm_drift=drift)
+                       combined=combined, p1=p1, p2=p2,
+                       norm_drift=traj.norm_drift())
 
 
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:

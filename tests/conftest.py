@@ -1,10 +1,26 @@
-"""Shared draw helpers. Every randomized test seeds its own generator so
-failures replay exactly."""
+"""Shared draw helpers and the subprocess environment. Every randomized
+test seeds its own generator so failures replay exactly."""
 
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+import heunkummer
+
+# the directory the test process imports heunkummer from; subprocesses put it
+# first on PYTHONPATH so they run the same source
+PACKAGE_PARENT = str(Path(heunkummer.__file__).resolve().parents[1])
+
+
+def subprocess_env(**overrides) -> dict:
+    """os.environ plus overrides, with PACKAGE_PARENT first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    return env
 
 
 def complex_box(rng: random.Random, re_lo, re_hi, im_lo=-0.5, im_hi=0.5) -> complex:

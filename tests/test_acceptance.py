@@ -42,7 +42,7 @@ from heunkummer.termination import (
     TerminationCondition,
 )
 
-from conftest import complex_box, disk_draw, dyadic_complex
+from conftest import complex_box, disk_draw, dyadic_complex, subprocess_env
 
 
 def rel_residual(p, u, u1, u2, z):
@@ -295,6 +295,7 @@ def test_cli_runs_are_byte_identical():
                     "--family", "a2", "--gamma", "2.3", "--delta=-2",
                     "--eps", "1.1", "--alpha", "0.7"]
     for cmd in (series_cmd, spectrum_cmd):
-        runs = [subprocess.run(cmd, capture_output=True, check=True).stdout
+        runs = [subprocess.run(cmd, capture_output=True, check=True,
+                               env=subprocess_env()).stdout
                 for _ in range(2)]
         assert runs[0] and runs[0] == runs[1]

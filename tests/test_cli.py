@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-import heunkummer
 from heunkummer.cli import format_complex, main, parse_complex
+
+from conftest import subprocess_env
 
 CHE_EXAMPLE = ["che-series", "--family", "a2", "--gamma", "1", "--delta", "0",
                "--eps", "1", "--alpha", "1", "--q", "1", "--z", "0.3"]
@@ -143,6 +144,24 @@ def test_two_state_off_manifold_reports_trajectory_only(capsys):
     assert "closed_form" in record["diagnostics"]
     # populations still come out of the integrator
     assert record["results"]["table"]["rows"][0][1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_two_state_at_natural_R_off_the_return_spectrum_reports_trajectory_only(capsys):
+    # R = 2, but Delta0 = 0.7 puts q off the spectrum, where the terminating
+    # build cannot take step 3 (R_3 = 0 with a nonzero numerator)
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", "0.7", "--delta1=-2"])
+    assert code == 0
+    assert record["results"]["terminated"] is False
+    assert record["results"]["max_deviation"] is None
+
+
+def test_two_state_family_c_is_a_usage_error(capsys):
+    # the reduction has alpha = 0, outside family c
+    code = main(["two-state", "--u0", "2", "--delta0", "0.5", "--delta1", "1",
+                 "--family", "c"])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_return_spectrum_scan_record(capsys):
@@ -352,6 +371,24 @@ def test_sweep_without_draws_is_a_domain_error(capsys, draws):
     assert record["error"]["type"] == "ValueError"
     assert "--draws" in record["error"]["message"]
 
+
+@pytest.mark.parametrize("argv, option", [
+    (["two-state", "--u0", repr(math.sqrt(3.0)), "--delta0", "2",
+      "--delta1=-2", "--samples", "0"], "--samples"),
+    (["two-state", "--u0", "2", "--delta0", "0.5", "--delta1", "1",
+      "--samples", "0"], "--samples"),
+    (["return-spectrum-scan", "--u0", repr(math.sqrt(0.75)), "--delta1=-1",
+      "--n", "0", "--delta0-min=-0.3", "--delta0-max", "0.7", "--points", "0"],
+     "--points"),
+], ids=["two-state-terminated", "two-state-not-terminated",
+        "return-spectrum-scan"])
+def test_size_below_one_is_a_domain_error(capsys, argv, option):
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert option in record["error"]["message"]
+
+
 @pytest.mark.parametrize("n", ["-1", "-2", "-3"])
 def test_q_spectrum_with_negative_n_is_a_domain_error(capsys, n):
     code, record = run_json(capsys, SPECTRUM_EXAMPLE + ["--kind", "DeltaInt",
@@ -403,9 +440,6 @@ def test_no_command_prints_usage(capsys):
 # console-script entry point
 
 ROOT = Path(__file__).resolve().parents[1]
-# the directory the test process imports heunkummer from; subprocesses put it
-# first on PYTHONPATH so they run the same source
-PACKAGE_PARENT = str(Path(heunkummer.__file__).resolve().parents[1])
 LOG_PREFIXES = ("DEBUG ", "INFO ", "WARNING ", "ERROR ", "CRITICAL ")
 
 
@@ -422,10 +456,8 @@ def declared_entry_point():
 
 
 def run_process(cmd, pythonpath=True):
-    env = dict(os.environ, HEUN_LOG_LEVEL="info")
-    if pythonpath:
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    env = (subprocess_env(HEUN_LOG_LEVEL="info") if pythonpath
+           else dict(os.environ, HEUN_LOG_LEVEL="info"))
     return subprocess.run(cmd, capture_output=True, env=env, timeout=120)
 
 

@@ -11,7 +11,6 @@ from heunkummer import (
     LeadingCoefficientVanishesError,
     TailTooLargeError,
     applicability,
-    build_a1_descending,
     build_series,
     eval_series,
     eval_series_with_derivatives,
@@ -341,51 +340,6 @@ def test_two_term_series_solves_the_equation():
 
 
 # ---------------------------------------------------------------------------
-# the descending two-term variant
-
-def test_descending_finite_sum_is_not_a_solution():
-    # gamma0 = 2: the sum collapses to u = -z, which misses the equation
-    p = params(1.0, 1.0, 1.0, 1.0, 0.0)
-    sol = build_a1_descending(p)
-    assert sol.terminated and sol.terminal_index == 1 and sol.descending
-    u = eval_series_with_derivatives(sol, 0.3)[0]
-    assert u == pytest.approx(-0.3, abs=1e-15)
-    # residual of u = -z at z = 0.3 is exactly 52/21
-    assert series_ode_residual(sol, 0.3) == pytest.approx(52.0 / 21.0, rel=1e-12)
-
-
-def test_descending_partial_sums_converge_to_zero():
-    # non-integer gamma0 with Re gamma0 > 1: partial sums decay like
-    # N^(1 - gamma0), so the series represents the zero function
-    p = params(2.4, 0.7, 1.1, -1.3, -1.3 - 0.7 * 1.1)
-    g0 = (1 + 2.4 + 0.7 - (-1.3 / 1.1))
-    mags = []
-    for N in (40, 80, 160):
-        sol = build_a1_descending(p, n_terms=N)
-        assert not sol.terminated
-        mags.append(abs(eval_series_with_derivatives(sol, 0.3)[0]))
-    assert mags[1] / mags[0] < 0.1 and mags[2] / mags[1] < 0.1
-    for N, m in zip((40, 80, 160), mags):
-        assert 1.0 <= m * N ** (g0 - 1) <= 2.5
-
-
-def test_descending_applicability():
-    with pytest.raises(ApplicabilityError):
-        build_a1_descending(params(1.0, 1.0, 1.0, 1.0, 0.5))  # q off constraint
-    with pytest.raises(ApplicabilityError):
-        build_a1_descending(params(1.0, 1.0, 0.0, 1.0, 1.0))  # eps = 0
-    with pytest.raises(ValueError):
-        # gamma0 non-integer and no explicit length
-        build_a1_descending(params(2.4, 0.7, 1.1, -1.3, -1.3 - 0.7 * 1.1))
-
-
-def test_descending_rejects_resubstitution():
-    sol = build_a1_descending(params(1.0, 1.0, 1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        resubstitution_residual(sol, 1)
-
-
-# ---------------------------------------------------------------------------
 # plumbing
 
 def test_family_from_string():
@@ -404,5 +358,3 @@ def test_basis_parameter_walks():
     assert s_c.basis_parameters(2) == (a0, p.gamma + p.delta + 2)
     s_b3 = build_series(p, Family.B3_ThreeTerm, 3)
     assert s_b3.basis_parameters(2) == (a0 + 2, p.gamma)
-    s_desc = build_a1_descending(params(1.0, 1.0, 1.0, 1.0, 0.0))
-    assert s_desc.basis_parameters(1) == (s_desc.alpha0 - 1, s_desc.gamma0 - 1)

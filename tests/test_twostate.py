@@ -9,7 +9,6 @@ from heunkummer import (
     Family,
     LorentzianModel,
     StepTooCoarseError,
-    closed_form_a2,
     closed_form_solution,
     equation_residual_in_t,
     frobenius_coefficients,
@@ -27,6 +26,10 @@ TERMINATING = LorentzianModel(U0=math.sqrt(3.0), Delta0=2.0, Delta1=-2.0)
 
 # generic pulse, R irrational: no finite closed form exists
 GENERIC = LorentzianModel(U0=2.0, Delta0=0.5, Delta1=1.0)
+
+# R = 2 natural but Delta0 off the return spectrum: the B3 build cannot take
+# its step past the termination index (R_3 = 0 with a nonzero numerator)
+OFF_SPECTRUM = LorentzianModel(U0=math.sqrt(3.0), Delta0=0.7, Delta1=-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,14 @@ def test_rk_is_reversible():
                         init=(fwd.a1[-1], fwd.a2[-1]))
     assert abs(back.a1[-1] - 1.0) <= 1e-9
     assert abs(back.a2[-1]) <= 1e-9
+
+
+def test_stacked_run_repeats_each_single_run_exactly():
+    stacked = integrate_rk(GENERIC, -5.0, 5.0, 2000, init=np.eye(2))
+    for k, init in enumerate(((1 + 0j, 0j), (0j, 1 + 0j))):
+        single = integrate_rk(GENERIC, -5.0, 5.0, 2000, init=init)
+        assert np.array_equal(stacked.a1[k], single.a1)
+        assert np.array_equal(stacked.a2[k], single.a2)
 
 
 def test_rk_rejects_bad_grids():
@@ -175,13 +186,16 @@ def test_closed_form_satisfies_the_time_domain_equation():
 def test_closed_form_value_is_branch_stable_at_zero():
     cf = closed_form_solution(TERMINATING)
     assert abs(cf.value(1e-12) - cf.value(-1e-12)) <= 1e-10
-    v = closed_form_a2(TERMINATING, 0.0)
-    assert cmath.isfinite(v)
 
 
 def test_generic_model_has_no_finite_closed_form():
-    cf = closed_form_solution(GENERIC)
-    assert not cf.sol.terminated
+    with pytest.raises(ConditionNotMetError):
+        closed_form_solution(GENERIC)
+
+
+def test_natural_R_off_the_return_spectrum_has_no_finite_closed_form():
+    with pytest.raises(ConditionNotMetError):
+        closed_form_solution(OFF_SPECTRUM)
 
 
 # ---------------------------------------------------------------------------
