@@ -8,13 +8,7 @@ rounding level.
 
 import random
 
-from heunkummer import (
-    IDENTITY_IDS,
-    eval_1f1,
-    eval_1f1_derivative,
-    identity_residual,
-    kummer_ode_residual,
-)
+from heunkummer import IDENTITY_IDS, eval_1f1, identity_residual
 
 print("recognizable values")
 print("  1F1(1; 1; 1)      =", eval_1f1(1, 1, 1), " (e)")
@@ -26,10 +20,11 @@ loose = eval_1f1(-3, 1.4, 2.7, tol=1e-2)
 tight = eval_1f1(-3, 1.4, 2.7, tol=1e-15)
 print("\npolynomial cutoff at a = -3: tol-independent ->", loose == tight)
 
-d = eval_1f1_derivative(1.2, 0.9, 0.5)
-print("\nderivative via the shift rule (a/c) 1F1(a+1; c+1; x):", d)
-print("Kummer ODE residual at that point:",
-      f"{kummer_ode_residual(1.2, 0.9, 0.5):.3e}")
+a, c, x, h = 1.2, 0.9, 0.5, 1e-6
+print("\nderivative via the shift rule (a/c) 1F1(a+1; c+1; x):",
+      (a / c) * eval_1f1(a + 1, c + 1, x))
+print("central difference with h = 1e-6:                  ",
+      (eval_1f1(a, c, x + h) - eval_1f1(a, c, x - h)) / (2 * h))
 
 print("\nidentity sweep, 25 draws per identity, |x| <= 3")
 rng = random.Random(5)

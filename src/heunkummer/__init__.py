@@ -16,6 +16,7 @@ from .che_core import (
     LocalSeries,
     frobenius_coefficients,
     frobenius_eval,
+    relative_residual,
     residual,
     transform_1_minus_z,
 )
@@ -46,23 +47,17 @@ from .expansions import (
     eval_series_with_derivatives,
     ladder,
     recurrence_coeffs,
-    resubstitution_residual,
-    series_ode_residual,
 )
 from .kummer import (
     IDENTITY_IDS,
     eval_1f1,
-    eval_1f1_derivative,
     identity_residual,
-    kummer_ode_residual,
-    pochhammer,
 )
 from .termination import (
     QSpectrum,
     TerminationCondition,
     detect_termination,
     enumerate_termination_conditions,
-    polynomial_certificate,
     q_spectrum,
     terminated_solution,
     verify_termination,

@@ -62,6 +62,16 @@ def residual(params: CheParams, u, u1, u2, z):
             + (p.alpha * z - p.q) / (z * (z - 1)) * u)
 
 
+def relative_residual(params: CheParams, u, u1, u2, z):
+    """|residual| / max(1, |u|, |u'|, |u''|) at z; None at z = 0 or 1, where
+    the value is still meaningful but the operator is singular."""
+    try:
+        r = residual(params, u, u1, u2, z)
+    except SingularPointError:
+        return None
+    return abs(r) / max(1.0, abs(u), abs(u1), abs(u2))
+
+
 def frobenius_coefficients(params: CheParams, K: int) -> LocalSeries:
     """First K+1 coefficients of the analytic-at-0 solution, c_0 = 1.
 

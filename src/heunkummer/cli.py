@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .che_core import (CheParams, frobenius_coefficients, frobenius_eval,
-                       residual, transform_1_minus_z)
-from .errors import ConditionNotMetError, HeunKummerError, SingularPointError
+                       relative_residual, transform_1_minus_z)
+from .errors import ConditionNotMetError, HeunKummerError
 from .expansions import Family, build_series, eval_series_with_derivatives
 from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
                      identity_residual)
@@ -48,9 +48,8 @@ from .termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                           admissible_kinds, detect_termination,
                           enumerate_termination_conditions, q_spectrum,
                           verify_termination)
-from .twostate import (LorentzianModel, closed_form_solution,
-                       equation_residual_in_t, integrate_rk, match_against_rk,
-                       reduce_to_che, scan_return_delta0)
+from .twostate import (LorentzianModel, equation_residual_in_t, integrate_rk,
+                       match_against_rk, reduce_to_che, scan_return_delta0)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -167,16 +166,6 @@ def _params_from(ns) -> CheParams:
     return CheParams(ns.gamma, ns.delta, ns.eps, ns.alpha, ns.q)
 
 
-def _ode_residual(params: CheParams, u, u1, u2, z):
-    """Relative ODE residual at z; None at z = 0 or 1, where the value is
-    still meaningful but the operator is singular."""
-    try:
-        r = residual(params, u, u1, u2, z)
-    except SingularPointError:
-        return None
-    return abs(r) / max(1.0, abs(u), abs(u1), abs(u2))
-
-
 # ---------------------------------------------------------------------------
 # runners; each returns (results, diagnostics)
 
@@ -270,7 +259,7 @@ def run_che_series(ns):
                "terminal_index": sol.terminal_index,
                "alpha0": sol.alpha0, "gamma0": sol.gamma0, "s0": sol.s0}
     diagnostics = {"tail_estimate": tail,
-                   "ode_residual": _ode_residual(params, u, u1, u2, ns.z),
+                   "ode_residual": relative_residual(params, u, u1, u2, ns.z),
                    "n_coefficients": len(sol.coefficients)}
     return results, diagnostics
 
@@ -280,7 +269,7 @@ def run_frobenius(ns):
     series = frobenius_coefficients(params, ns.k_terms)
     u, u1, u2 = frobenius_eval(series, ns.z)
     results = {"u": u, "du": u1, "d2u": u2}
-    diagnostics = {"ode_residual": _ode_residual(params, u, u1, u2, ns.z),
+    diagnostics = {"ode_residual": relative_residual(params, u, u1, u2, ns.z),
                    "k_terms": ns.k_terms,
                    "last_coefficient": series.coefficients[-1]}
     return results, diagnostics
@@ -346,25 +335,28 @@ def run_q_spectrum(ns):
 def run_two_state(ns):
     if ns.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
+    if ns.t_start == ns.t_end:
+        raise ValueError(f"--t-start and --t-end must differ, both are "
+                         f"{ns.t_start}")
     model = LorentzianModel(ns.u0, ns.delta0, ns.delta1)
     family = Family.from_string(ns.family)
     red = reduce_to_che(model)
     try:
-        cf = closed_form_solution(model, family)
+        match = match_against_rk(model, family, ns.t_start, ns.t_end,
+                                 ns.steps, ns.samples)
     except ConditionNotMetError:
-        cf = None
+        match = None
     che = red.che
     results = {"R": red.R,
                "che": {"gamma": che.gamma, "delta": che.delta,
                        "eps": che.epsilon, "alpha": che.alpha, "q": che.q},
                "exponents": {"alpha1": red.exp_alpha1,
                              "alpha2": red.exp_alpha2},
-               "terminated": cf is not None}
+               "terminated": match is not None}
     diagnostics = {"steps": ns.steps, "z_map": red.z_map}
-    if cf is not None:
-        # a genuine finite sum: compare it against the RK basis
-        match = match_against_rk(model, family, ns.t_start, ns.t_end,
-                                 ns.steps, ns.samples)
+    if match is not None:
+        # a genuine finite sum, compared against the RK basis
+        cf = match.closed_form
         check_ts = np.linspace(ns.t_start, ns.t_end, 21)
         eq_residual = max(equation_residual_in_t(model, cf, float(t))
                           for t in check_ts)

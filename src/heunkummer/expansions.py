@@ -89,10 +89,6 @@ class SeriesSolution:
         return self.alpha0 + n, self.gamma0 + n
 
 
-def _is_nonpositive_integer(v) -> bool:
-    return nonpositive_int(v) is not None
-
-
 def applicability(params: CheParams, family: Family) -> list[str]:
     """Complete list of violated applicability conditions for the family.
 
@@ -111,14 +107,14 @@ def applicability(params: CheParams, family: Family) -> list[str]:
         if abs(d) > INT_TOL:
             out.append("DeltaNonZero")
     elif family in (Family.A2_ThreeTerm, Family.C_ThreeTerm):
-        if _is_nonpositive_integer(g + d):
+        if nonpositive_int(g + d) is not None:
             out.append("GammaDeltaNonPositiveInt")
         # alpha/eps == gamma+delta collapses every basis function onto
         # exp(s0 z); builds still run, only multi-term structure degenerates
         if family is Family.C_ThreeTerm and al == 0:
             out.append("AlphaZero")
     else:  # B families
-        if _is_nonpositive_integer(g):
+        if nonpositive_int(g) is not None:
             out.append("GammaNonPositiveInt")
     return out
 
@@ -259,23 +255,6 @@ def build_series(params: CheParams, family: Family, N: int,
                           terminal_index=len(coeffs) - 1 - run if terminated else None)
 
 
-def resubstitution_residual(sol: SeriesSolution, n: int) -> float:
-    """|R_n a_n + Q_{n-1} a_{n-1} + P_{n-2} a_{n-2} (+ S_{n-3} a_{n-3})|
-    relative to the largest participating term. Checks a built solution
-    against its own recurrence."""
-    a = sol.coefficients
-    if not 1 <= n < len(a):
-        raise IndexError(f"n={n} out of range for {len(a)} coefficients")
-    steps = ladder(sol.params, sol.family, sol.alpha0, sol.s0, n)
-    terms = [steps[n][0] * a[n], steps[n - 1][1] * a[n - 1]]
-    if n >= 2:
-        terms.append(steps[n - 2][2] * a[n - 2])
-    if n >= 3 and sol.family is Family.B4_FourTerm:
-        terms.append(steps[n - 3][3] * a[n - 3])
-    big = max(abs(t) for t in terms)
-    return abs(sum(terms)) / max(1e-300, big)
-
-
 def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
     """(value, tail_estimate) of the expansion at z.
 
@@ -326,11 +305,3 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         return u, u1, u2, tail
     return u, None, None, tail
 
-
-def series_ode_residual(sol: SeriesSolution, z) -> float:
-    """Relative residual of the full equation for the evaluated series at z."""
-    from .che_core import residual
-
-    u, u1, u2, _ = eval_series_with_derivatives(sol, z)
-    r = residual(sol.params, u, u1, u2, z)
-    return abs(r) / max(1.0, abs(u), abs(u1), abs(u2))

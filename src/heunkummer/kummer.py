@@ -9,7 +9,6 @@ LARGE_X. No asymptotic branch is provided.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 
 from .errors import LargeArgumentWarning, NonConvergenceError, PoleAtLowerParameterError
@@ -32,15 +31,6 @@ def nonpositive_int(value) -> int | None:
     if abs(z - m) <= INT_TOL:
         return -m
     return None
-
-
-def pochhammer(a, n: int):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
-    out = complex(1.0)
-    a = complex(a)
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def _check_lower_parameter(a, c) -> int | None:
@@ -97,13 +87,6 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     raise NonConvergenceError(
         f"1F1({a}; {c}; {x}) did not reach tol={tol} within {max_terms} terms"
     )
-
-
-def eval_1f1_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """d/dx 1F1(a; c; x) = (a/c) 1F1(a+1; c+1; x)."""
-    a, c = complex(a), complex(c)
-    _check_lower_parameter(a, c)  # c itself must be admissible, then c+1 is checked below
-    return (a / c) * eval_1f1(a + 1, c + 1, x, tol=tol, max_terms=max_terms)
 
 
 def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
@@ -183,15 +166,3 @@ def identity_residual(identity_id: str, a, c, x) -> float:
         raise ValueError(f"unknown identity id {identity_id!r}; expected one of {IDENTITY_IDS}")
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-
-def kummer_ode_residual(a, c, x) -> float:
-    """Relative residual of u'' + (c/x - 1) u' - (a/x) u = 0 for
-    u = 1F1(a; c; x), derivatives via parameter shifts. x must be nonzero."""
-    if x == 0:
-        raise ZeroDivisionError("ODE residual is not defined at x = 0")
-    a, c, x = complex(a), complex(c), complex(x)
-    u = eval_1f1(a, c, x)
-    u1 = (a / c) * eval_1f1(a + 1, c + 1, x)
-    u2 = (a * (a + 1)) / (c * (c + 1)) * eval_1f1(a + 2, c + 2, x)
-    res = u2 + (c / x - 1) * u1 - (a / x) * u
-    return abs(res) / max(1.0, abs(u), abs(u1), abs(u2))

@@ -18,13 +18,11 @@ from numpy.polynomial import polynomial as npoly
 from .che_core import CheParams
 from .errors import IllConditionedRootsError, LeadingCoefficientVanishesError
 from .expansions import (
-    ALPHA_OVER_EPS,
     GAMMA_CHOICE,
     Family,
     SeriesSolution,
     applicability,
     build_series,
-    eval_series,
     ladder,
     resolve_alpha0_gamma0,
 )
@@ -244,19 +242,3 @@ def terminated_solution(params: CheParams, family: Family,
     return dataclasses.replace(sol, coefficients=sol.coefficients[:N + 1],
                                terminated=True, terminal_index=N)
 
-
-def polynomial_certificate(sol: SeriesSolution, N: int) -> float:
-    """Certify eval_series(sol, z) is a polynomial in z of degree <= N.
-
-    Fits a degree-N polynomial through N+1 samples and returns the relative
-    mismatch at a further sample point. Values <= 1e-9 certify; larger
-    values deny (the solution genuinely is not a polynomial).
-    """
-    zs = np.linspace(0.05, 0.45, N + 1)
-    vals = np.array([eval_series(sol, z)[0] for z in zs], dtype=complex)
-    V = np.vander(zs, N + 1, increasing=True).astype(complex)
-    coeffs = np.linalg.solve(V, vals)
-    z_extra = 0.37 if N == 0 else 0.5 * (zs[0] + zs[1])
-    actual = eval_series(sol, z_extra)[0]
-    predicted = npoly.polyval(z_extra, coeffs)
-    return abs(predicted - actual) / max(1.0, abs(actual))

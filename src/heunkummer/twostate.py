@@ -34,13 +34,15 @@ import numpy as np
 from .che_core import CheParams
 from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
                      StepTooCoarseError)
-from .expansions import Family, SeriesSolution, eval_series_with_derivatives
+from .expansions import (Family, SeriesSolution, eval_series,
+                         eval_series_with_derivatives)
 from .termination import (KIND_DELTA_INT, enumerate_termination_conditions,
                           q_spectrum, terminated_solution)
 
 DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
+RELATION_TOL = 1e-8   # a located return point meets its relation this well
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class TwoStateReduction:
     """Equation parameters and prefactor exponents induced by the model."""
 
     che: CheParams
-    exp_alpha0: complex
     exp_alpha1: complex
     exp_alpha2: complex
     R: float
@@ -91,7 +92,6 @@ class Trajectory:
     times: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-    source: str
 
     def norm_drift(self) -> float:
         """Largest change of |a1|^2 + |a2|^2 from its start, over every
@@ -112,8 +112,7 @@ def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
     alpha1 = (model.Delta1 + 2 * R) / 4
     che = CheParams(gamma=1 + R, delta=1 - R, epsilon=-2 * model.Delta0,
                     alpha=0, q=-(R + model.Delta1 / 2) * model.Delta0)
-    return TwoStateReduction(che=che, exp_alpha0=0j,
-                             exp_alpha1=complex(alpha1),
+    return TwoStateReduction(che=che, exp_alpha1=complex(alpha1),
                              exp_alpha2=complex(-alpha1), R=R)
 
 
@@ -159,13 +158,15 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
         raise ValueError("steps must be at least 100")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError("time range must be finite")
+    if t_start == t_end:
+        raise ValueError(f"time range is empty: t_start = t_end = {t_start}")
     times, a = _rk4_run(model, t_start, t_end, steps, init)
     _, a_fine = _rk4_run(model, t_start, t_end, 2 * steps, init)
     diff = float(np.max(np.abs(a[..., -1, :] - a_fine[..., -1, :])))
     if diff > HALVING_TOL:
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
-    return Trajectory(times=times, a1=a[..., 0], a2=a[..., 1], source="RungeKutta")
+    return Trajectory(times=times, a1=a[..., 0], a2=a[..., 1])
 
 
 class ClosedForm:
@@ -187,7 +188,7 @@ class ClosedForm:
 
     def value(self, t: float) -> complex:
         z = self.reduction.z_of_t(t)
-        u, _, _, _ = eval_series_with_derivatives(self.sol, z)
+        u, _ = eval_series(self.sol, z)  # terminated: no tail gate applies
         return cmath.exp(self._prefactor_log(t)) * u
 
     def value_and_derivatives(self, t: float):
@@ -242,8 +243,9 @@ class MatchResult:
     lam and mu are the coefficients of the RK trajectories started from
     (1,0) and (0,1) at the anchor; max_deviation is the largest absolute
     difference between the closed form and the matched combination over the
-    sample times."""
+    sample times; closed_form is the evaluator that was matched."""
 
+    closed_form: ClosedForm
     max_deviation: float
     lam: complex
     mu: complex
@@ -268,6 +270,8 @@ def match_against_rk(model: LorentzianModel,
     and t-derivative there; the a2-derivative of a basis trajectory is
     -i U e^{i delta} a1 from the first-order system, so with the identity
     as starting states the value fixes mu and the derivative fixes lam.
+    Off the termination lines there is no closed form to match, and
+    ConditionNotMetError is raised before any integration.
     """
     cf = closed_form_solution(model, family)
     traj = integrate_rk(model, t_start, t_end, steps, init=np.eye(2))
@@ -281,9 +285,9 @@ def match_against_rk(model: LorentzianModel,
     dev = float(np.max(np.abs(closed - combined)))
     p1 = np.abs(traj.a1[0, idx]) ** 2
     p2 = np.abs(traj.a2[0, idx]) ** 2
-    return MatchResult(max_deviation=dev, lam=complex(lam), mu=complex(mu),
-                       anchor=t_start, sample_times=ts, closed=closed,
-                       combined=combined, p1=p1, p2=p2,
+    return MatchResult(closed_form=cf, max_deviation=dev, lam=complex(lam),
+                       mu=complex(mu), anchor=t_start, sample_times=ts,
+                       closed=closed, combined=combined, p1=p1, p2=p2,
                        norm_drift=traj.norm_drift())
 
 
@@ -319,7 +323,13 @@ def scan_return_delta0(U0: float, Delta1: float, N: int,
     on an evenly spaced grid of `points` values, then its refined minimum
     over that grid. Every Delta0 is clamped away from exactly 0
     (|Delta0| >= DELTA0_CLAMP) so the reduced equation keeps eps != 0.
+    A reversed bracket raises ValueError; a refined minimum above
+    RELATION_TOL is no return point and raises ConditionNotMetError.
     """
+    if delta0_min > delta0_max:
+        raise ValueError(f"delta0_min = {delta0_min} exceeds "
+                         f"delta0_max = {delta0_max}")
+
     def f(d0: float) -> float:
         d0 = _clamp(d0)
         return return_spectrum_relation(LorentzianModel(U0, d0, Delta1), N)
@@ -352,7 +362,13 @@ def scan_return_delta0(U0: float, Delta1: float, N: int,
         if b - a < 1e-13 * max(1.0, abs(a)):
             break
     best = _clamp((a + b) / 2)
-    return grid, vals, best, f(best)
+    relation = f(best)
+    if relation > RELATION_TOL:
+        raise ConditionNotMetError(
+            f"no return point in [{delta0_min}, {delta0_max}]: the relation "
+            f"is {relation:.3e} at its refined minimum Delta0 = {best}, "
+            f"above {RELATION_TOL:.0e}")
+    return grid, vals, best, relation
 
 
 def locate_return_delta0(U0: float, Delta1: float, N: int,

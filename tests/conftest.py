@@ -1,14 +1,17 @@
-"""Shared draw helpers and the subprocess environment. Every randomized
-test seeds its own generator so failures replay exactly."""
+"""Shared draw helpers, test-side oracles and the subprocess environment.
+Every randomized test seeds its own generator so failures replay exactly."""
 
 import math
 import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import heunkummer
+from heunkummer import eval_series, eval_series_with_derivatives, relative_residual
 
 # the directory the test process imports heunkummer from; subprocesses put it
 # first on PYTHONPATH so they run the same source
@@ -46,6 +49,29 @@ def dyadic_complex(rng: random.Random, bits: int = 22, shift: int = 19) -> compl
         return math.ldexp(rng.getrandbits(bits) - (1 << (bits - 1)), -shift)
 
     return complex(part(), part())
+
+
+def series_residual(sol, z) -> float:
+    """relative_residual of the equation for the evaluated series at z."""
+    u, u1, u2, _ = eval_series_with_derivatives(sol, z)
+    return relative_residual(sol.params, u, u1, u2, z)
+
+
+def polynomial_certificate(sol, N: int) -> float:
+    """Certify eval_series(sol, z) is a polynomial in z of degree <= N.
+
+    Fits a degree-N polynomial through N+1 samples and returns the relative
+    mismatch at a further sample point. Values <= 1e-9 certify; larger
+    values deny (the solution genuinely is not a polynomial).
+    """
+    zs = np.linspace(0.05, 0.45, N + 1)
+    vals = np.array([eval_series(sol, z)[0] for z in zs], dtype=complex)
+    V = np.vander(zs, N + 1, increasing=True).astype(complex)
+    coeffs = np.linalg.solve(V, vals)
+    z_extra = 0.37 if N == 0 else 0.5 * (zs[0] + zs[1])
+    actual = eval_series(sol, z_extra)[0]
+    predicted = npoly.polyval(z_extra, coeffs)
+    return abs(predicted - actual) / max(1.0, abs(actual))
 
 
 @pytest.fixture

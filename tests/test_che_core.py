@@ -12,11 +12,12 @@ from heunkummer import (
     TruncationWarning,
     frobenius_coefficients,
     frobenius_eval,
+    relative_residual,
     residual,
     transform_1_minus_z,
 )
 
-from conftest import complex_box, dyadic_complex
+from conftest import dyadic_complex
 
 
 def params(g, d, e, al, q) -> CheParams:
@@ -41,11 +42,20 @@ def test_residual_is_linear_in_u():
     assert r2 == pytest.approx(2 * r1, rel=1e-14)
 
 
+def test_relative_residual_divides_by_the_largest_input():
+    p = params(1.3, 0.4, 0.9, 2.0, 0.7)
+    r = residual(p, 2.0, 1.0, -4.0, 0.4)
+    assert relative_residual(p, 2.0, 1.0, -4.0, 0.4) == abs(r) / 4.0
+    assert relative_residual(p, 0.1, 0.2, 0.3, 0.4) == \
+        abs(residual(p, 0.1, 0.2, 0.3, 0.4))
+
+
 @pytest.mark.parametrize("z", [0.0, 1.0, 1e-14, 1 + 1e-14])
 def test_residual_refuses_singular_points(z):
     p = params(1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(SingularPointError):
         residual(p, 1.0, 0.0, 0.0, z)
+    assert relative_residual(p, 1.0, 0.0, 0.0, z) is None
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +77,7 @@ def test_series_satisfies_equation():
     p = params(1.0, 1.0, 1.0, 1.0, 0.5)
     series = frobenius_coefficients(p, 40)
     u, u1, u2 = frobenius_eval(series, 0.3)
-    rel = abs(residual(p, u, u1, u2, 0.3)) / max(1.0, abs(u), abs(u1), abs(u2))
-    assert rel <= 1e-9
+    assert relative_residual(p, u, u1, u2, 0.3) <= 1e-9
 
 
 def test_series_satisfies_equation_complex_params():
@@ -76,8 +85,7 @@ def test_series_satisfies_equation_complex_params():
     series = frobenius_coefficients(p, 60)
     z = 0.25 + 0.1j
     u, u1, u2 = frobenius_eval(series, z)
-    rel = abs(residual(p, u, u1, u2, z)) / max(1.0, abs(u), abs(u1), abs(u2))
-    assert rel <= 1e-10
+    assert relative_residual(p, u, u1, u2, z) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])

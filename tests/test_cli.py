@@ -156,6 +156,28 @@ def test_two_state_at_natural_R_off_the_return_spectrum_reports_trajectory_only(
     assert record["results"]["max_deviation"] is None
 
 
+def test_two_state_builds_its_closed_form_once(capsys, monkeypatch):
+    import heunkummer.cli
+    import heunkummer.twostate as twostate
+
+    calls = []
+    build = twostate.closed_form_solution
+
+    def counted(model, family):
+        calls.append(model)
+        return build(model, family)
+
+    for module in (twostate, heunkummer.cli):
+        monkeypatch.setattr(module, "closed_form_solution", counted,
+                            raising=False)
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", "2", "--delta1=-2",
+                                     "--samples", "5"])
+    assert code == 0
+    assert record["results"]["terminated"] is True
+    assert len(calls) == 1
+
+
 def test_two_state_family_c_is_a_usage_error(capsys):
     # the reduction has alpha = 0, outside family c
     code = main(["two-state", "--u0", "2", "--delta0", "0.5", "--delta1", "1",
@@ -387,6 +409,33 @@ def test_size_below_one_is_a_domain_error(capsys, argv, option):
     assert code == 1
     assert record["error"]["type"] == "ValueError"
     assert option in record["error"]["message"]
+
+
+@pytest.mark.parametrize("delta0", ["2", "0.7"],
+                         ids=["terminated", "not-terminated"])
+def test_two_state_zero_length_window_is_a_domain_error(capsys, delta0):
+    # a window of no length compares nothing, so it cannot read as a match
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", delta0, "--delta1=-2",
+                                     "--t-start", "1", "--t-end", "1"])
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "--t-start" in record["error"]["message"]
+    assert "--t-end" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--u0", "2.9795133830879164", "--delta1=0.7", "--n", "2",
+      "--delta0-min=1", "--delta0-max=2"], "ConditionNotMetError"),
+    (["--u0", repr(math.sqrt(0.75)), "--delta1=-1", "--n", "0",
+      "--delta0-min=0.7", "--delta0-max=-0.3"], "ValueError"),
+], ids=["no-return-point", "reversed-bracket"])
+def test_return_spectrum_scan_without_a_return_point_is_a_domain_error(
+        capsys, argv, error):
+    code, record = run_json(capsys, ["return-spectrum-scan"] + argv)
+    assert code == 1
+    assert record["error"]["type"] == error
+    assert "results" not in record
 
 
 @pytest.mark.parametrize("n", ["-1", "-2", "-3"])

@@ -16,9 +16,7 @@ from heunkummer import (
     detect_termination,
     enumerate_termination_conditions,
     eval_series,
-    polynomial_certificate,
     q_spectrum,
-    series_ode_residual,
     terminated_solution,
     verify_termination,
 )
@@ -28,6 +26,8 @@ from heunkummer.termination import (
     KIND_GAMMA_DELTA_ALPHA,
     admissible_kinds,
 )
+
+from conftest import polynomial_certificate, series_residual
 
 
 def params(g, d, e, al, q=0.0) -> CheParams:
@@ -253,7 +253,7 @@ def test_terminated_solution_truncates_exactly():
     sol = terminated_solution(p, Family.A2_ThreeTerm, cond)
     assert sol.terminated and sol.terminal_index == 1
     assert len(sol.coefficients) == 2
-    assert series_ode_residual(sol, 0.3) <= 1e-12
+    assert series_residual(sol, 0.3) <= 1e-12
     _, tail = eval_series(sol, 0.3)
     assert tail == 0.0
 

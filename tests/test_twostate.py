@@ -6,7 +6,6 @@ import pytest
 
 from heunkummer import (
     ConditionNotMetError,
-    Family,
     LorentzianModel,
     StepTooCoarseError,
     closed_form_solution,
@@ -18,6 +17,7 @@ from heunkummer import (
     match_against_rk,
     reduce_to_che,
     return_spectrum_relation,
+    scan_return_delta0,
 )
 
 # R = sqrt(U0^2 + Delta1^2/4) = 2 exactly: the series right-terminates at
@@ -64,7 +64,6 @@ def test_reduction_parameters():
     assert p.alpha == 0.0
     assert p.q == pytest.approx(-(R + 0.5) * 0.5)
     assert p.gamma + p.delta == pytest.approx(2.0)
-    assert red.exp_alpha0 == 0
     assert red.exp_alpha2 == -red.exp_alpha1
 
 
@@ -110,6 +109,8 @@ def test_rk_rejects_bad_grids():
         integrate_rk(GENERIC, -5.0, 5.0, 50)
     with pytest.raises(ValueError):
         integrate_rk(GENERIC, -math.inf, 5.0, 8000)
+    with pytest.raises(ValueError):
+        integrate_rk(GENERIC, 1.0, 1.0, 8000)  # a window of zero length
 
 
 def test_rk_detects_a_coarse_grid():
@@ -174,6 +175,7 @@ def test_closed_form_matches_the_integrator():
     match = match_against_rk(TERMINATING)
     assert match.max_deviation <= 1e-9
     assert match.norm_drift <= 1e-10
+    assert match.closed_form.sol.terminal_index == 1
 
 
 def test_closed_form_satisfies_the_time_domain_equation():
@@ -186,6 +188,8 @@ def test_closed_form_satisfies_the_time_domain_equation():
 def test_closed_form_value_is_branch_stable_at_zero():
     cf = closed_form_solution(TERMINATING)
     assert abs(cf.value(1e-12) - cf.value(-1e-12)) <= 1e-10
+    for t in (-4.0, -1e-12, 0.3, 2.5):
+        assert cf.value(t) == cf.value_and_derivatives(t)[0]
 
 
 def test_generic_model_has_no_finite_closed_form():
@@ -267,3 +271,15 @@ def test_locate_return_delta0_finds_the_point():
     d0, res = locate_return_delta0(math.sqrt(0.75), -1.0, 0, -0.3, 0.7)
     assert abs(d0) <= 1e-3
     assert res <= 1e-8
+
+
+def test_scan_refuses_a_reversed_bracket():
+    with pytest.raises(ValueError):
+        scan_return_delta0(math.sqrt(0.75), -1.0, 0, 0.7, -0.3)
+
+
+def test_scan_without_a_return_point_raises():
+    # R = 3 (N = 2), and no return point lies in [1, 2]: the refined minimum
+    # is the bracket edge with a relation of 0.39
+    with pytest.raises(ConditionNotMetError):
+        scan_return_delta0(2.9795133830879164, 0.7, 2, 1.0, 2.0, points=41)
