@@ -3,9 +3,9 @@
 The pulse model maps onto the equation solved by the series machinery; when
 the effective Rabi scale R = sqrt(U0^2 + Delta1^2/4) is a natural number the
 series cuts off and the excited amplitude has a finite closed form. Here we
-check that closed form against a Runge-Kutta integration, then use the
-return-spectrum scan to locate the detuning offset where the R = 1 pulse
-returns the system to the ground state.
+check that closed form against a Runge-Kutta integration, then locate the
+detuning offset where the R = 1 pulse returns the system to the ground
+state, as a root of the termination polynomial in Delta0.
 """
 
 import math
@@ -46,11 +46,12 @@ for i in range(0, len(result.sample_times), 20):
     t = result.sample_times[i]
     print(f"    {t:+5.1f}   {result.p1[i]:.6f}   {result.p2[i]:.6f}")
 
-# R = 1: scan Delta0 for the complete-return point. By the symmetry of the
-# pulse the relation bottoms out at Delta0 = 0 here.
+# R = 1: locate the complete-return point as the root of the termination
+# polynomial a_1(Delta0) in the bracket. By the symmetry of the pulse it
+# sits at Delta0 = 0 here, kept DELTA0_CLAMP away so that eps != 0.
 u0 = math.sqrt(0.75)  # R = sqrt(0.75 + 0.25) = 1
 d0, res = locate_return_delta0(u0, -1.0, 0, -0.3, 0.7)
-print(f"\nR = 1 scan: located Delta0 = {d0:.3e} with relation residual {res:.3e}")
+print(f"\nR = 1 return point: located Delta0 = {d0:.3e} with relation residual {res:.3e}")
 located = LorentzianModel(u0, d0, -1.0)
 result = match_against_rk(located)
 print("  closed form vs integrator at the located offset:",

@@ -74,6 +74,7 @@ from .twostate import (
     locate_return_delta0,
     match_against_rk,
     reduce_to_che,
+    return_points,
     return_spectrum_relation,
     scan_return_delta0,
 )

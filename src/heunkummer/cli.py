@@ -400,7 +400,7 @@ def run_return_spectrum_scan(ns):
     grid, values, best_delta0, best_residual = scan_return_delta0(
         ns.u0, ns.delta1, ns.n, ns.delta0_min, ns.delta0_max, points=ns.points)
     i_min = int(np.argmin(values))
-    LOG.info("scan minimum %.6g at delta0 = %.6g, refined to %.6g",
+    LOG.info("scan minimum %.6g at delta0 = %.6g, return point %.6g",
              values[i_min], grid[i_min], best_delta0)
     results = {"located": {"delta0": best_delta0, "residual": best_residual},
                "table": {"columns": ["delta0", "residual"],
@@ -486,7 +486,7 @@ COMMANDS = {
          Opt("n", "int", REQUIRED, "termination level (needs R = n+1)"),
          Opt("delta0-min", "float", REQUIRED, "scan lower bound"),
          Opt("delta0-max", "float", REQUIRED, "scan upper bound"),
-         Opt("points", "int", 41, "grid size")),
+         Opt("points", "int", 41, "rows of the relation table")),
         run_return_spectrum_scan),
 }
 
@@ -618,8 +618,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results, diagnostics = spec.runner(ns)
-        diagnostics["warnings"] = [
-            f"{type(w.message).__name__}: {w.message}" for w in caught]
+        # each distinct text once, in the order it was first raised
+        diagnostics["warnings"] = list(dict.fromkeys(
+            f"{type(w.message).__name__}: {w.message}" for w in caught))
         record["results"] = results
         record["diagnostics"] = diagnostics
     except (HeunKummerError, ZeroDivisionError, ValueError) as exc:

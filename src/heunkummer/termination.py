@@ -53,11 +53,12 @@ class QSpectrum:
     """Roots of a_{N+1}(q) = 0 with per-root rebuild verification.
 
     polynomial holds ascending coefficients of a_{N+1}(q); roots are its
-    N+1 roots (counted with multiplicity); verified[i] records whether
-    rebuilding the series at roots[i] drives a_{N+1} and a_{N+2} below
-    1e-9 of the largest coefficient, and is False where the rebuild cannot
-    take step N+2 (R_{N+2} = 0 with a non-negligible numerator);
-    root_residuals[i] is |a_{N+1}(root)| from the rebuilt recurrence.
+    N+1 roots (counted with multiplicity); verified[i] is True exactly when
+    terminated_solution accepts roots[i]: rebuilt to N+5, a_{N+1}..a_{N+5}
+    stay below 1e-9 of the largest coefficient. It is False where the
+    rebuild cannot take those steps (an R_n = 0 with a non-negligible
+    numerator); root_residuals[i] is |a_{N+1}(root)| from the rebuilt
+    recurrence.
     """
 
     condition: TerminationCondition
@@ -115,53 +116,36 @@ def detect_termination(params: CheParams, family: Family,
     return conditions[0] if conditions else None
 
 
-def _coefficient_polynomials(params: CheParams, family: Family,
-                             alpha0_choice, upto: int):
-    """a_n(q) for n = 0..upto as ascending coefficient arrays.
+def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
+    """a_{N+1}(lam) as ascending coefficients, with a_0 = 1.
 
-    Q_n is degree 1 in q with dQ/dq = -1 for every three-term family here;
-    R_n and P_n are q-free, so deg a_n = n.
+    steps is a three-term ladder [(R_n, Q_n, P_n, ...) for n = 0..N+1]
+    taken at lam = 0; Q_n moves by slopes[n] * lam while R_n and P_n stay
+    fixed, so deg a_n = n wherever no slope vanishes.
     """
-    p0 = dataclasses.replace(params, q=0)
-    alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
-    steps = ladder(p0, family, alpha0, -p0.epsilon, upto)
-    polys = [np.array([1.0 + 0j])]
-    for n in range(1, upto + 1):
+    prev, cur = None, np.array([1.0 + 0j])
+    for n in range(1, N + 2):
         R = steps[n][0]
         if abs(R) <= 1e-12 * (1 + n) ** 2:
             raise LeadingCoefficientVanishesError(
-                f"R_{n} = {R} vanishes; spectrum polynomial cannot be built")
-        num = npoly.polymul(polys[n - 1], np.array([steps[n - 1][1], -1.0 + 0j]))
+                f"R_{n} = {R} vanishes; termination polynomial cannot be built")
+        num = npoly.polymul(cur, np.array([steps[n - 1][1], slopes[n - 1]]))
         if n >= 2:
-            num = npoly.polyadd(num, steps[n - 2][2] * polys[n - 2])
-        polys.append(-num / R)
-    return polys
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of an ascending-coefficient polynomial via its companion matrix."""
-    d = len(coeffs) - 1
-    if d == 0:
-        return np.array([], dtype=complex)
-    monic = coeffs / coeffs[-1]
-    if d == 1:
-        return np.array([-monic[0]], dtype=complex)
-    comp = np.zeros((d, d), dtype=complex)
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+            num = npoly.polyadd(num, steps[n - 2][2] * prev)
+        prev, cur = cur, -num / R
+    return cur
 
 
 def q_spectrum(params: CheParams, family: Family,
                condition: TerminationCondition, alpha0_choice=None) -> QSpectrum:
     """All N+1 accessory-parameter values terminating the series at N.
 
-    The q field of params is ignored. Roots come from the companion matrix
-    of a_{N+1}(q), then one Newton step (value from an N+1 rebuild at the
-    root, derivative from the polynomial). One N+2 rebuild at each polished
-    root gives its residual |a_{N+1}| and its termination check; where that
-    build fails at step N+2, an N+1 build gives the residual and the root
-    is unverified.
+    The q field of params is ignored. Roots of a_{N+1}(q) come from
+    numpy's polyroots, then one Newton step (value from an N+1 rebuild at
+    the root, derivative from the polynomial). One N+5 rebuild at each
+    polished root gives its residual |a_{N+1}| and terminated_solution's
+    check; where that build fails, an N+1 build gives the residual and the
+    root is unverified.
     """
     p0 = dataclasses.replace(params, q=0)
     violations = applicability(p0, family)
@@ -169,12 +153,10 @@ def q_spectrum(params: CheParams, family: Family,
         raise ApplicabilityError(
             f"family {family.name} not applicable: {', '.join(violations)}")
     N = condition.N
-    polys = _coefficient_polynomials(params, family, alpha0_choice, N + 1)
-    target = polys[N + 1]
-    if len(target) != N + 2:
-        raise AssertionError(
-            f"a_{N + 1}(q) has degree {len(target) - 1}, expected {N + 1}")
-    roots = _companion_roots(target)
+    alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
+    steps = ladder(p0, family, alpha0, -p0.epsilon, N + 1)
+    target = ladder_polynomial(steps, [-1] * (N + 1), N)  # dQ_n/dq = -1
+    roots = npoly.polyroots(target)
     dpoly = npoly.polyder(target)
     polished = []
     residuals = []
@@ -187,9 +169,9 @@ def q_spectrum(params: CheParams, family: Family,
             r = r - fval / fder  # one Newton step; multiple roots skip it
         p = dataclasses.replace(params, q=r)
         try:
-            sol = build_series(p, family, N + 2, alpha0_choice=alpha0_choice)
+            sol = build_series(p, family, N + 5, alpha0_choice=alpha0_choice)
         except (LeadingCoefficientVanishesError, ZeroDivisionError):
-            # no step N+2 to check: the root is polished but unverified
+            # no steps up to N+5 to check: the root is polished but unverified
             sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
         fval = sol.coefficients[N + 1]
         scale = max(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(target))

@@ -30,14 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .che_core import CheParams
 from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
                      StepTooCoarseError)
 from .expansions import (Family, SeriesSolution, eval_series,
-                         eval_series_with_derivatives)
+                         eval_series_with_derivatives, ladder)
 from .termination import (KIND_DELTA_INT, enumerate_termination_conditions,
-                          q_spectrum, terminated_solution)
+                          ladder_polynomial, q_spectrum, terminated_solution)
 
 DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
@@ -314,65 +315,71 @@ def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     return min(abs(red.che.q - r) for r in spec.roots) / scale
 
 
-def scan_return_delta0(U0: float, Delta1: float, N: int,
-                       delta0_min: float, delta0_max: float,
-                       points: int = 81):
-    """Scan Delta0 for a return-spectrum point at fixed (U0, Delta1).
+def return_points(U0: float, Delta1: float, N: int) -> list[float]:
+    """Real Delta0, ascending, where the reduced b3 series terminates at N
+    for fixed (U0, Delta1): the return points and the trivial Delta0 = 0.
 
-    Returns (grid, residuals, delta0, residual): return_spectrum_relation
-    on an evenly spaced grid of `points` values, then its refined minimum
-    over that grid. Every Delta0 is clamped away from exactly 0
-    (|Delta0| >= DELTA0_CLAMP) so the reduced equation keeps eps != 0.
-    A reversed bracket raises ValueError; a refined minimum above
-    RELATION_TOL is no return point and raises ConditionNotMetError.
+    Requires R = N+1 within 1e-9, else ConditionNotMetError. At alpha = 0
+    the reduced ladder keeps R_n and P_n as Delta0 moves (alpha0 = alpha/eps
+    = 0) and Q_n is affine in Delta0 through eps and q, so a_{N+1} is a
+    polynomial in Delta0; the ladders at Delta0 = +-1 give Q_n at 0 and its
+    slope. A root within RELATION_TOL of the real axis counts as real.
+    """
+    reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
+                  for d0 in (1.0, -1.0)]
+    if abs(reductions[0].R - (N + 1)) > 1e-9:
+        raise ConditionNotMetError(
+            f"R = {reductions[0].R} is not the natural number {N + 1}")
+    up, down = (ladder(red.che, Family.B3_ThreeTerm, 0.0, -red.che.epsilon,
+                       N + 1) for red in reductions)
+    steps = [(R_n, (Qu + Qd) / 2, P_n) for (R_n, Qu, P_n, _), (_, Qd, _, _)
+             in zip(up, down)]
+    slopes = [(u[1] - d[1]) / 2 for u, d in zip(up, down)]
+    roots = npoly.polyroots(ladder_polynomial(steps, slopes, N).real)
+    return sorted(float(r.real) for r in roots
+                  if abs(r.imag) <= RELATION_TOL * max(1.0, abs(r)))
+
+
+def _clamp(d0: float) -> float:
+    """d0 kept at least DELTA0_CLAMP away from 0, so eps = -2 d0 != 0."""
+    return math.copysign(max(abs(d0), DELTA0_CLAMP), d0)
+
+
+def locate_return_delta0(U0: float, Delta1: float, N: int,
+                         delta0_min: float, delta0_max: float):
+    """(delta0, residual): the return point in [delta0_min, delta0_max]
+    with the smallest return_spectrum_relation, and that relation.
+
+    The point is clamped to |Delta0| >= DELTA0_CLAMP. A reversed bracket
+    raises ValueError; a bracket without a return point, or whose best
+    relation is above RELATION_TOL, raises ConditionNotMetError.
     """
     if delta0_min > delta0_max:
         raise ValueError(f"delta0_min = {delta0_min} exceeds "
                          f"delta0_max = {delta0_max}")
-
-    def f(d0: float) -> float:
-        d0 = _clamp(d0)
-        return return_spectrum_relation(LorentzianModel(U0, d0, Delta1), N)
-
-    def _clamp(d0: float) -> float:
-        if abs(d0) < DELTA0_CLAMP:
-            return DELTA0_CLAMP if d0 >= 0 else -DELTA0_CLAMP
-        return d0
-
-    grid = np.linspace(delta0_min, delta0_max, points)
-    vals = [f(d0) for d0 in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(points - 1, i + 1)]
-    # golden-section refinement on the bracketing interval
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-13 * max(1.0, abs(a)):
-            break
-    best = _clamp((a + b) / 2)
-    relation = f(best)
+    inside = [_clamp(d0) for d0 in return_points(U0, Delta1, N)
+              if delta0_min <= d0 <= delta0_max]
+    relation, delta0 = min(
+        ((return_spectrum_relation(LorentzianModel(U0, d0, Delta1), N), d0)
+         for d0 in inside), default=(math.inf, None))
     if relation > RELATION_TOL:
         raise ConditionNotMetError(
-            f"no return point in [{delta0_min}, {delta0_max}]: the relation "
-            f"is {relation:.3e} at its refined minimum Delta0 = {best}, "
-            f"above {RELATION_TOL:.0e}")
-    return grid, vals, best, relation
+            f"no return point in [{delta0_min}, {delta0_max}]: of its "
+            f"{len(inside)} real roots, the best relation {relation:.3e} "
+            f"is above {RELATION_TOL:.0e}")
+    return delta0, relation
 
 
-def locate_return_delta0(U0: float, Delta1: float, N: int,
-                         delta0_min: float, delta0_max: float,
-                         points: int = 81):
-    """(delta0, residual) at the refined minimum of scan_return_delta0."""
-    return scan_return_delta0(U0, Delta1, N, delta0_min, delta0_max, points)[2:]
+def scan_return_delta0(U0: float, Delta1: float, N: int,
+                       delta0_min: float, delta0_max: float,
+                       points: int = 81):
+    """locate_return_delta0's (delta0, residual) with its errors, after
+    return_spectrum_relation on an evenly spaced grid of `points` values
+    over the bracket, each clamped like the located point: returns
+    (grid, residuals, delta0, residual).
+    """
+    delta0, relation = locate_return_delta0(U0, Delta1, N, delta0_min, delta0_max)
+    grid = np.linspace(delta0_min, delta0_max, points)
+    vals = [return_spectrum_relation(LorentzianModel(U0, _clamp(d0), Delta1), N)
+            for d0 in grid]
+    return grid, vals, delta0, relation

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,34 @@ def test_return_spectrum_scan_record(capsys):
     assert len(record["results"]["table"]["rows"]) == 11
 
 
+def test_repeated_warnings_are_listed_once(capsys, monkeypatch):
+    import heunkummer.cli
+
+    def noisy(ns):
+        for text in ("first", "second", "first", "second", "first"):
+            warnings.warn(text)
+        return {}, {}
+
+    spec = heunkummer.cli.COMMANDS["eval-1f1"]
+    monkeypatch.setitem(heunkummer.cli.COMMANDS, "eval-1f1",
+                        spec._replace(runner=noisy))
+    code, record = run_json(capsys, ["eval-1f1", "--a", "1", "--c", "1",
+                                     "--x", "1"])
+    assert code == 0
+    assert record["diagnostics"]["warnings"] == ["UserWarning: first",
+                                                 "UserWarning: second"]
+
+
+def test_q_spectrum_ill_conditioned_roots_are_a_domain_error(capsys):
+    code, record = run_json(capsys, [
+        "q-spectrum", "--family", "b3", "--gamma", "1.696368786063189",
+        "--delta=-12", "--eps", "1.3394384208195445",
+        "--alpha", "1.3188064519439089"])
+    assert code == 1
+    assert record["error"]["type"] == "IllConditionedRootsError"
+    assert "results" not in record
+
+
 def test_return_spectrum_scan_evaluates_its_grid_once(capsys, monkeypatch):
     import heunkummer.cli
     import heunkummer.twostate as twostate
@@ -220,7 +249,7 @@ def test_return_spectrum_scan_evaluates_its_grid_once(capsys, monkeypatch):
     assert code == 0
     by_cli = len(calls)
     calls.clear()
-    twostate.locate_return_delta0(u0, -1.0, 0, -0.3, 0.7, points=11)
+    twostate.scan_return_delta0(u0, -1.0, 0, -0.3, 0.7, points=11)
     assert by_cli == len(calls)
 
 

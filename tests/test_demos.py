@@ -18,7 +18,7 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
 
 
 # two_state_pulse.py is left out: it takes about 8 s, nearly all of it in the
-# RK integrator (ROADMAP item 4)
+# RK integrator (ROADMAP item 5)
 @pytest.mark.parametrize("demo", ["kummer_basics.py", "q_spectra.py",
                                   "reflection_map.py", "series_families.py"])
 def test_demo_runs(demo):

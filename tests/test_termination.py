@@ -9,6 +9,8 @@ import pytest
 from heunkummer import (
     ApplicabilityError,
     CheParams,
+    IllConditionedRootsError,
+    LeadingCoefficientVanishesError,
     Family,
     GAMMA_CHOICE,
     TerminationCondition,
@@ -211,8 +213,48 @@ def test_root_whose_rebuild_cannot_take_step_n_plus_2_is_unverified():
     cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 16)
     spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
     assert len(spec.roots) == len(spec.root_residuals) == 17
-    assert spec.verified.count(True) == 12
-    assert spec.verified.count(False) == 5
+    assert spec.verified == tuple(accepted(p, Family.B3_ThreeTerm, cond, r)
+                                  for r in spec.roots)
+    assert spec.verified.count(True) == 9
+
+
+def accepted(p, family, cond, root, choice=None) -> bool:
+    """Whether terminated_solution takes root as a spectrum root."""
+    try:
+        terminated_solution(dataclasses.replace(p, q=root), family, cond, choice)
+    except (ValueError, LeadingCoefficientVanishesError):
+        return False
+    return True
+
+
+def test_verified_means_terminated_solution_accepts_the_root():
+    # a_{N+1} and a_{N+2} are small at the root near 106.968, a_{N+3} is not
+    p = params(2.488656140836074, 0.7578407694474133, 0.865815372621563,
+               10.603205285685917)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, 9)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, cond, GAMMA_CHOICE)
+    i = min(range(len(spec.roots)), key=lambda k: abs(spec.roots[k] - 106.968))
+    assert abs(spec.roots[i] - 106.968) <= 1e-3
+    assert not accepted(p, Family.B3_ThreeTerm, cond, spec.roots[i], GAMMA_CHOICE)
+    assert spec.verified == tuple(
+        accepted(p, Family.B3_ThreeTerm, cond, r, GAMMA_CHOICE) for r in spec.roots)
+
+
+def test_ill_conditioned_roots_raise():
+    # b3 delta = -12: the double-precision roots leave a_13 above 1e-8 of
+    # the polynomial scale
+    p = params(1.696368786063189, -12.0, 1.3394384208195445, 1.3188064519439089)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 12)
+    with pytest.raises(IllConditionedRootsError):
+        q_spectrum(p, Family.B3_ThreeTerm, cond)
+
+
+def test_vanishing_ladder_step_stops_the_polynomial():
+    # alpha0 = alpha/eps = 0.5 puts alpha0 + 2 on gamma, so R_2 = 0
+    p = params(2.5, -3.0, 1.0, 0.5)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 3)
+    with pytest.raises(LeadingCoefficientVanishesError, match="R_2"):
+        q_spectrum(p, Family.B3_ThreeTerm, cond)
 
 
 @pytest.mark.parametrize("N", [-1, -2, -3])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from heunkummer import (
     locate_return_delta0,
     match_against_rk,
     reduce_to_che,
+    return_points,
     return_spectrum_relation,
     scan_return_delta0,
 )
@@ -283,3 +285,60 @@ def test_scan_without_a_return_point_raises():
     # is the bracket edge with a relation of 0.39
     with pytest.raises(ConditionNotMetError):
         scan_return_delta0(2.9795133830879164, 0.7, 2, 1.0, 2.0, points=41)
+
+
+def determinant_return_points(N: int, delta1: float) -> list[float]:
+    """Nonzero real Delta0 with det(T0 + Delta0 diag(B)) = 0, at 40 digits.
+
+    With R = N+1 and alpha = 0 the reduced b3 ladder has R_n = n(n-N-2),
+    P_n = n(n-N) and Q_n = 2n(N+1-n) + Delta0 (N+1+Delta1/2-2n), so the
+    points are the eigenvalues of -diag(B)^-1 T0.
+    """
+    with mpmath.workdps(40):
+        B = [N + 1 + mpmath.mpf(delta1) / 2 - 2 * m for m in range(N + 1)]
+        M = mpmath.matrix(N + 1, N + 1)
+        for m in range(N + 1):
+            M[m, m] = -2 * m * (N + 1 - m) / B[m]
+            if m < N:
+                M[m, m + 1] = -(m + 1) * (m - 1 - N) / B[m]
+            if m > 0:
+                M[m, m - 1] = -(m - 1) * (m - 1 - N) / B[m]
+        values = mpmath.eig(M, left=False, right=False)
+        return sorted(float(mpmath.re(v)) for v in values
+                      if abs(mpmath.im(v)) < 1e-20 and abs(v) > 1e-20)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_return_points_match_the_determinant_oracle(N):
+    for delta1 in (-1.5, -0.7, 0.3, 0.9, 1.6):
+        u0 = math.sqrt((N + 1) ** 2 - delta1 ** 2 / 4)
+        points = return_points(u0, delta1, N)
+        assert len(points) == N + 1 and min(map(abs, points)) <= 1e-12
+        nontrivial = [d0 for d0 in points if abs(d0) > 1e-12]
+        expected = determinant_return_points(N, delta1)
+        assert len(nontrivial) == len(expected)
+        for got, want in zip(nontrivial, expected):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_return_points_need_a_natural_R():
+    with pytest.raises(ConditionNotMetError):
+        return_points(2.0, 1.0, 1)
+
+
+def test_locate_evaluates_the_relation_only_at_roots(monkeypatch):
+    import heunkummer.twostate as twostate
+
+    calls = []
+    relation = twostate.return_spectrum_relation
+
+    def counted(model, N):
+        calls.append(model.Delta0)
+        return relation(model, N)
+
+    monkeypatch.setattr(twostate, "return_spectrum_relation", counted)
+    u0 = math.sqrt(9 - 0.3 ** 2 / 4)
+    d0, res = locate_return_delta0(u0, 0.3, 2, 3.9, 4.4)
+    assert calls == [d0]
+    assert abs(d0 - determinant_return_points(2, 0.3)[-1]) <= 1e-12 * d0
+    assert res <= 1e-8
