@@ -58,6 +58,7 @@ from .termination import (
     TerminationCondition,
     detect_termination,
     enumerate_termination_conditions,
+    finite_solution,
     q_spectrum,
     terminated_solution,
     verify_termination,

@@ -23,8 +23,8 @@ still printed), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -46,8 +46,8 @@ from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
 from .termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                           KIND_GAMMA_DELTA_ALPHA, TerminationCondition,
                           admissible_kinds, detect_termination,
-                          enumerate_termination_conditions, q_spectrum,
-                          verify_termination)
+                          enumerate_termination_conditions, finite_solution,
+                          q_spectrum)
 from .twostate import (LorentzianModel, equation_residual_in_t, integrate_rk,
                        match_against_rk, reduce_to_che, scan_return_delta0)
 
@@ -240,19 +240,14 @@ def run_verify_identities(ns):
 def run_che_series(ns):
     params = _params_from(ns)
     family = Family.from_string(ns.family)
-    sol = build_series(params, family, ns.n_terms,
-                       alpha0_choice=ns.alpha0_choice, s0=ns.s0)
-    # truncate to the exact finite sum when the built tail already vanished
-    try:
-        cond = detect_termination(params, family, ns.alpha0_choice)
-    except ValueError:
-        cond = None
-    if (cond is not None and cond.N + 2 < len(sol.coefficients)
-            and verify_termination(sol, cond.N)):
-        sol = dataclasses.replace(sol,
-                                  coefficients=sol.coefficients[:cond.N + 1],
-                                  terminated=True, terminal_index=cond.N)
-        LOG.info("series terminates at n = %d (%s)", cond.N, cond.kind)
+    sol = None
+    if ns.s0 is None:  # only b4 reads s0, and b4 has no termination rule
+        with contextlib.suppress(ConditionNotMetError):
+            sol = finite_solution(params, family, ns.alpha0_choice)
+            LOG.info("series terminates at n = %d", sol.terminal_index)
+    if sol is None:  # no finite sum: build --n-terms coefficients
+        sol = build_series(params, family, ns.n_terms,
+                           alpha0_choice=ns.alpha0_choice, s0=ns.s0)
     u, u1, u2, tail = eval_series_with_derivatives(sol, ns.z)
     results = {"value": u, "derivative": u1, "second_derivative": u2,
                "terminated": sol.terminated,
@@ -393,10 +388,6 @@ def run_return_spectrum_scan(ns):
     if ns.points < 1:
         raise ValueError(f"--points must be at least 1, got {ns.points}")
     probe = reduce_to_che(LorentzianModel(ns.u0, 1.0, ns.delta1))
-    if abs(probe.R - (ns.n + 1)) > 1e-9:
-        raise ConditionNotMetError(
-            f"R = {probe.R} but a level-{ns.n} return point needs "
-            f"R = {ns.n + 1}; adjust --u0/--delta1")
     grid, values, best_delta0, best_residual = scan_return_delta0(
         ns.u0, ns.delta1, ns.n, ns.delta0_min, ns.delta0_max, points=ns.points)
     i_min = int(np.argmin(values))

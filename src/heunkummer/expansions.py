@@ -176,20 +176,27 @@ def ladder(params: CheParams, family: Family, alpha0, s0, upto: int) -> list:
     return [recurrence_coeffs(params, family, alpha0, s0, n) for n in range(upto + 1)]
 
 
+def check_alpha0_choice(family: Family, alpha0_choice) -> None:
+    """ValueError unless alpha0_choice is None or, for the b families, one
+    of their two alpha0 branches; no other family reads it."""
+    b_family = family in (Family.B4_FourTerm, Family.B3_ThreeTerm)
+    allowed = (None, ALPHA_OVER_EPS, GAMMA_CHOICE) if b_family else (None,)
+    if alpha0_choice not in allowed:
+        raise ValueError(f"family {family.name} takes alpha0_choice "
+                         f"{' or '.join(map(repr, allowed))}, got {alpha0_choice!r}")
+
+
 def resolve_alpha0_gamma0(params: CheParams, family: Family, alpha0_choice):
+    check_alpha0_choice(family, alpha0_choice)
     g, d, e, al = params.gamma, params.delta, params.epsilon, params.alpha
     if family is Family.A1_TwoTerm:
         return al / e, 1 + g + d
     if family in (Family.A2_ThreeTerm, Family.C_ThreeTerm):
         return al / e, g + d
     # B families: gamma_n is the constant gamma; alpha0 has two branches
-    if alpha0_choice in (None, ALPHA_OVER_EPS):
-        return al / e, g
     if alpha0_choice == GAMMA_CHOICE:
         return g, g
-    raise ValueError(
-        f"alpha0_choice must be {ALPHA_OVER_EPS!r} or {GAMMA_CHOICE!r}, "
-        f"got {alpha0_choice!r}")
+    return al / e, g
 
 
 def build_series(params: CheParams, family: Family, N: int,
@@ -206,12 +213,10 @@ def build_series(params: CheParams, family: Family, N: int,
     if violations:
         raise ApplicabilityError(
             f"family {family.name} not applicable: {', '.join(violations)}")
-    if family is Family.B4_FourTerm:
-        if s0 is None:
-            raise ValueError("family B4 requires an explicit s0")
-        s0 = complex(s0)
-    else:
-        s0 = -complex(params.epsilon)
+    if (s0 is None) == (family is Family.B4_FourTerm):
+        raise ValueError(f"family B4 requires an explicit s0 and no other "
+                         f"family reads one; got s0 = {s0} for {family.name}")
+    s0 = -complex(params.epsilon) if s0 is None else complex(s0)
     alpha0, gamma0 = resolve_alpha0_gamma0(params, family, alpha0_choice)
 
     # a_0 alone reads no step (an A1 pole at gamma_0 = 0 must not raise)

@@ -16,17 +16,18 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .che_core import CheParams
-from .errors import IllConditionedRootsError, LeadingCoefficientVanishesError
+from .errors import (ApplicabilityError, ConditionNotMetError,
+                     IllConditionedRootsError, LeadingCoefficientVanishesError)
 from .expansions import (
     GAMMA_CHOICE,
     Family,
     SeriesSolution,
     applicability,
     build_series,
+    check_alpha0_choice,
     ladder,
     resolve_alpha0_gamma0,
 )
-from .errors import ApplicabilityError
 from .kummer import nonpositive_int
 
 KIND_ALPHA_OVER_EPS = "AlphaOverEps"
@@ -69,11 +70,10 @@ class QSpectrum:
 
 
 def admissible_kinds(family: Family, alpha0_choice):
-    if family is Family.A2_ThreeTerm:
-        return [KIND_ALPHA_OVER_EPS, KIND_DELTA_INT]
-    if family is Family.B3_ThreeTerm:
-        if alpha0_choice == GAMMA_CHOICE:
-            return [KIND_GAMMA_DELTA_ALPHA]
+    check_alpha0_choice(family, alpha0_choice)
+    if family is Family.B3_ThreeTerm and alpha0_choice == GAMMA_CHOICE:
+        return [KIND_GAMMA_DELTA_ALPHA]
+    if family in (Family.A2_ThreeTerm, Family.B3_ThreeTerm):
         return [KIND_ALPHA_OVER_EPS, KIND_DELTA_INT]
     if family is Family.C_ThreeTerm:
         return [KIND_GAMMA_DELTA_ALPHA, KIND_DELTA_INT]
@@ -88,14 +88,15 @@ def _kind_value(params: CheParams, kind: str):
         return params.alpha / params.epsilon
     if kind == KIND_DELTA_INT:
         return params.delta
-    if kind == KIND_GAMMA_DELTA_ALPHA:
-        return params.gamma + params.delta - params.alpha / params.epsilon
-    raise ValueError(f"unknown termination kind {kind!r}")
+    return params.gamma + params.delta - params.alpha / params.epsilon  # GammaDeltaAlpha
 
 
 def enumerate_termination_conditions(params: CheParams, family: Family,
                                      alpha0_choice=None) -> list[TerminationCondition]:
-    """All admissible integer coincidences for the family, smallest N first."""
+    """All admissible integer coincidences for the family, smallest N first;
+    ApplicabilityError at eps = 0, where no family applies."""
+    if params.epsilon == 0:
+        raise ApplicabilityError(f"family {family.name} not applicable: EpsilonZero")
     found = []
     for kind in admissible_kinds(family, alpha0_choice):
         m = nonpositive_int(_kind_value(params, kind))
@@ -224,3 +225,19 @@ def terminated_solution(params: CheParams, family: Family,
     return dataclasses.replace(sol, coefficients=sol.coefficients[:N + 1],
                                terminated=True, terminal_index=N)
 
+
+def finite_solution(params: CheParams, family: Family,
+                    alpha0_choice=None) -> SeriesSolution:
+    """terminated_solution at the first enumerated condition whose spectrum
+    holds params.q: the exact finite sum. ConditionNotMetError where none
+    does, as at eps = 0 and for a1 and b4, which have no rule here."""
+    conditions = []
+    if params.epsilon != 0 and family not in (Family.A1_TwoTerm, Family.B4_FourTerm):
+        conditions = enumerate_termination_conditions(params, family, alpha0_choice)
+    for cond in conditions:
+        try:
+            return terminated_solution(params, family, cond, alpha0_choice)
+        except (ValueError, LeadingCoefficientVanishesError):
+            continue  # q not in this condition's spectrum; try the next
+    raise ConditionNotMetError(
+        f"the {family.name} series does not terminate at q = {params.q}")

@@ -33,12 +33,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .che_core import CheParams
-from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
-                     StepTooCoarseError)
+from .errors import ConditionNotMetError, StepTooCoarseError
 from .expansions import (Family, SeriesSolution, eval_series,
                          eval_series_with_derivatives, ladder)
-from .termination import (KIND_DELTA_INT, enumerate_termination_conditions,
-                          ladder_polynomial, q_spectrum, terminated_solution)
+from .termination import (KIND_DELTA_INT, TerminationCondition,
+                          finite_solution, ladder_polynomial, q_spectrum)
 
 DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
@@ -210,21 +209,11 @@ class ClosedForm:
 def closed_form_solution(model: LorentzianModel,
                          family: Family = Family.B3_ThreeTerm) -> ClosedForm:
     """Build the terminated series solution once and wrap it for evaluation
-    along t.
-
-    The first termination condition whose spectrum holds the reduced q
-    gives the exact finite sum. Off those lines there is no finite closed
-    form, and ConditionNotMetError is raised.
+    along t: termination.finite_solution of the reduced equation. Off the
+    termination lines there is no finite closed form: ConditionNotMetError.
     """
     red = reduce_to_che(model)
-    for cond in enumerate_termination_conditions(red.che, family):
-        try:
-            return ClosedForm(model, red, terminated_solution(red.che, family, cond))
-        except (ValueError, LeadingCoefficientVanishesError):
-            continue  # q not in this condition's spectrum; try the next
-    raise ConditionNotMetError(
-        f"the {family.name} series of the reduced equation does not terminate "
-        f"at q = {red.che.q}: no finite closed form")
+    return ClosedForm(model, red, finite_solution(red.che, family))
 
 
 def equation_residual_in_t(model: LorentzianModel, cf: ClosedForm, t: float) -> float:
@@ -292,6 +281,14 @@ def match_against_rk(model: LorentzianModel,
                        norm_drift=traj.norm_drift())
 
 
+def _return_condition(R: float, N: int) -> TerminationCondition:
+    """The b3 DeltaInt condition at N, which the reduced equation meets when
+    R = N+1 within 1e-9 (delta = 1-R = -N); else ConditionNotMetError."""
+    if abs(R - (N + 1)) > 1e-9:
+        raise ConditionNotMetError(f"R = {R} is not the natural number {N + 1}")
+    return TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
+
+
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     """Distance of the model's q from the termination spectrum of the
     reduced equation, normalized by the spectrum scale.
@@ -301,16 +298,7 @@ def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     series genuinely terminates: a return-spectrum point.
     """
     red = reduce_to_che(model)
-    if abs(red.R - (N + 1)) > 1e-9:
-        raise ConditionNotMetError(
-            f"R = {red.R} is not the natural number {N + 1}")
-    conditions = enumerate_termination_conditions(red.che, Family.B3_ThreeTerm)
-    cond = next((c for c in conditions
-                 if c.kind == KIND_DELTA_INT and c.N == N), None)
-    if cond is None:
-        raise ConditionNotMetError(
-            f"reduced equation does not show the delta = -{N} coincidence")
-    spec = q_spectrum(red.che, Family.B3_ThreeTerm, cond)
+    spec = q_spectrum(red.che, Family.B3_ThreeTerm, _return_condition(red.R, N))
     scale = max(1.0, max(abs(r) for r in spec.roots))
     return min(abs(red.che.q - r) for r in spec.roots) / scale
 
@@ -327,9 +315,7 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     """
     reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
                   for d0 in (1.0, -1.0)]
-    if abs(reductions[0].R - (N + 1)) > 1e-9:
-        raise ConditionNotMetError(
-            f"R = {reductions[0].R} is not the natural number {N + 1}")
+    _return_condition(reductions[0].R, N)
     up, down = (ladder(red.che, Family.B3_ThreeTerm, 0.0, -red.che.epsilon,
                        N + 1) for red in reductions)
     steps = [(R_n, (Qu + Qd) / 2, P_n) for (R_n, Qu, P_n, _), (_, Qd, _, _)

@@ -66,6 +66,20 @@ def test_che_series_example_record(capsys):
     assert record["diagnostics"]["tail_estimate"] == 0
 
 
+def test_che_series_finds_a_finite_sum_past_the_smallest_condition(capsys):
+    # alpha/eps = -1 gives AlphaOverEps N = 1, whose spectrum misses q; q is
+    # a root of the DeltaInt N = 3 spectrum
+    code, record = run_json(capsys, ["che-series", "--family", "a2", "--gamma",
+                                     "2.3", "--delta=-3", "--eps", "1",
+                                     "--alpha=-1", "--q", "2.4762260797143",
+                                     "--z", "0.3"])
+    assert code == 0
+    assert record["results"]["terminated"] is True
+    assert record["results"]["terminal_index"] == 3
+    assert record["diagnostics"]["n_coefficients"] == 4
+    assert record["diagnostics"]["tail_estimate"] == 0
+
+
 def test_eval_1f1_record(capsys):
     code, record = run_json(capsys, ["eval-1f1", "--a", "1", "--c", "1",
                                      "--x", "1"])
@@ -144,6 +158,18 @@ def test_two_state_off_manifold_reports_trajectory_only(capsys):
     assert record["results"]["max_deviation"] is None
     assert "closed_form" in record["diagnostics"]
     # populations still come out of the integrator
+    assert record["results"]["table"]["rows"][0][1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_two_state_at_zero_detuning_rate_reports_trajectory_only(capsys):
+    # Delta0 = 0 reduces to eps = 0, where no family applies
+    code, record = run_json(capsys, ["two-state", "--u0", "2", "--delta0", "0",
+                                     "--delta1", "1", "--t-start=-2",
+                                     "--t-end", "2", "--steps", "2000",
+                                     "--samples", "5"])
+    assert code == 0
+    assert record["results"]["terminated"] is False
+    assert record["results"]["max_deviation"] is None
     assert record["results"]["table"]["rows"][0][1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -458,7 +484,9 @@ def test_two_state_zero_length_window_is_a_domain_error(capsys, delta0):
       "--delta0-min=1", "--delta0-max=2"], "ConditionNotMetError"),
     (["--u0", repr(math.sqrt(0.75)), "--delta1=-1", "--n", "0",
       "--delta0-min=0.7", "--delta0-max=-0.3"], "ValueError"),
-], ids=["no-return-point", "reversed-bracket"])
+    (["--u0", "2.5", "--delta1", "1", "--n", "1", "--delta0-min", "0.5",
+      "--delta0-max", "1"], "ConditionNotMetError"),
+], ids=["no-return-point", "reversed-bracket", "R-not-natural"])
 def test_return_spectrum_scan_without_a_return_point_is_a_domain_error(
         capsys, argv, error):
     code, record = run_json(capsys, ["return-spectrum-scan"] + argv)
@@ -482,6 +510,33 @@ def test_domain_error_yields_structured_record(capsys):
                                      "1", "--alpha", "1", "--z", "0.3"])
     assert code == 1
     assert record["error"]["type"] == "ApplicabilityError"
+    assert "results" not in record
+
+
+@pytest.mark.parametrize("command", ["detect-termination", "q-spectrum"])
+def test_eps_zero_is_an_applicability_error(capsys, command):
+    code, record = run_json(capsys, [command, "--family", "a2", "--gamma",
+                                     "2.3", "--delta=-2", "--eps", "0",
+                                     "--alpha", "0.7"])
+    assert code == 1
+    assert record["error"]["type"] == "ApplicabilityError"
+    assert "EpsilonZero" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    CHE_EXAMPLE + ["--s0", "5", "--alpha0-choice", "gamma"],
+    CHE_EXAMPLE + ["--s0", "5"],
+    CHE_EXAMPLE + ["--alpha0-choice", "gamma"],
+    ["detect-termination", "--family", "c", "--gamma", "2.3", "--delta=-1",
+     "--eps", "1.1", "--alpha", "0.7", "--alpha0-choice", "alpha-over-eps"],
+], ids=["che-series-both", "che-series-s0", "che-series-alpha0-choice",
+        "detect-termination"])
+def test_option_the_family_does_not_read_is_refused(capsys, argv):
+    # a2 and c read neither option, and CHE_EXAMPLE terminates, so the
+    # refusal must not wait for a build of --n-terms coefficients
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
     assert "results" not in record
 
 

@@ -187,6 +187,17 @@ def test_bad_alpha0_choice_rejected():
                      alpha0_choice="middle")
 
 
+@pytest.mark.parametrize("family, option", [
+    (Family.A2_ThreeTerm, {"s0": 0.4}),
+    (Family.B3_ThreeTerm, {"s0": 0.4}),
+    (Family.A2_ThreeTerm, {"alpha0_choice": GAMMA_CHOICE}),
+    (Family.C_ThreeTerm, {"alpha0_choice": ALPHA_OVER_EPS}),
+], ids=["a2-s0", "b3-s0", "a2-alpha0-choice", "c-alpha0-choice"])
+def test_option_the_family_does_not_read_is_refused(family, option):
+    with pytest.raises(ValueError):
+        build_series(params(1.5, 0.5, 1.0, 1.0, 0.5), family, 5, **option)
+
+
 def test_b3_alpha0_branches():
     p = params(1.5, 0.5, 1.1, 0.9, 0.5)
     s_ae = build_series(p, Family.B3_ThreeTerm, 4, alpha0_choice=ALPHA_OVER_EPS)

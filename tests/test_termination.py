@@ -9,6 +9,7 @@ import pytest
 from heunkummer import (
     ApplicabilityError,
     CheParams,
+    ConditionNotMetError,
     IllConditionedRootsError,
     LeadingCoefficientVanishesError,
     Family,
@@ -27,6 +28,7 @@ from heunkummer.termination import (
     KIND_DELTA_INT,
     KIND_GAMMA_DELTA_ALPHA,
     admissible_kinds,
+    finite_solution,
 )
 
 from conftest import polynomial_certificate, series_residual
@@ -305,6 +307,34 @@ def test_terminated_solution_rejects_off_spectrum_q():
     cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1)
     with pytest.raises(ValueError):
         terminated_solution(p, Family.A2_ThreeTerm, cond)
+
+
+# ---------------------------------------------------------------------------
+# the finite-sum lookup
+
+# alpha/eps = -1 gives AlphaOverEps N = 1 ahead of DeltaInt N = 3, and q is
+# a root of the N = 3 spectrum only
+PAST_THE_FIRST = params(2.3, -3.0, 1.0, -1.0, 2.4762260797143)
+
+
+def test_finite_solution_takes_the_condition_whose_spectrum_holds_q():
+    conds = enumerate_termination_conditions(PAST_THE_FIRST, Family.A2_ThreeTerm)
+    assert [(c.kind, c.N) for c in conds] == [(KIND_ALPHA_OVER_EPS, 1),
+                                              (KIND_DELTA_INT, 3)]
+    sol = finite_solution(PAST_THE_FIRST, Family.A2_ThreeTerm)
+    assert sol == terminated_solution(PAST_THE_FIRST, Family.A2_ThreeTerm, conds[1])
+    assert sol.terminal_index == 3 and len(sol.coefficients) == 4
+
+
+@pytest.mark.parametrize("p, family", [
+    (params(2.5, 0.0, 1.0, -1.7, -1.7), Family.A1_TwoTerm),
+    (params(2.5, 0.5, 1.0, 1.0, 0.5), Family.B4_FourTerm),
+    (dataclasses.replace(PAST_THE_FIRST, q=2.5), Family.A2_ThreeTerm),
+    (dataclasses.replace(PAST_THE_FIRST, epsilon=0.0), Family.A2_ThreeTerm),
+], ids=["a1", "b4", "generic-q", "eps-zero"])
+def test_finite_solution_without_a_finite_sum(p, family):
+    with pytest.raises(ConditionNotMetError):
+        finite_solution(p, family)
 
 
 # ---------------------------------------------------------------------------
