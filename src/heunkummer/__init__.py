@@ -6,7 +6,7 @@ Modules:
   che_core     equation parameters, residual operator, power-series oracle,
                z -> 1-z transform
   expansions   the expansion families (two-, three-, four-term recurrences)
-  termination  termination detection and accessory-parameter spectra
+  termination  integer conditions, the one termination verdict, q-spectra
   twostate     Lorentzian two-state model, closed form and RK oracle
   cli          command-line interface (also installed as `heunkummer`)
 """
@@ -56,12 +56,10 @@ from .kummer import (
 from .termination import (
     QSpectrum,
     TerminationCondition,
-    detect_termination,
     enumerate_termination_conditions,
     finite_solution,
     q_spectrum,
     terminated_solution,
-    verify_termination,
 )
 from .twostate import (
     ClosedForm,

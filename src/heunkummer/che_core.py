@@ -13,10 +13,12 @@ Kummer-basis expansions.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
-from .errors import PoleAtGammaError, SingularPointError, TruncationWarning
+from .errors import (NonConvergenceError, PoleAtGammaError, SingularPointError,
+                     TruncationWarning)
 from .kummer import nonpositive_int
 
 SINGULAR_TOL = 1e-12
@@ -102,8 +104,8 @@ def frobenius_coefficients(params: CheParams, K: int) -> LocalSeries:
 def frobenius_eval(series: LocalSeries, z):
     """(u, u', u'') of the partial sum at z, term-wise differentiation.
 
-    Intended for |z| < 1; past that the series diverges. A TruncationWarning
-    is issued when the last-term tail estimate exceeds 1e-10.
+    Intended for |z| < 1; past that the series diverges: TruncationWarning
+    above a 1e-10 last-term tail estimate, NonConvergenceError on overflow.
     """
     z = complex(z)
     c = series.coefficients
@@ -120,7 +122,13 @@ def frobenius_eval(series: LocalSeries, z):
         u1 = c[1] if len(c) > 1 else 0j
         u2 = 2 * c[2] if len(c) > 2 else 0j
     K = len(c) - 1
-    tail = abs(c[K]) * abs(z) ** K / max(1e-300, abs(u))
+    try:
+        tail = abs(c[K]) * abs(z) ** K / max(1e-300, abs(u))
+    except OverflowError:  # |z|^K or |u| past the double range
+        tail = float("inf")
+    if not all(map(cmath.isfinite, (u, u1, u2, tail))):
+        raise NonConvergenceError(
+            f"power series through z^{K} overflows at |z| = {abs(z):.3g}")
     if tail > TAIL_WARN:
         warnings.warn(
             f"power-series tail estimate {tail:.3e} exceeds {TAIL_WARN}",

@@ -45,9 +45,8 @@ from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
                      identity_residual)
 from .termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                           KIND_GAMMA_DELTA_ALPHA, TerminationCondition,
-                          admissible_kinds, detect_termination,
-                          enumerate_termination_conditions, finite_solution,
-                          q_spectrum)
+                          admissible_kinds, enumerate_termination_conditions,
+                          finite_solution, q_spectrum)
 from .twostate import (LorentzianModel, equation_residual_in_t, integrate_rk,
                        match_against_rk, reduce_to_che, scan_return_delta0)
 
@@ -214,25 +213,17 @@ def run_verify_identities(ns):
     rng = random.Random(ns.seed)
     draws = [_draw_identity_point(rng, ns.radius) for _ in range(ns.draws)]
 
-    def worst(identity_id: str):
-        top = -1.0
-        argmax = draws[0]
-        for a, c, x in draws:
-            res = identity_residual(identity_id, a, c, x)
-            if res > top:
-                top, argmax = res, (a, c, x)
-        return top, argmax
-
-    sweep = [worst(i) for i in ids]
-    residuals = {i: sweep[k][0] for k, i in enumerate(ids)}
-    overall = max(residuals.values())
-    k_worst = max(range(len(ids)), key=lambda k: sweep[k][0])
-    wa, wc, wx = sweep[k_worst][1]
+    sweep = {i: [identity_residual(i, a, c, x) for a, c, x in draws] for i in ids}
+    residuals = {i: max(found) for i, found in sweep.items()}
+    # the first maximum over identities, then draws, in order
+    overall, worst_id, (wa, wc, wx) = max(
+        ((res, i, point) for i in ids for res, point in zip(sweep[i], draws)),
+        key=lambda t: t[0])
     LOG.info("identity sweep: %d draws, max residual %.3e", ns.draws, overall)
     results = {"residuals": residuals, "max_residual": overall}
     diagnostics = {"mode": "sweep", "draws": ns.draws, "seed": ns.seed,
                    "radius": ns.radius,
-                   "worst_case": {"identity": ids[k_worst],
+                   "worst_case": {"identity": worst_id,
                                   "a": wa, "c": wc, "x": wx}}
     return results, diagnostics
 
@@ -280,7 +271,7 @@ def run_transform(ns):
     return results, diagnostics
 
 
-def run_detect_termination(ns):
+def run_detect_conditions(ns):
     params = _params_from(ns)
     family = Family.from_string(ns.family)
     conditions = enumerate_termination_conditions(params, family,
@@ -302,11 +293,11 @@ def run_q_spectrum(ns):
     if ns.kind is not None:
         condition = TerminationCondition(family=family, kind=ns.kind, N=ns.n)
     else:
-        condition = detect_termination(params, family, ns.alpha0_choice)
-        if condition is None:
+        found = enumerate_termination_conditions(params, family, ns.alpha0_choice)
+        if not found:
             raise ConditionNotMetError(
-                "no integer coincidence detected for these parameters; "
-                "pass --kind and --n to force a condition")
+                "no integer coincidence detected for these parameters")
+        condition = found[0]
     spectrum = q_spectrum(params, family, condition, ns.alpha0_choice)
     rows = [[r.real, r.imag, v, res]
             for r, v, res in zip(spectrum.roots, spectrum.verified,
@@ -449,15 +440,15 @@ COMMANDS = {
         (Opt("alpha0-choice", _ALPHA0_CHOICES, None,
              "starting upper parameter for the b3 family"),
          Opt("all", "flag", False, "list every admissible condition")),
-        run_detect_termination),
+        run_detect_conditions),
     "q-spectrum": CommandSpec(
         "accessory-parameter values that terminate the series (q is ignored)",
         (Opt("family", _FAMILY_CHOICES, REQUIRED, "expansion family"),)
         + _CHE_OPTS +
         (Opt("alpha0-choice", _ALPHA0_CHOICES, None,
              "starting upper parameter for the b3 family"),
-         Opt("kind", _KIND_CHOICES, None, "force this condition kind"),
-         Opt("n", "int", None, "force this termination index")),
+         Opt("kind", _KIND_CHOICES, None, "kind of a condition the parameters meet"),
+         Opt("n", "int", None, "N of that condition (give with --kind)")),
         run_q_spectrum),
     "two-state": CommandSpec(
         "solve the Lorentzian-pulse two-state problem both ways and compare",

@@ -288,8 +288,6 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     u = u1 = u2 = 0j
     last_nonzero = None
     for n, a_n in enumerate(sol.coefficients):
-        if sol.terminated and sol.terminal_index is not None and n > sol.terminal_index:
-            break
         if a_n == 0:
             continue
         an, cn = sol.basis_parameters(n)
@@ -300,9 +298,7 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
             u1 += a_n * s0 * (an / cn) * eval_1f1(an + 1, cn + 1, x)
             u2 += a_n * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) \
                 * eval_1f1(an + 2, cn + 2, x)
-    if sol.terminated:
-        tail = 0.0
-    elif last_nonzero is None:
+    if sol.terminated or last_nonzero is None:
         tail = 0.0
     else:
         tail = abs(last_nonzero) / max(1e-300, abs(u))

@@ -9,6 +9,7 @@ LARGE_X. No asymptotic branch is provided.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 
 from .errors import LargeArgumentWarning, NonConvergenceError, PoleAtLowerParameterError
@@ -52,7 +53,7 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
 
     Truncates when the relative tail estimate (two consecutive terms) falls
     below tol. If a is a non-positive integer -m the exact degree-m
-    polynomial is returned.
+    polynomial is returned. NonConvergenceError where the sum overflows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -72,7 +73,7 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
         for k in range(m):
             term *= (a + k) * x / ((c + k) * (k + 1))
             total += term
-        return total
+        return _finite(total, a, c, x)
     total = term = complex(1.0)
     small_streak = 0
     for k in range(max_terms):
@@ -81,12 +82,18 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
         if abs(term) <= tol * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= 2:
-                return total
+                return _finite(total, a, c, x)
         else:
             small_streak = 0
     raise NonConvergenceError(
         f"1F1({a}; {c}; {x}) did not reach tol={tol} within {max_terms} terms"
     )
+
+
+def _finite(total: complex, a, c, x) -> complex:
+    if not cmath.isfinite(total):
+        raise NonConvergenceError(f"1F1({a}; {c}; {x}) overflows to {total}")
+    return total
 
 
 def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,7 +33,7 @@ KIND_ALPHA_OVER_EPS = "AlphaOverEps"
 KIND_DELTA_INT = "DeltaInt"
 KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 
-VERIFY_TOL = 1e-9          # |a_{N+1}|, |a_{N+2}| relative to max coefficient
+VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 POLISH_TOL = 1e-8          # polished root must satisfy the polynomial this well
 
 
@@ -54,12 +53,10 @@ class QSpectrum:
     """Roots of a_{N+1}(q) = 0 with per-root rebuild verification.
 
     polynomial holds ascending coefficients of a_{N+1}(q); roots are its
-    N+1 roots (counted with multiplicity); verified[i] is True exactly when
-    terminated_solution accepts roots[i]: rebuilt to N+5, a_{N+1}..a_{N+5}
-    stay below 1e-9 of the largest coefficient. It is False where the
-    rebuild cannot take those steps (an R_n = 0 with a non-negligible
-    numerator); root_residuals[i] is |a_{N+1}(root)| from the rebuilt
-    recurrence.
+    N+1 roots (counted with multiplicity); verified[i] is _rebuild's
+    verdict at roots[i], the one terminated_solution acts on, so it is
+    False where the rebuild cannot reach a_{N+5}; root_residuals[i] is
+    |a_{N+1}(root)| from the rebuilt recurrence.
     """
 
     condition: TerminationCondition
@@ -106,17 +103,6 @@ def enumerate_termination_conditions(params: CheParams, family: Family,
     return found
 
 
-def detect_termination(params: CheParams, family: Family,
-                       alpha0_choice=None) -> Optional[TerminationCondition]:
-    """The condition with smallest N, or None.
-
-    Detection only means P_N = 0; actual termination still requires q to be
-    a root of the spectrum.
-    """
-    conditions = enumerate_termination_conditions(params, family, alpha0_choice)
-    return conditions[0] if conditions else None
-
-
 def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
     """a_{N+1}(lam) as ascending coefficients, with a_0 = 1.
 
@@ -141,18 +127,19 @@ def q_spectrum(params: CheParams, family: Family,
                condition: TerminationCondition, alpha0_choice=None) -> QSpectrum:
     """All N+1 accessory-parameter values terminating the series at N.
 
-    The q field of params is ignored. Roots of a_{N+1}(q) come from
-    numpy's polyroots, then one Newton step (value from an N+1 rebuild at
-    the root, derivative from the polynomial). One N+5 rebuild at each
-    polished root gives its residual |a_{N+1}| and terminated_solution's
-    check; where that build fails, an N+1 build gives the residual and the
-    root is unverified.
+    The q field of params is ignored; ConditionNotMetError unless the
+    parameters meet condition. Roots of a_{N+1}(q) come from numpy's
+    polyroots, then one Newton step (value from an N+1 rebuild at the root,
+    derivative from the polynomial). _rebuild at each polished root gives
+    its residual |a_{N+1}| and verdict; where that build fails, an N+1
+    build gives the residual and the root is unverified.
     """
     p0 = dataclasses.replace(params, q=0)
     violations = applicability(p0, family)
     if violations:
         raise ApplicabilityError(
             f"family {family.name} not applicable: {', '.join(violations)}")
+    _check_condition(p0, family, condition, alpha0_choice)
     N = condition.N
     alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
     steps = ladder(p0, family, alpha0, -p0.epsilon, N + 1)
@@ -169,10 +156,8 @@ def q_spectrum(params: CheParams, family: Family,
         if abs(fder) > 1e-12 * max(1.0, abs(fval)):
             r = r - fval / fder  # one Newton step; multiple roots skip it
         p = dataclasses.replace(params, q=r)
-        try:
-            sol = build_series(p, family, N + 5, alpha0_choice=alpha0_choice)
-        except (LeadingCoefficientVanishesError, ZeroDivisionError):
-            # no steps up to N+5 to check: the root is polished but unverified
+        sol, terminates = _rebuild(p, family, N, alpha0_choice)
+        if sol is None:  # no steps up to N+5 to check: polished but unverified
             sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
         fval = sol.coefficients[N + 1]
         scale = max(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(target))
@@ -182,8 +167,7 @@ def q_spectrum(params: CheParams, family: Family,
                 f"above {POLISH_TOL:.0e} of the polynomial scale {scale:.3e}")
         polished.append(complex(r))
         residuals.append(abs(fval))
-        verified.append(len(sol.coefficients) > N + 2
-                        and verify_termination(sol, N))
+        verified.append(terminates)
     order = sorted(range(len(polished)),
                    key=lambda i: (polished[i].real, polished[i].imag))
     return QSpectrum(condition=condition,
@@ -193,35 +177,48 @@ def q_spectrum(params: CheParams, family: Family,
                      root_residuals=tuple(residuals[i] for i in order))
 
 
-def verify_termination(sol: SeriesSolution, N: int) -> bool:
-    """True iff the coefficients beyond index N are negligible.
+def _check_condition(params: CheParams, family: Family,
+                     condition: TerminationCondition, alpha0_choice) -> None:
+    """ConditionNotMetError unless the parameters meet condition: its
+    family, kind, N and alpha0 branch are among the enumerated ones."""
+    held = enumerate_termination_conditions(params, family, alpha0_choice)
+    if condition not in held:
+        raise ConditionNotMetError(
+            f"{condition.family.name} {condition.kind} N = {condition.N} does not "
+            f"hold: the {family.name} parameters (alpha0_choice {alpha0_choice!r}) "
+            f"meet {[(c.kind, c.N) for c in held]}")
 
-    Requires at least N+2 built coefficients; checks a_{N+1} and a_{N+2}
-    against 1e-9 of the largest coefficient up to N, and spot-checks any
-    further built coefficients up to N+5.
-    """
+
+def _rebuild(params: CheParams, family: Family, N: int, alpha0_choice):
+    """The one termination verdict: (the series at params.q built to N+5,
+    whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|).
+    (None, False) where the build cannot take those steps (an R_n = 0 with
+    a non-negligible numerator)."""
+    try:
+        sol = build_series(params, family, N + 5, alpha0_choice=alpha0_choice)
+    except (LeadingCoefficientVanishesError, ZeroDivisionError):
+        return None, False
     a = sol.coefficients
-    if len(a) < N + 3:
-        raise ValueError(f"need at least {N + 3} coefficients, have {len(a)}")
-    head = max(abs(a[n]) for n in range(N + 1))
-    bound = VERIFY_TOL * head
-    upto = min(N + 5, len(a) - 1)
-    return all(abs(a[n]) <= bound for n in range(N + 1, upto + 1))
+    bound = VERIFY_TOL * max(abs(a[n]) for n in range(N + 1))
+    return sol, all(abs(a[n]) <= bound for n in range(N + 1, N + 6))
 
 
 def terminated_solution(params: CheParams, family: Family,
                         condition: TerminationCondition,
                         alpha0_choice=None) -> SeriesSolution:
-    """Build, verify, and truncate a series that terminates at condition.N.
+    """The series truncated to a_0..a_N, N = condition.N, where _rebuild
+    finds that it terminates there.
 
-    params.q must already be a spectrum root; ValueError otherwise.
+    ConditionNotMetError unless the parameters meet condition; ValueError
+    where params.q is not a spectrum root or the rebuild cannot reach N+5.
     """
+    _check_condition(params, family, condition, alpha0_choice)
     N = condition.N
-    sol = build_series(params, family, N + 5, alpha0_choice=alpha0_choice)
-    if not verify_termination(sol, N):
-        raise ValueError(
-            f"series does not terminate at N={N} for q={params.q}; "
-            f"is q a spectrum root?")
+    sol, terminates = _rebuild(params, family, N, alpha0_choice)
+    if not terminates:
+        why = ("is q a spectrum root?" if sol is not None
+               else f"the rebuild cannot reach a_{N + 5}")
+        raise ValueError(f"series does not terminate at N={N} for q={params.q}; {why}")
     return dataclasses.replace(sol, coefficients=sol.coefficients[:N + 1],
                                terminated=True, terminal_index=N)
 
@@ -237,7 +234,7 @@ def finite_solution(params: CheParams, family: Family,
     for cond in conditions:
         try:
             return terminated_solution(params, family, cond, alpha0_choice)
-        except (ValueError, LeadingCoefficientVanishesError):
+        except ValueError:
             continue  # q not in this condition's spectrum; try the next
     raise ConditionNotMetError(
         f"the {family.name} series does not terminate at q = {params.q}")

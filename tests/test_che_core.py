@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heunkummer import (
     CheParams,
+    NonConvergenceError,
     PoleAtGammaError,
     SingularPointError,
     TruncationWarning,
@@ -103,6 +104,14 @@ def test_short_series_warns_about_truncation():
     series = frobenius_coefficients(params(1.0, 1.0, 1.0, 1.0, 0.5), 3)
     with pytest.warns(TruncationWarning):
         frobenius_eval(series, 0.6)
+
+
+@pytest.mark.parametrize("K", [192, 200])
+def test_overflowing_series_is_a_domain_error(K):
+    # at z = 40 the sum of u'' overflows from K = 192 on, and |z|^K from 193
+    series = frobenius_coefficients(params(1.0, 1.0, 1.0, 1.0, 0.5), K)
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        frobenius_eval(series, 40.0)
 
 
 def test_eval_at_origin():

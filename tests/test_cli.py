@@ -495,6 +495,21 @@ def test_return_spectrum_scan_without_a_return_point_is_a_domain_error(
     assert "results" not in record
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["q-spectrum", "--family", "a2", "--gamma", "2.3", "--delta", "0.4", "--eps",
+      "1.1", "--alpha", "0.7", "--kind", "GammaDeltaAlpha", "--n", "2"],
+     "ConditionNotMetError"),
+    (["frobenius", "--gamma", "1", "--delta", "1", "--eps", "1", "--alpha", "1",
+      "--q", "0.5", "--z", "40", "--k-terms", "200"], "NonConvergenceError"),
+    (["eval-1f1", "--a", "1", "--c", "2", "--x", "800"], "NonConvergenceError"),
+], ids=["forced-condition", "frobenius-overflow", "eval-1f1-overflow"])
+def test_unmet_condition_and_overflow_are_domain_errors(capsys, argv, error):
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record["error"]["type"] == error
+    assert "results" not in record
+
+
 @pytest.mark.parametrize("n", ["-1", "-2", "-3"])
 def test_q_spectrum_with_negative_n_is_a_domain_error(capsys, n):
     code, record = run_json(capsys, SPECTRUM_EXAMPLE + ["--kind", "DeltaInt",

@@ -1,6 +1,6 @@
 """Only termination.py decides whether a series is a finite sum. Every
 other module asks termination.finite_solution (or q_spectrum for the roots)
-and never calls verify_termination or terminated_solution itself."""
+and never calls terminated_solution itself."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heunkummer"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "termination.py")
-DECIDERS = {"verify_termination", "terminated_solution"}
+DECIDERS = {"terminated_solution"}
 
 
 def decider_calls(tree: ast.Module) -> list[str]:
@@ -27,10 +27,10 @@ def decider_calls(tree: ast.Module) -> list[str]:
 def test_the_check_sees_both_call_forms():
     tree = ast.parse("from .termination import terminated_solution\n"
                      "terminated_solution(p, family, cond)\n"
-                     "termination.verify_termination(sol, 3)\n"
+                     "termination.terminated_solution(p, family, cond)\n"
                      "finite_solution(p, family)\n")
     assert decider_calls(tree) == ["line 2: terminated_solution",
-                                   "line 3: verify_termination"]
+                                   "line 3: terminated_solution"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -108,6 +108,12 @@ def test_nonconvergence_raises():
         eval_1f1(1.0, 2.0, 8.0, max_terms=5)
 
 
+def test_overflowed_sum_is_not_returned():
+    # the terms pass the double range near k = 800, so the sum is inf
+    with pytest.warns(LargeArgumentWarning), pytest.raises(NonConvergenceError):
+        eval_1f1(1.0, 2.0, 800.0)
+
+
 def test_bad_tol_rejected():
     with pytest.raises(ValueError):
         eval_1f1(1.0, 2.0, 0.5, tol=0.0)

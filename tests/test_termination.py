@@ -16,12 +16,10 @@ from heunkummer import (
     GAMMA_CHOICE,
     TerminationCondition,
     build_series,
-    detect_termination,
     enumerate_termination_conditions,
     eval_series,
     q_spectrum,
     terminated_solution,
-    verify_termination,
 )
 from heunkummer.termination import (
     KIND_ALPHA_OVER_EPS,
@@ -42,17 +40,20 @@ def params(g, d, e, al, q=0.0) -> CheParams:
 # detection
 
 def test_delta_coincidence_detected():
-    cond = detect_termination(params(2.3, -2.0, 1.1, 0.7), Family.A2_ThreeTerm)
-    assert cond == TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 2)
+    conds = enumerate_termination_conditions(params(2.3, -2.0, 1.1, 0.7),
+                                             Family.A2_ThreeTerm)
+    assert conds == [TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 2)]
 
 
 def test_alpha_over_eps_coincidence_detected():
-    cond = detect_termination(params(2.3, 0.4, 1.1, -3.3), Family.A2_ThreeTerm)
+    [cond] = enumerate_termination_conditions(params(2.3, 0.4, 1.1, -3.3),
+                                              Family.A2_ThreeTerm)
     assert cond.kind == KIND_ALPHA_OVER_EPS and cond.N == 3
 
 
 def test_generic_parameters_have_no_condition():
-    assert detect_termination(params(2.3, 0.4, 1.1, 0.7), Family.A2_ThreeTerm) is None
+    assert enumerate_termination_conditions(
+        params(2.3, 0.4, 1.1, 0.7), Family.A2_ThreeTerm) == []
     assert enumerate_termination_conditions(
         params(2.3, 0.4, 1.1, 0.7), Family.C_ThreeTerm) == []
 
@@ -63,7 +64,6 @@ def test_detection_enumerates_and_keeps_the_smallest():
     conds = enumerate_termination_conditions(p, Family.A2_ThreeTerm)
     assert [(c.kind, c.N) for c in conds] == [(KIND_DELTA_INT, 1),
                                               (KIND_ALPHA_OVER_EPS, 2)]
-    assert detect_termination(p, Family.A2_ThreeTerm).N == 1
 
 
 def test_admissible_kinds_by_family():
@@ -84,7 +84,7 @@ def test_admissible_kinds_by_family():
 def test_gamma_delta_alpha_coincidence_on_the_gamma_branch():
     # gamma + delta - alpha/eps = -1
     p = params(1.2, 0.7, 1.1, 1.1 * (1.2 + 0.7 + 1))
-    cond = detect_termination(p, Family.B3_ThreeTerm, GAMMA_CHOICE)
+    [cond] = enumerate_termination_conditions(p, Family.B3_ThreeTerm, GAMMA_CHOICE)
     assert cond.kind == KIND_GAMMA_DELTA_ALPHA and cond.N == 1
 
 
@@ -169,7 +169,8 @@ def test_delta_zero_pins_the_root_at_alpha():
         g = rng.uniform(1.2, 2.8)
         e = rng.uniform(0.8, 1.3)
         al = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5))
-        cond = detect_termination(params(g, 0.0, e, al), Family.A2_ThreeTerm)
+        [cond] = enumerate_termination_conditions(params(g, 0.0, e, al),
+                                                  Family.A2_ThreeTerm)
         assert cond == TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 0)
         spec = q_spectrum(params(g, 0.0, e, al), Family.A2_ThreeTerm, cond)
         assert len(spec.roots) == 1
@@ -224,7 +225,7 @@ def accepted(p, family, cond, root, choice=None) -> bool:
     """Whether terminated_solution takes root as a spectrum root."""
     try:
         terminated_solution(dataclasses.replace(p, q=root), family, cond, choice)
-    except (ValueError, LeadingCoefficientVanishesError):
+    except ValueError:
         return False
     return True
 
@@ -271,25 +272,41 @@ def test_spectrum_respects_applicability():
         q_spectrum(params(-1.0, -1.0, 1.0, 0.7), Family.B3_ThreeTerm, cond)
 
 
+# the first q of the a2 DeltaInt N = 1 spectrum below, and a b3 AlphaOverEps
+# N = 1 root on the alpha/eps branch
+ON_A2 = params(2.5, -1.0, 1.0, 1.0, 1.5)
+ON_B3 = params(2.5, 0.3, 1.0, -1.0, (1.8 - math.sqrt(13.24)) / 2)
+
+
+@pytest.mark.parametrize("p, family, cond, choice", [
+    (ON_A2, Family.A2_ThreeTerm,
+     TerminationCondition(Family.C_ThreeTerm, KIND_DELTA_INT, 1), None),
+    (ON_A2, Family.A2_ThreeTerm,
+     TerminationCondition(Family.A2_ThreeTerm, KIND_ALPHA_OVER_EPS, 1), None),
+    (ON_A2, Family.A2_ThreeTerm,
+     TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 2), None),
+    (ON_B3, Family.B3_ThreeTerm,
+     TerminationCondition(Family.B3_ThreeTerm, KIND_ALPHA_OVER_EPS, 1), GAMMA_CHOICE),
+], ids=["family", "kind", "N", "alpha0-branch"])
+def test_a_condition_must_hold_for_its_parameters(p, family, cond, choice):
+    with pytest.raises(ConditionNotMetError):
+        q_spectrum(p, family, cond, choice)
+    with pytest.raises(ConditionNotMetError):
+        terminated_solution(p, family, cond, choice)
+
+
+def test_root_whose_rebuild_meets_a_vanishing_step_is_refused():
+    # at the root near 187.5, R_18 = 0 stops the rebuild short of a_21
+    p = params(19.8, -16.0, 1.0, 1.8)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 16)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
+    root = min(spec.roots, key=lambda r: abs(r - 187.5))
+    with pytest.raises(ValueError, match="cannot reach a_21"):
+        terminated_solution(dataclasses.replace(p, q=root), Family.B3_ThreeTerm, cond)
+
+
 # ---------------------------------------------------------------------------
 # verification and truncation
-
-def test_verify_termination_needs_enough_coefficients():
-    # checking N = 1 needs a_2 and a_3, so three coefficients are one short
-    sol = build_series(params(2.5, -1.0, 1.0, 1.0, 1.5), Family.A2_ThreeTerm, 2)
-    with pytest.raises(ValueError):
-        verify_termination(sol, 1)
-    longer = build_series(params(2.5, -1.0, 1.0, 1.0, 1.5), Family.A2_ThreeTerm, 3)
-    assert verify_termination(longer, 1)
-
-
-def test_verify_termination_accepts_roots_and_rejects_offsets():
-    p = params(2.5, -1.0, 1.0, 1.0)
-    on = build_series(dataclasses.replace(p, q=1.5), Family.A2_ThreeTerm, 6)
-    off = build_series(dataclasses.replace(p, q=1.4), Family.A2_ThreeTerm, 6)
-    assert verify_termination(on, 1)
-    assert not verify_termination(off, 1)
-
 
 def test_terminated_solution_truncates_exactly():
     p = params(2.5, -1.0, 1.0, 1.0, 3.0)  # the other root of the quadratic
