@@ -31,7 +31,7 @@ class CheParams:
 
     eps != 0 is required by every expansion family but is enforced at
     expansion time, not here: the residual operator and the Frobenius
-    oracle are perfectly happy with eps = 0.
+    oracle are perfectly happy with eps = 0. Every field must be finite.
     """
 
     gamma: complex
@@ -42,7 +42,10 @@ class CheParams:
 
     def __post_init__(self):
         for name in ("gamma", "delta", "epsilon", "alpha", "q"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"parameter {name} = {value} is not finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

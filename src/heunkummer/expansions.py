@@ -37,9 +37,9 @@ from .errors import (
 )
 from .kummer import INT_TOL, eval_1f1, nonpositive_int
 
-# R_n and the recurrence numerator both scale like n^2; the graceful-zero
-# test below uses these to separate terminated resonances from genuine
-# degeneracy.
+# R_n and the recurrence numerator both scale like n^2: a step with
+# |R_n| <= ZERO_TOL (1+n)^2 vanishes, in build_series (where a vanishing
+# numerator too marks a terminated resonance) and in ladder_polynomial.
 ZERO_TOL = 1e-9
 
 
@@ -117,6 +117,12 @@ def applicability(params: CheParams, family: Family) -> list[str]:
         if nonpositive_int(g) is not None:
             out.append("GammaNonPositiveInt")
     return out
+
+
+def check_applicable(params: CheParams, family: Family) -> None:
+    """ApplicabilityError naming every violated condition, if any."""
+    if violations := applicability(params, family):
+        raise ApplicabilityError(f"family {family.name} not applicable: {', '.join(violations)}")
 
 
 def recurrence_coeffs(params: CheParams, family: Family, alpha0, s0, n: int):
@@ -209,10 +215,7 @@ def build_series(params: CheParams, family: Family, N: int,
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    violations = applicability(params, family)
-    if violations:
-        raise ApplicabilityError(
-            f"family {family.name} not applicable: {', '.join(violations)}")
+    check_applicable(params, family)
     if (s0 is None) == (family is Family.B4_FourTerm):
         raise ValueError(f"family B4 requires an explicit s0 and no other "
                          f"family reads one; got s0 = {s0} for {family.name}")

@@ -15,15 +15,16 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .che_core import CheParams
-from .errors import (ApplicabilityError, ConditionNotMetError,
-                     IllConditionedRootsError, LeadingCoefficientVanishesError)
+from .errors import (ConditionNotMetError, IllConditionedRootsError,
+                     LeadingCoefficientVanishesError)
 from .expansions import (
     GAMMA_CHOICE,
+    ZERO_TOL,
     Family,
     SeriesSolution,
-    applicability,
     build_series,
     check_alpha0_choice,
+    check_applicable,
     ladder,
     resolve_alpha0_gamma0,
 )
@@ -35,6 +36,8 @@ KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 
 VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 POLISH_TOL = 1e-8          # polished root must satisfy the polynomial this well
+MAX_N = 80                 # readers build N-step ladders (delta = -1e20 would never
+                           # finish); a_{N+1}(q) overflows double from about N = 94
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,8 @@ class TerminationCondition:
     N: int
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError(f"termination index N must be >= 0, got N = {self.N}")
+        if not 0 <= self.N <= MAX_N:
+            raise ValueError(f"termination index N must be in 0..{MAX_N}, got N = {self.N}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def enumerate_termination_conditions(params: CheParams, family: Family,
     """All admissible integer coincidences for the family, smallest N first;
     ApplicabilityError at eps = 0, where no family applies."""
     if params.epsilon == 0:
-        raise ApplicabilityError(f"family {family.name} not applicable: EpsilonZero")
+        check_applicable(params, family)  # EpsilonZero
     found = []
     for kind in admissible_kinds(family, alpha0_choice):
         m = nonpositive_int(_kind_value(params, kind))
@@ -113,7 +116,7 @@ def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
     prev, cur = None, np.array([1.0 + 0j])
     for n in range(1, N + 2):
         R = steps[n][0]
-        if abs(R) <= 1e-12 * (1 + n) ** 2:
+        if abs(R) <= ZERO_TOL * (1 + n) ** 2:  # build_series' vanishing step
             raise LeadingCoefficientVanishesError(
                 f"R_{n} = {R} vanishes; termination polynomial cannot be built")
         num = npoly.polymul(cur, np.array([steps[n - 1][1], slopes[n - 1]]))
@@ -135,20 +138,14 @@ def q_spectrum(params: CheParams, family: Family,
     build gives the residual and the root is unverified.
     """
     p0 = dataclasses.replace(params, q=0)
-    violations = applicability(p0, family)
-    if violations:
-        raise ApplicabilityError(
-            f"family {family.name} not applicable: {', '.join(violations)}")
-    _check_condition(p0, family, condition, alpha0_choice)
+    check_condition(p0, family, condition, alpha0_choice)
     N = condition.N
     alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
     steps = ladder(p0, family, alpha0, -p0.epsilon, N + 1)
     target = ladder_polynomial(steps, [-1] * (N + 1), N)  # dQ_n/dq = -1
     roots = npoly.polyroots(target)
     dpoly = npoly.polyder(target)
-    polished = []
-    residuals = []
-    verified = []
+    found = []  # (polished root, _rebuild's verdict, |a_{N+1}| there)
     for r in roots:
         fval = build_series(dataclasses.replace(params, q=r), family, N + 1,
                             alpha0_choice=alpha0_choice).coefficients[N + 1]
@@ -165,22 +162,21 @@ def q_spectrum(params: CheParams, family: Family,
             raise IllConditionedRootsError(
                 f"polished root {r} leaves |a_{N + 1}| = {abs(fval):.3e} "
                 f"above {POLISH_TOL:.0e} of the polynomial scale {scale:.3e}")
-        polished.append(complex(r))
-        residuals.append(abs(fval))
-        verified.append(terminates)
-    order = sorted(range(len(polished)),
-                   key=lambda i: (polished[i].real, polished[i].imag))
+        found.append((complex(r), terminates, abs(fval)))
+    found.sort(key=lambda f: (f[0].real, f[0].imag))
     return QSpectrum(condition=condition,
                      polynomial=tuple(complex(c) for c in target),
-                     roots=tuple(polished[i] for i in order),
-                     verified=tuple(verified[i] for i in order),
-                     root_residuals=tuple(residuals[i] for i in order))
+                     roots=tuple(f[0] for f in found),
+                     verified=tuple(f[1] for f in found),
+                     root_residuals=tuple(f[2] for f in found))
 
 
-def _check_condition(params: CheParams, family: Family,
-                     condition: TerminationCondition, alpha0_choice) -> None:
-    """ConditionNotMetError unless the parameters meet condition: its
-    family, kind, N and alpha0 branch are among the enumerated ones."""
+def check_condition(params: CheParams, family: Family,
+                    condition: TerminationCondition, alpha0_choice=None) -> None:
+    """The one place that decides whether a condition holds: the family must
+    apply (else ApplicabilityError) and the condition's family, kind, N and
+    alpha0 branch must be among the enumerated ones (else ConditionNotMetError)."""
+    check_applicable(params, family)
     held = enumerate_termination_conditions(params, family, alpha0_choice)
     if condition not in held:
         raise ConditionNotMetError(
@@ -209,10 +205,10 @@ def terminated_solution(params: CheParams, family: Family,
     """The series truncated to a_0..a_N, N = condition.N, where _rebuild
     finds that it terminates there.
 
-    ConditionNotMetError unless the parameters meet condition; ValueError
+    check_condition's errors unless the parameters meet condition; ValueError
     where params.q is not a spectrum root or the rebuild cannot reach N+5.
     """
-    _check_condition(params, family, condition, alpha0_choice)
+    check_condition(params, family, condition, alpha0_choice)
     N = condition.N
     sol, terminates = _rebuild(params, family, N, alpha0_choice)
     if not terminates:

@@ -36,7 +36,7 @@ from .che_core import CheParams
 from .errors import ConditionNotMetError, StepTooCoarseError
 from .expansions import (Family, SeriesSolution, eval_series,
                          eval_series_with_derivatives, ladder)
-from .termination import (KIND_DELTA_INT, TerminationCondition,
+from .termination import (KIND_DELTA_INT, TerminationCondition, check_condition,
                           finite_solution, ladder_polynomial, q_spectrum)
 
 DEFAULT_STEPS = 8000
@@ -108,7 +108,10 @@ def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
     parameters are (gamma, delta, eps, alpha, q) =
     (1+R, 1-R, -2 Delta0, 0, -(R + Delta1/2) Delta0).
     """
-    R = math.sqrt(model.U0 ** 2 + model.Delta1 ** 2 / 4)
+    try:
+        R = math.sqrt(model.U0 ** 2 + model.Delta1 ** 2 / 4)
+    except OverflowError:  # U0 or Delta1 above about 1.3e154
+        raise ValueError(f"R = sqrt(U0^2 + Delta1^2/4) overflows at {model}") from None
     alpha1 = (model.Delta1 + 2 * R) / 4
     che = CheParams(gamma=1 + R, delta=1 - R, epsilon=-2 * model.Delta0,
                     alpha=0, q=-(R + model.Delta1 / 2) * model.Delta0)
@@ -163,7 +166,7 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     times, a = _rk4_run(model, t_start, t_end, steps, init)
     _, a_fine = _rk4_run(model, t_start, t_end, 2 * steps, init)
     diff = float(np.max(np.abs(a[..., -1, :] - a_fine[..., -1, :])))
-    if diff > HALVING_TOL:
+    if not diff <= HALVING_TOL:  # a NaN endpoint fails too
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
     return Trajectory(times=times, a1=a[..., 0], a2=a[..., 1])
@@ -281,24 +284,17 @@ def match_against_rk(model: LorentzianModel,
                        norm_drift=traj.norm_drift())
 
 
-def _return_condition(R: float, N: int) -> TerminationCondition:
-    """The b3 DeltaInt condition at N, which the reduced equation meets when
-    R = N+1 within 1e-9 (delta = 1-R = -N); else ConditionNotMetError."""
-    if abs(R - (N + 1)) > 1e-9:
-        raise ConditionNotMetError(f"R = {R} is not the natural number {N + 1}")
-    return TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
-
-
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     """Distance of the model's q from the termination spectrum of the
     reduced equation, normalized by the spectrum scale.
 
-    Requires R = N+1 within 1e-9 (equivalently delta = 1-R = -N), else
-    ConditionNotMetError. A near-zero value certifies a point where the
-    series genuinely terminates: a return-spectrum point.
+    ConditionNotMetError from q_spectrum unless R = N+1 (delta = 1-R = -N).
+    A near-zero value certifies a point where the series genuinely
+    terminates: a return-spectrum point.
     """
     red = reduce_to_che(model)
-    spec = q_spectrum(red.che, Family.B3_ThreeTerm, _return_condition(red.R, N))
+    spec = q_spectrum(red.che, Family.B3_ThreeTerm,
+                      TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
     scale = max(1.0, max(abs(r) for r in spec.roots))
     return min(abs(red.che.q - r) for r in spec.roots) / scale
 
@@ -307,7 +303,7 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     """Real Delta0, ascending, where the reduced b3 series terminates at N
     for fixed (U0, Delta1): the return points and the trivial Delta0 = 0.
 
-    Requires R = N+1 within 1e-9, else ConditionNotMetError. At alpha = 0
+    ConditionNotMetError unless R = N+1, before any ladder is built. At alpha = 0
     the reduced ladder keeps R_n and P_n as Delta0 moves (alpha0 = alpha/eps
     = 0) and Q_n is affine in Delta0 through eps and q, so a_{N+1} is a
     polynomial in Delta0; the ladders at Delta0 = +-1 give Q_n at 0 and its
@@ -315,7 +311,8 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     """
     reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
                   for d0 in (1.0, -1.0)]
-    _return_condition(reductions[0].R, N)
+    check_condition(reductions[0].che, Family.B3_ThreeTerm,
+                    TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
     up, down = (ladder(red.che, Family.B3_ThreeTerm, 0.0, -red.che.epsilon,
                        N + 1) for red in reductions)
     steps = [(R_n, (Qu + Qd) / 2, P_n) for (R_n, Qu, P_n, _), (_, Qd, _, _)

@@ -139,6 +139,20 @@ def test_derivatives_match_finite_differences():
 # ---------------------------------------------------------------------------
 # the z -> 1-z substitution
 
+@pytest.mark.parametrize("name", ["gamma", "delta", "epsilon", "alpha", "q"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, complex(0, -math.inf)])
+def test_parameters_must_be_finite(name, value):
+    fields = dict(gamma=1, delta=1, epsilon=1, alpha=1, q=1)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"parameter {name} "):
+        CheParams(**fields)
+
+
+def test_transform_refuses_an_overflowing_parameter():
+    with pytest.raises(ValueError, match="parameter q "):
+        transform_1_minus_z(params(1e308, 1, 1e308, 1e308, -1e308))
+
+
 def test_transform_examples():
     t1 = transform_1_minus_z(params(1, 2, 3, 0, 5))
     assert (t1.gamma, t1.delta, t1.epsilon, t1.alpha, t1.q) == (2, 1, -3, 0, 5)

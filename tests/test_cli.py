@@ -510,6 +510,21 @@ def test_unmet_condition_and_overflow_are_domain_errors(capsys, argv, error):
     assert "results" not in record
 
 
+@pytest.mark.parametrize("argv, error, text", [
+    (["two-state", "--u0", "1000000.5", "--delta0", "0.3", "--delta1", "1",
+      "--steps", "100", "--samples", "3"], "StepTooCoarseError", "nan"),
+    (["transform", "--gamma", "1e308", "--delta", "1", "--eps", "1e308",
+      "--alpha", "1e308", "--q=-1e308"], "ValueError", "parameter q "),
+    (["two-state", "--u0", "1e200", "--delta0", "2", "--delta1=-2",
+      "--steps", "100"], "ValueError", "overflows"),
+], ids=["rk-blow-up", "transform-overflow", "coupling-overflow"])
+def test_non_finite_results_are_domain_errors(capsys, argv, error, text):
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record["error"]["type"] == error
+    assert text in record["error"]["message"]
+
+
 @pytest.mark.parametrize("n", ["-1", "-2", "-3"])
 def test_q_spectrum_with_negative_n_is_a_domain_error(capsys, n):
     code, record = run_json(capsys, SPECTRUM_EXAMPLE + ["--kind", "DeltaInt",

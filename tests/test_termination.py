@@ -25,6 +25,7 @@ from heunkummer.termination import (
     KIND_ALPHA_OVER_EPS,
     KIND_DELTA_INT,
     KIND_GAMMA_DELTA_ALPHA,
+    MAX_N,
     admissible_kinds,
     finite_solution,
 )
@@ -260,10 +261,31 @@ def test_vanishing_ladder_step_stops_the_polynomial():
         q_spectrum(p, Family.B3_ThreeTerm, cond)
 
 
+def test_near_vanishing_ladder_step_stops_the_polynomial():
+    # R_1 = -(gamma - alpha/eps - 1) = -1e-10 is below the 1e-9 (1+n)^2 at
+    # which build_series treats a step as vanishing, so the polynomial,
+    # read from the same ladder, stops there too
+    p = params(1.5 + 1e-10, -3.0, 1.0, 0.5)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 3)
+    with pytest.raises(LeadingCoefficientVanishesError, match="R_1 .*polynomial"):
+        q_spectrum(p, Family.B3_ThreeTerm, cond)
+
+
 @pytest.mark.parametrize("N", [-1, -2, -3])
 def test_condition_rejects_negative_index(N):
     with pytest.raises(ValueError, match=f"N = {N}"):
         TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, N)
+
+
+def test_condition_rejects_an_index_above_the_bound():
+    # a huge N would ask the ladder for that many steps
+    TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, MAX_N)
+    for N in (MAX_N + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
+    with pytest.raises(ValueError, match=f"N = {10 ** 20}"):
+        enumerate_termination_conditions(params(2.3, -1e20, 1.0, 1.0),
+                                         Family.B3_ThreeTerm)
 
 
 def test_spectrum_respects_applicability():

@@ -69,6 +69,16 @@ def test_reduction_parameters():
     assert red.exp_alpha2 == -red.exp_alpha1
 
 
+@pytest.mark.parametrize("model, text", [
+    (LorentzianModel(1e200, 2.0, -2.0), "overflows"),  # U0^2
+    (LorentzianModel(1.3e154, 2.0, 1.3e154), "parameter gamma "),  # R = inf
+    (LorentzianModel(3.0, 8.9e307, 0.0), "parameter q "),  # -(R + Delta1/2) Delta0
+], ids=["U0-squared", "R-infinite", "q"])
+def test_reduction_refuses_overflowing_parameters(model, text):
+    with pytest.raises(ValueError, match=text):
+        reduce_to_che(model)
+
+
 def test_reduction_exponent_solves_the_indicial_quadratic():
     m = GENERIC
     red = reduce_to_che(m)
@@ -118,6 +128,14 @@ def test_rk_rejects_bad_grids():
 def test_rk_detects_a_coarse_grid():
     with pytest.raises(StepTooCoarseError):
         integrate_rk(GENERIC, -5.0, 5.0, 100)
+
+
+def test_rk_detects_a_run_that_blows_up():
+    # U0 h = 1e4 per step: the endpoints overflow to NaN, which no
+    # step-halving difference may pass as small
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepTooCoarseError, match="nan"):
+        integrate_rk(LorentzianModel(1000000.5, 0.3, 1.0), -5.0, 5.0, 100)
 
 
 def test_constant_pulse_reproduces_rabi_oscillations():
