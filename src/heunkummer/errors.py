@@ -44,7 +44,8 @@ class LeadingCoefficientVanishesError(HeunKummerError):
 
 
 class IllConditionedRootsError(HeunKummerError):
-    """A polished spectrum root still leaves |a_{N+1}| above tolerance."""
+    """A polished spectrum root still leaves |a_{N+1}| above tolerance, or
+    the termination polynomial's coefficients overflow."""
 
 
 class StepTooCoarseError(HeunKummerError):

@@ -111,7 +111,8 @@ def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
 
     steps is a three-term ladder [(R_n, Q_n, P_n, ...) for n = 0..N+1]
     taken at lam = 0; Q_n moves by slopes[n] * lam while R_n and P_n stay
-    fixed, so deg a_n = n wherever no slope vanishes.
+    fixed, so deg a_n = n wherever no slope vanishes. IllConditionedRootsError
+    where a coefficient overflows double, as it can near MAX_N.
     """
     prev, cur = None, np.array([1.0 + 0j])
     for n in range(1, N + 2):
@@ -123,6 +124,10 @@ def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
         if n >= 2:
             num = npoly.polyadd(num, steps[n - 2][2] * prev)
         prev, cur = cur, -num / R
+        if not np.all(np.isfinite(cur)):
+            raise IllConditionedRootsError(
+                f"the termination polynomial overflows at step n = {n} of "
+                f"{N + 1}: the coefficients of a_{n} are not finite")
     return cur
 
 

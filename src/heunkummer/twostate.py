@@ -43,6 +43,7 @@ DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
 RELATION_TOL = 1e-8   # a located return point meets its relation this well
+_CHUNK = 512          # RK steps per prefix-product chunk: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class LorentzianModel:
 
     def phase(self, t: float) -> float:
         """delta(t) = integral of the detuning rate, taken analytically."""
-        return self.Delta0 * t + self.Delta1 * math.atan(t)
+        return self.Delta0 * t + self.Delta1 * np.arctan(t)
 
 
 @dataclass(frozen=True)
@@ -119,33 +120,90 @@ def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
                              exp_alpha2=complex(-alpha1), R=R)
 
 
-def _coupling_pair(model: LorentzianModel, t: float) -> np.ndarray:
-    """(-i U e^{-i delta}, -i U e^{+i delta}) at t: the system is
-    y' = pair * y[..., ::-1] for one state (a1, a2) or a stack of them."""
-    u = model.coupling(t)
-    ph = cmath.exp(1j * model.phase(t))
-    return np.array([-1j * u / ph, -1j * u * ph])
+def _step_matrices(p, q, h):
+    """Entries (m00, m01, m10, m11) of the classical RK4 step matrices
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = A y, A = [[0, p], [q, 0]].
+
+    p and q hold A's entries on the half-step grid t_0, t_0 + h/2, ..., so
+    step n reads A at t_n, t_n + h/2 and t_n + h: K1 = A(t_n),
+    K2 = A(t_n + h/2)(I + h/2 K1), K3 = A(t_n + h/2)(I + h/2 K2) and
+    K4 = A(t_n + h)(I + h K3).
+    """
+    k = (0.0, p[:-1:2], q[:-1:2], 0.0)
+    total = k
+    for pa, qa, c, w in ((p[1::2], q[1::2], h / 2, 2), (p[1::2], q[1::2], h / 2, 2),
+                         (p[2::2], q[2::2], h, 1)):
+        x00, x01, x10, x11 = 1 + c * k[0], c * k[1], c * k[2], 1 + c * k[3]
+        k = (pa * x10, pa * x11, qa * x00, qa * x01)
+        total = tuple(t + w * kk for t, kk in zip(total, k))
+    return tuple(e + h / 6 * t for e, t in zip((1, 0, 0, 1), total))
+
+
+def _matmul(a, b):
+    """2x2 products a @ b, each matrix given as its four entries."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _chunk_products(model: LorentzianModel, t_start, h, steps):
+    """Yield (start, stop, m) for each chunk of at most _CHUNK steps, where m
+    holds the entries of M_i ... M_start for i = start..stop-1.
+
+    A(t) is evaluated once per chunk, as arrays on the chunk's share of the
+    half-step grid t_start + k h/2, and m is a log-depth (Hillis-Steele)
+    prefix product of the chunk's step matrices, so memory stays O(_CHUNK).
+    """
+    for start in range(0, steps, _CHUNK):
+        stop = min(start + _CHUNK, steps)
+        t = t_start + np.arange(2 * start, 2 * stop + 1) * (h / 2)
+        u = model.coupling(t)
+        ph = np.exp(1j * model.phase(t))
+        # a model may return scalars, as for a flat pulse
+        p = np.broadcast_to(-1j * u * np.conj(ph), t.shape)
+        q = np.broadcast_to(-1j * u * ph, t.shape)
+        m = list(_step_matrices(p, q, h))
+        d = 1
+        while d < stop - start:  # m[i] <- m[i] @ m[i - d]
+            for e, v in zip(m, _matmul([e[d:] for e in m], [e[:-d] for e in m])):
+                e[d:] = v
+            d *= 2
+        yield start, stop, m
+
+
+def _apply(P, init) -> np.ndarray:
+    """Amplitudes P_n y0 for each state y0 of init, shaped (stack..., n,
+    component). Each state is propagated alone, so a stacked run repeats
+    every single run exactly."""
+    y0 = np.array(init, dtype=complex)
+    m00, m01, m10, m11 = P
+    a = np.empty(y0.shape[:-1] + (len(m00), 2), dtype=complex)
+    for row, (y1, y2) in zip(a.reshape(-1, len(m00), 2), y0.reshape(-1, 2)):
+        row[:, 0] = m00 * y1 + m01 * y2
+        row[:, 1] = m10 * y1 + m11 * y2
+    return a
 
 
 def _rk4_run(model: LorentzianModel, t_start, t_end, steps, init):
+    """(times, amplitudes) of the RK4 run, amplitudes shaped (stack...,
+    time, component): P_n = M_{n-1} ... M_0 applied to init, each chunk's
+    prefix product times the product carried in from the chunks before it."""
     h = (t_end - t_start) / steps
-    times = np.empty(steps + 1)
-    y = np.array(init, dtype=complex)
-    a = np.empty((steps + 1,) + y.shape, dtype=complex)
-    times[0] = t_start
-    a[0] = y
-    t = t_start
-    for i in range(steps):
-        mid = _coupling_pair(model, t + h / 2)
-        k1 = _coupling_pair(model, t) * y[..., ::-1]
-        k2 = mid * (y + h / 2 * k1)[..., ::-1]
-        k3 = mid * (y + h / 2 * k2)[..., ::-1]
-        k4 = _coupling_pair(model, t + h) * (y + h * k3)[..., ::-1]
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_start + (i + 1) * h
-        times[i + 1] = t
-        a[i + 1] = y
-    return times, np.moveaxis(a, 0, -2)  # (stack..., time, component)
+    P = np.empty((4, steps + 1), dtype=complex)
+    P[:, 0] = (1, 0, 0, 1)
+    for start, stop, m in _chunk_products(model, t_start, h, steps):
+        P[:, start + 1:stop + 1] = _matmul(m, P[:, start])
+    return t_start + np.arange(steps + 1) * h, _apply(P, init)
+
+
+def _rk4_endpoint(model: LorentzianModel, t_start, t_end, steps, init):
+    """The last amplitudes of _rk4_run, carrying only the running product."""
+    h = (t_end - t_start) / steps
+    P = np.eye(2, dtype=complex).reshape(4, 1)
+    for _, _, m in _chunk_products(model, t_start, h, steps):
+        P = np.array(_matmul([e[-1:] for e in m], P))
+    return _apply(P, init)[..., 0, :]
 
 
 def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
@@ -164,8 +222,8 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     if t_start == t_end:
         raise ValueError(f"time range is empty: t_start = t_end = {t_start}")
     times, a = _rk4_run(model, t_start, t_end, steps, init)
-    _, a_fine = _rk4_run(model, t_start, t_end, 2 * steps, init)
-    diff = float(np.max(np.abs(a[..., -1, :] - a_fine[..., -1, :])))
+    fine = _rk4_endpoint(model, t_start, t_end, 2 * steps, init)
+    diff = float(np.max(np.abs(a[..., -1, :] - fine)))
     if not diff <= HALVING_TOL:  # a NaN endpoint fails too
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")

@@ -253,6 +253,18 @@ def test_q_spectrum_ill_conditioned_roots_are_a_domain_error(capsys):
     assert "results" not in record
 
 
+def test_q_spectrum_overflowing_polynomial_is_a_domain_error(capsys):
+    # at N = 80 and eps = 1e6 the coefficients of a_n(q) leave double range
+    # before a_81 is reached; polyroots would otherwise see infs and NaNs
+    code, record = run_json(capsys, [
+        "q-spectrum", "--family", "a2", "--gamma", "2.3", "--delta=-80",
+        "--eps", "1e6", "--alpha", "0.7"])
+    assert code == 1
+    assert record["error"]["type"] == "IllConditionedRootsError"
+    assert "overflows at step n = 71" in record["error"]["message"]
+    assert "results" not in record
+
+
 def test_return_spectrum_scan_evaluates_its_grid_once(capsys, monkeypatch):
     import heunkummer.cli
     import heunkummer.twostate as twostate
@@ -285,6 +297,17 @@ def test_return_spectrum_scan_evaluates_its_grid_once(capsys, monkeypatch):
 def test_repeated_runs_are_byte_identical(capsys):
     _, first = run(capsys, CHE_EXAMPLE)
     _, second = run(capsys, CHE_EXAMPLE)
+    assert first == second
+
+
+@pytest.mark.parametrize("argv, terminated", [
+    (["--u0", repr(math.sqrt(3.0)), "--delta0", "2", "--delta1=-2"], True),
+    (["--u0", "2", "--delta0", "0.5", "--delta1", "1"], False),
+], ids=["on-manifold", "off-manifold"])
+def test_repeated_two_state_runs_are_byte_identical(capsys, argv, terminated):
+    _, first = run(capsys, ["two-state"] + argv)
+    _, second = run(capsys, ["two-state"] + argv)
+    assert json.loads(first)["results"]["terminated"] is terminated
     assert first == second
 
 

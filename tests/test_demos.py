@@ -1,4 +1,4 @@
-"""Smoke tests: each fast demo, and each python block of README.md, runs to
+"""Smoke tests: each demo, and each python block of README.md, runs to
 completion in a fresh interpreter."""
 
 import re
@@ -17,10 +17,9 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
                            re.MULTILINE | re.DOTALL)
 
 
-# two_state_pulse.py is left out: it takes about 8 s, nearly all of it in the
-# RK integrator (ROADMAP item 5)
 @pytest.mark.parametrize("demo", ["kummer_basics.py", "q_spectra.py",
-                                  "reflection_map.py", "series_families.py"])
+                                  "reflection_map.py", "series_families.py",
+                                  "two_state_pulse.py"])
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(DEMOS / demo)],
                           capture_output=True, env=subprocess_env(),

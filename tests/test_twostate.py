@@ -95,6 +95,44 @@ def test_time_to_plane_map():
 # ---------------------------------------------------------------------------
 # the RK oracle
 
+def reference_rk4(model, t_start, t_end, steps, init):
+    """Classical RK4 one step at a time, on y' = pair(t) * y[..., ::-1]:
+    the reference for integrate_rk's product of step matrices. Returns
+    (times, amplitudes) with amplitudes shaped (stack..., time, component)."""
+    def pair(t):
+        u = model.coupling(t)
+        ph = cmath.exp(1j * model.phase(t))
+        return np.array([-1j * u / ph, -1j * u * ph])
+
+    h = (t_end - t_start) / steps
+    times = t_start + h * np.arange(steps + 1)
+    y = np.array(init, dtype=complex)
+    a = [y]
+    for t in times[:-1]:
+        mid = pair(t + h / 2)
+        k1 = pair(t) * y[..., ::-1]
+        k2 = mid * (y + h / 2 * k1)[..., ::-1]
+        k3 = mid * (y + h / 2 * k2)[..., ::-1]
+        k4 = pair(t + h) * (y + h * k3)[..., ::-1]
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        a.append(y)
+    return times, np.moveaxis(np.array(a), 0, -2)
+
+
+@pytest.mark.parametrize("init", [(1 + 0j, 0j), np.eye(2)],
+                         ids=["single", "stacked"])
+@pytest.mark.parametrize("t_start, t_end", [(-5.0, 5.0), (5.0, -5.0)],
+                         ids=["forward", "reversed"])
+def test_rk_matches_the_step_by_step_reference(t_start, t_end, init):
+    # the product of step matrices reorders roundoff, nothing more
+    traj = integrate_rk(GENERIC, t_start, t_end, 2000, init=init)
+    times, a = reference_rk4(GENERIC, t_start, t_end, 2000, init)
+    assert traj.a1.shape == a[..., 0].shape
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.a1 - a[..., 0])) <= 1e-12
+    assert np.max(np.abs(traj.a2 - a[..., 1])) <= 1e-12
+
+
 def test_rk_preserves_the_norm():
     traj = integrate_rk(GENERIC, -5.0, 5.0, 8000)
     assert traj.norm_drift() <= 1e-10
