@@ -17,12 +17,13 @@ beats a replayed record, which beats the config file. HEUN_LOG_LEVEL
 (error|warn|info|debug) controls stderr logging.
 
 Exit codes: 0 on success, 1 on a domain error (a structured error record is
-still printed), 2 on usage errors.
+still printed), 2 on usage errors, such as an inf or nan literal.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import io
@@ -138,7 +139,18 @@ class Opt(NamedTuple):
     help: str
 
 
-_TYPES = {"complex": parse_complex, "float": float, "int": int}
+def _finite(convert):
+    """convert, refusing inf and nan, for which JSON has no number."""
+    def finite(text: str):
+        value = convert(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        return value
+    finite.__name__ = convert.__name__  # argparse names an unreadable literal by it
+    return finite
+
+
+_TYPES = {"complex": _finite(parse_complex), "float": _finite(float), "int": int}
 
 COMMON_OPTS = (Opt("format", ("json", "csv"), "json", "output format"),)
 
@@ -150,8 +162,10 @@ _CHE_OPTS = (
     Opt("q", "complex", 0j, "accessory parameter"),
 )
 
-_FAMILY_CHOICES = ("a1", "a2", "b3", "b4", "c")
-_ALPHA0_CHOICES = ("alpha-over-eps", "gamma")
+_FAMILY_OPT = Opt("family", ("a1", "a2", "b3", "b4", "c"), REQUIRED,
+                  "expansion family")
+_ALPHA0_OPT = Opt("alpha0-choice", ("alpha-over-eps", "gamma"), None,
+                  "starting upper parameter for the b3 and b4 families")
 _KIND_CHOICES = (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT, KIND_GAMMA_DELTA_ALPHA)
 
 
@@ -415,12 +429,10 @@ COMMANDS = {
         run_verify_identities),
     "che-series": CommandSpec(
         "build a Kummer-function series solution and evaluate it",
-        (Opt("family", _FAMILY_CHOICES, REQUIRED, "expansion family"),)
-        + _CHE_OPTS +
+        (_FAMILY_OPT,) + _CHE_OPTS +
         (Opt("z", "complex", REQUIRED, "evaluation point"),
          Opt("n-terms", "int", 30, "number of coefficients to build"),
-         Opt("alpha0-choice", _ALPHA0_CHOICES, None,
-             "starting upper parameter for the b3 family"),
+         _ALPHA0_OPT,
          Opt("s0", "complex", None, "scale factor (b4 family only)")),
         run_che_series),
     "frobenius": CommandSpec(
@@ -435,18 +447,14 @@ COMMANDS = {
         run_transform),
     "detect-termination": CommandSpec(
         "find integer parameter coincidences that allow a finite series",
-        (Opt("family", _FAMILY_CHOICES, REQUIRED, "expansion family"),)
-        + _CHE_OPTS +
-        (Opt("alpha0-choice", _ALPHA0_CHOICES, None,
-             "starting upper parameter for the b3 family"),
+        (_FAMILY_OPT,) + _CHE_OPTS +
+        (_ALPHA0_OPT,
          Opt("all", "flag", False, "list every admissible condition")),
         run_detect_conditions),
     "q-spectrum": CommandSpec(
         "accessory-parameter values that terminate the series (q is ignored)",
-        (Opt("family", _FAMILY_CHOICES, REQUIRED, "expansion family"),)
-        + _CHE_OPTS +
-        (Opt("alpha0-choice", _ALPHA0_CHOICES, None,
-             "starting upper parameter for the b3 family"),
+        (_FAMILY_OPT,) + _CHE_OPTS +
+        (_ALPHA0_OPT,
          Opt("kind", _KIND_CHOICES, None, "kind of a condition the parameters meet"),
          Opt("n", "int", None, "N of that condition (give with --kind)")),
         run_q_spectrum),

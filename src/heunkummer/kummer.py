@@ -53,11 +53,15 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
 
     Truncates when the relative tail estimate (two consecutive terms) falls
     below tol. If a is a non-positive integer -m the exact degree-m
-    polynomial is returned. NonConvergenceError where the sum overflows.
+    polynomial is returned. NonConvergenceError where the sum overflows;
+    ValueError naming the argument where a, c or x is not finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, c, x = complex(a), complex(c), complex(x)
+    if not (cmath.isfinite(a) and cmath.isfinite(c) and cmath.isfinite(x)):
+        bad = next(n for n, v in zip("acx", (a, c, x)) if not cmath.isfinite(v))
+        raise ValueError(f"1F1 argument {bad} is not finite: {a=}, {c=}, {x=}")
     m = _check_lower_parameter(a, c)
     if abs(x) > LARGE_X:
         warnings.warn(
@@ -99,9 +103,9 @@ def _finite(total: complex, a, c, x) -> complex:
 def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
     """Term-wise derivative sum_{k>=1} (a)_k/(c)_k x^{k-1}/(k-1)!.
 
-    Independent of the parameter-shift rule; identity_residual uses this so
-    the differentiation identity is checked against a genuinely different
-    computation.
+    Term k is a/c times term k-1 of 1F1(a+1; c+1; x), the series the
+    parameter-shift rule sums, so D6 checks only rounding order and the
+    stopping point: it is not an independent computation.
     """
     a, c, x = complex(a), complex(c), complex(x)
     m = _check_lower_parameter(a, c)
@@ -132,9 +136,9 @@ def identity_residual(identity_id: str, a, c, x) -> float:
     """Relative residual |LHS - RHS| / max(1, |LHS|, |RHS|) of a recurrence
     identity at (a, c, x).
 
-    Derivatives on the left-hand sides are term-wise series sums, so D6 in
-    particular compares two independent computations. Shifted functions use
-    the same x.
+    Derivatives on the left-hand sides are term-wise series sums; for D6
+    both sides sum the same terms (see _series_derivative). Shifted
+    functions use the same x.
     """
     a, c, x = complex(a), complex(c), complex(x)
     F = eval_1f1(a, c, x)

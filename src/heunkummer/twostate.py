@@ -147,14 +147,16 @@ def _matmul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _chunk_products(model: LorentzianModel, t_start, h, steps):
-    """Yield (start, stop, m) for each chunk of at most _CHUNK steps, where m
-    holds the entries of M_i ... M_start for i = start..stop-1.
+def _propagators(model: LorentzianModel, t_start, h, steps):
+    """Yield (start, stop, P) for each chunk of at most _CHUNK steps: the
+    entries of the RK4 propagators P_n = M_{n-1} ... M_0, n = start+1..stop.
 
-    A(t) is evaluated once per chunk, as arrays on the chunk's share of the
-    half-step grid t_start + k h/2, and m is a log-depth (Hillis-Steele)
-    prefix product of the chunk's step matrices, so memory stays O(_CHUNK).
+    A(t) is evaluated as arrays on the chunk's share of the half-step grid
+    t_start + k h/2. P is a log-depth (Hillis-Steele) prefix product of the
+    chunk's step matrices times P_start, carried over from the chunk
+    before, so memory stays O(_CHUNK).
     """
+    carry = np.array([1, 0, 0, 1], dtype=complex)  # P_0 = I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         t = t_start + np.arange(2 * start, 2 * stop + 1) * (h / 2)
@@ -169,41 +171,18 @@ def _chunk_products(model: LorentzianModel, t_start, h, steps):
             for e, v in zip(m, _matmul([e[d:] for e in m], [e[:-d] for e in m])):
                 e[d:] = v
             d *= 2
-        yield start, stop, m
+        P = _matmul(m, carry)
+        carry = [e[-1] for e in P]
+        yield start, stop, P
 
 
-def _apply(P, init) -> np.ndarray:
-    """Amplitudes P_n y0 for each state y0 of init, shaped (stack..., n,
-    component). Each state is propagated alone, so a stacked run repeats
-    every single run exactly."""
-    y0 = np.array(init, dtype=complex)
+def _apply(P, init):
+    """(a1, a2) = P_n y0, shaped (stack..., n): each state of init broadcasts
+    alone against the time axis, so a stacked run repeats every single run."""
+    y0 = np.asarray(init, dtype=complex)
+    y1, y2 = y0[..., 0, None], y0[..., 1, None]
     m00, m01, m10, m11 = P
-    a = np.empty(y0.shape[:-1] + (len(m00), 2), dtype=complex)
-    for row, (y1, y2) in zip(a.reshape(-1, len(m00), 2), y0.reshape(-1, 2)):
-        row[:, 0] = m00 * y1 + m01 * y2
-        row[:, 1] = m10 * y1 + m11 * y2
-    return a
-
-
-def _rk4_run(model: LorentzianModel, t_start, t_end, steps, init):
-    """(times, amplitudes) of the RK4 run, amplitudes shaped (stack...,
-    time, component): P_n = M_{n-1} ... M_0 applied to init, each chunk's
-    prefix product times the product carried in from the chunks before it."""
-    h = (t_end - t_start) / steps
-    P = np.empty((4, steps + 1), dtype=complex)
-    P[:, 0] = (1, 0, 0, 1)
-    for start, stop, m in _chunk_products(model, t_start, h, steps):
-        P[:, start + 1:stop + 1] = _matmul(m, P[:, start])
-    return t_start + np.arange(steps + 1) * h, _apply(P, init)
-
-
-def _rk4_endpoint(model: LorentzianModel, t_start, t_end, steps, init):
-    """The last amplitudes of _rk4_run, carrying only the running product."""
-    h = (t_end - t_start) / steps
-    P = np.eye(2, dtype=complex).reshape(4, 1)
-    for _, _, m in _chunk_products(model, t_start, h, steps):
-        P = np.array(_matmul([e[-1:] for e in m], P))
-    return _apply(P, init)[..., 0, :]
+    return m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
 
 
 def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
@@ -221,13 +200,20 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
         raise ValueError("time range must be finite")
     if t_start == t_end:
         raise ValueError(f"time range is empty: t_start = t_end = {t_start}")
-    times, a = _rk4_run(model, t_start, t_end, steps, init)
-    fine = _rk4_endpoint(model, t_start, t_end, 2 * steps, init)
-    diff = float(np.max(np.abs(a[..., -1, :] - fine)))
+    h = (t_end - t_start) / steps
+    P = np.empty((4, steps + 1), dtype=complex)
+    P[:, 0] = (1, 0, 0, 1)
+    for start, stop, chunk in _propagators(model, t_start, h, steps):
+        P[:, start + 1:stop + 1] = chunk
+    for _, _, fine in _propagators(model, t_start, h / 2, 2 * steps):
+        pass  # the halving check reads only the last P_n
+    a1, a2 = _apply(P, init)
+    f1, f2 = _apply([e[-1:] for e in fine], init)
+    diff = float(np.max(np.abs([a1[..., -1:] - f1, a2[..., -1:] - f2])))
     if not diff <= HALVING_TOL:  # a NaN endpoint fails too
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
-    return Trajectory(times=times, a1=a[..., 0], a2=a[..., 1])
+    return Trajectory(times=t_start + np.arange(steps + 1) * h, a1=a1, a2=a2)
 
 
 class ClosedForm:
@@ -391,13 +377,13 @@ def locate_return_delta0(U0: float, Delta1: float, N: int,
     """(delta0, residual): the return point in [delta0_min, delta0_max]
     with the smallest return_spectrum_relation, and that relation.
 
-    The point is clamped to |Delta0| >= DELTA0_CLAMP. A reversed bracket
-    raises ValueError; a bracket without a return point, or whose best
-    relation is above RELATION_TOL, raises ConditionNotMetError.
+    The point is clamped to |Delta0| >= DELTA0_CLAMP. A non-finite or
+    reversed bracket raises ValueError; a bracket without a return point,
+    or whose best relation is above RELATION_TOL, raises ConditionNotMetError.
     """
-    if delta0_min > delta0_max:
-        raise ValueError(f"delta0_min = {delta0_min} exceeds "
-                         f"delta0_max = {delta0_max}")
+    if not -math.inf < delta0_min <= delta0_max < math.inf:  # nan fails too
+        raise ValueError(f"bracket [{delta0_min}, {delta0_max}] must be finite "
+                         f"and ascending")
     inside = [_clamp(d0) for d0 in return_points(U0, Delta1, N)
               if delta0_min <= d0 <= delta0_max]
     relation, delta0 = min(

@@ -148,6 +148,15 @@ def test_two_state_record(capsys):
     assert record["diagnostics"]["norm_drift"] <= 1e-10
 
 
+def test_two_state_family_a2_matches_the_integrator(capsys):
+    code, record = run_json(capsys, ["two-state", "--u0", repr(math.sqrt(3.0)),
+                                     "--delta0", "2", "--delta1=-2",
+                                     "--family", "a2"])
+    assert code == 0
+    assert record["results"]["terminated"] is True
+    assert record["results"]["max_deviation"] <= 1e-6
+
+
 def test_two_state_off_manifold_reports_trajectory_only(capsys):
     code, record = run_json(capsys, ["two-state", "--u0", "2", "--delta0",
                                      "0.5", "--delta1", "1", "--t-start=-2",
@@ -591,6 +600,61 @@ def test_option_the_family_does_not_read_is_refused(capsys, argv):
     assert code == 1
     assert record["error"]["type"] == "ValueError"
     assert "results" not in record
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["two-state", "--u0", "inf", "--delta0", "0.3", "--delta1", "1"], "--u0"),
+    (["two-state", "--u0", "1.3", "--delta0", "nan", "--delta1", "1"],
+     "--delta0"),
+    (["return-spectrum-scan", "--u0", repr(math.sqrt(3.0)), "--delta1=-2",
+      "--n", "1", "--delta0-min", "1.5", "--delta0-max", "inf"],
+     "--delta0-max"),
+    (["eval-1f1", "--a", "1", "--c", "2", "--x", "1+nani"], "--x"),
+], ids=["float-inf", "float-nan", "bracket-inf", "complex-nan"])
+def test_non_finite_literal_is_a_usage_error(capsys, argv, option):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {option}: not a finite number" in captured.err
+
+
+def test_non_finite_config_and_replay_values_are_usage_errors(capsys, tmp_path):
+    config = tmp_path / "defaults.cfg"
+    config.write_text("delta0 = -inf\n", encoding="utf-8")
+    record = tmp_path / "record.json"
+    record.write_text('{"command": "two-state", "inputs": {"u0": NaN, '
+                      '"delta0": 0.3, "delta1": 1.0}}', encoding="utf-8")
+    for argv, option in ((["--config", str(config), "two-state", "--u0", "1.3",
+                           "--delta1", "1"], "--delta0"),
+                         (["--replay", str(record)], "--u0")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {option}: not a finite number" in captured.err
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def test_records_are_standard_json(capsys):
+    # json.dumps writes NaN and Infinity tokens, which standard JSON lacks
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [line.split()[1:] for line in text.splitlines()
+                if line.startswith("heunkummer ")]
+    assert len(commands) == 9
+    for argv in commands:
+        code, out = run(capsys, argv)
+        assert code == 0
+        json.loads(out, parse_constant=refuse_constant)
+    code, out = run(capsys, ["two-state", "--u0", "1000000.5", "--delta0",
+                             "0.3", "--delta1", "1", "--steps", "100",
+                             "--samples", "3"])
+    assert code == 1
+    record = json.loads(out, parse_constant=refuse_constant)
+    assert record["error"]["type"] == "StepTooCoarseError"
 
 
 def test_missing_required_option_is_a_usage_error(capsys):

@@ -119,6 +119,18 @@ def test_bad_tol_rejected():
         eval_1f1(1.0, 2.0, 0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("a, c, x, name", [
+    (math.nan, 2.0, 1.0, "a"),
+    (1.0, complex(2.0, math.inf), 1.0, "c"),
+    (1.0, 2.0, math.nan, "x"),
+    (1.0, 2.0, -math.inf, "x"),
+])
+def test_non_finite_arguments_are_refused(a, c, x, name):
+    # refused before the pole rule rounds a or c and before any term is summed
+    with pytest.raises(ValueError, match=f"argument {name} is not finite"):
+        eval_1f1(a, c, x)
+
+
 def test_large_argument_warns():
     with pytest.warns(LargeArgumentWarning):
         eval_1f1(1.0, 2.0, 31.0)

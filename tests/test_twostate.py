@@ -336,6 +336,13 @@ def test_scan_refuses_a_reversed_bracket():
         scan_return_delta0(math.sqrt(0.75), -1.0, 0, 0.7, -0.3)
 
 
+@pytest.mark.parametrize("bracket", [(math.nan, 2.5), (1.5, math.inf),
+                                     (-math.inf, 2.5)])
+def test_locate_refuses_a_non_finite_bracket(bracket):
+    with pytest.raises(ValueError, match="must be finite"):
+        locate_return_delta0(math.sqrt(3.0), -2.0, 1, *bracket)
+
+
 def test_scan_without_a_return_point_raises():
     # R = 3 (N = 2), and no return point lies in [1, 2]: the refined minimum
     # is the bracket edge with a relation of 0.39
