@@ -40,7 +40,7 @@ import numpy as np
 
 from .che_core import (CheParams, frobenius_coefficients, frobenius_eval,
                        relative_residual, transform_1_minus_z)
-from .errors import ConditionNotMetError, HeunKummerError
+from .errors import ConditionNotMetError, HeunKummerError, HeunKummerWarning
 from .expansions import Family, build_series, eval_series_with_derivatives
 from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
                      identity_residual)
@@ -61,6 +61,9 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 REQUIRED = object()  # sentinel default for mandatory options
+
+# a che-series sum whose relative ODE residual exceeds this is not a solution
+_RESIDUAL_WARN = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +257,17 @@ def run_che_series(ns):
         sol = build_series(params, family, ns.n_terms,
                            alpha0_choice=ns.alpha0_choice, s0=ns.s0)
     u, u1, u2, tail = eval_series_with_derivatives(sol, ns.z)
+    residual = relative_residual(params, u, u1, u2, ns.z)
+    if residual > _RESIDUAL_WARN:
+        warnings.warn(f"ode_residual {residual:.3g} exceeds {_RESIDUAL_WARN:g}: "
+                      f"the series sum does not solve the equation at z",
+                      HeunKummerWarning)
     results = {"value": u, "derivative": u1, "second_derivative": u2,
                "terminated": sol.terminated,
                "terminal_index": sol.terminal_index,
                "alpha0": sol.alpha0, "gamma0": sol.gamma0, "s0": sol.s0}
     diagnostics = {"tail_estimate": tail,
-                   "ode_residual": relative_residual(params, u, u1, u2, ns.z),
+                   "ode_residual": residual,
                    "n_coefficients": len(sol.coefficients)}
     return results, diagnostics
 

@@ -21,11 +21,26 @@ algebraically decaying coefficients (A2 and C on generic parameters, B4 on
 any s0 != -eps) reach small tails only for terminating parameter choices.
 eval_series reports the tail honestly and raises when asked for more than
 the series can give.
+
+Basis memo: the walk and s0 do not depend on q, so every root of one
+q-spectrum, and every repeated z, reads the same basis values. Evaluation
+takes them from a bounded LRU memo of ladders, (1F1(alpha_n + k; gamma_n +
+k; s0 z) for the n with a_n != 0), keyed by the family, alpha0, gamma0,
+s0 z, the shift k in {0, 1, 2}, those indices and the signs of the
+components of alpha0, gamma0 and s0 z (0.0 == -0.0 in a key). It holds
+_LADDER_MEMO ladders, whatever their length. Values are bit-identical to
+one eval_1f1 call per term. Errors are not memoized, so a failing ladder
+fails on every call; where several basis functions fail, the one reported
+is the first in the order k = 0, 1, 2, then n. The LargeArgumentWarning is
+issued outside the memo, once per evaluation with a nonzero coefficient,
+with eval_1f1's text, so a memo hit warns as a miss does.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,12 +50,16 @@ from .errors import (
     LeadingCoefficientVanishesError,
     TailTooLargeError,
 )
-from .kummer import INT_TOL, eval_1f1, nonpositive_int
+from .kummer import INT_TOL, eval_1f1_unwarned, nonpositive_int, warn_large_argument
 
 # R_n and the recurrence numerator both scale like n^2: a step with
 # |R_n| <= ZERO_TOL (1+n)^2 vanishes, in build_series (where a vanishing
 # numerator too marks a terminated resonance) and in ladder_polynomial.
 ZERO_TOL = 1e-9
+
+# Bound of the basis memo, in ladders: the roots of one spectrum evaluated
+# with derivatives at P points share 3P ladders, whatever N.
+_LADDER_MEMO = 256
 
 
 class Family(enum.Enum):
@@ -82,11 +101,15 @@ class SeriesSolution:
 
     def basis_parameters(self, n: int):
         """(alpha_n, gamma_n) of the n-th basis function."""
-        if self.family in (Family.B4_FourTerm, Family.B3_ThreeTerm):
-            return self.alpha0 + n, self.gamma0
-        if self.family is Family.C_ThreeTerm:
-            return self.alpha0, self.gamma0 + n
-        return self.alpha0 + n, self.gamma0 + n
+        return _basis_parameters(self.family, self.alpha0, self.gamma0, n)
+
+
+def _basis_parameters(family: Family, alpha0, gamma0, n: int):
+    if family in (Family.B4_FourTerm, Family.B3_ThreeTerm):
+        return alpha0 + n, gamma0
+    if family is Family.C_ThreeTerm:
+        return alpha0, gamma0 + n
+    return alpha0 + n, gamma0 + n
 
 
 def applicability(params: CheParams, family: Family) -> list[str]:
@@ -288,19 +311,30 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     z = complex(z)
     s0 = sol.s0
     x = s0 * z
+    a = sol.coefficients
+    # from a list, not a generator: CPython builds a tuple from a generator
+    # by resizing it, and each resized tuple joins the free list of its new
+    # size (up to 2000 a size), so those free lists grew on every call
+    nonzero = tuple([n for n, a_n in enumerate(a) if a_n != 0])
+    if nonzero:
+        warn_large_argument(x)
+    family, alpha0, gamma0 = sol.family, sol.alpha0, sol.gamma0
+    # 0.0 == -0.0 in a key, so the key also carries every component's sign
+    signs = (math.copysign(1.0, alpha0.real), math.copysign(1.0, alpha0.imag),
+             math.copysign(1.0, gamma0.real), math.copysign(1.0, gamma0.imag),
+             math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
     u = u1 = u2 = 0j
     last_nonzero = None
-    for n, a_n in enumerate(sol.coefficients):
-        if a_n == 0:
-            continue
-        an, cn = sol.basis_parameters(n)
-        term = a_n * eval_1f1(an, cn, x)
-        u += term
-        last_nonzero = term
-        if derivatives:
-            u1 += a_n * s0 * (an / cn) * eval_1f1(an + 1, cn + 1, x)
-            u2 += a_n * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) \
-                * eval_1f1(an + 2, cn + 2, x)
+    for n, f in zip(nonzero, _basis_ladder(family, alpha0, gamma0, x, 0, nonzero, signs)):
+        last_nonzero = a[n] * f
+        u += last_nonzero
+    if derivatives:
+        for n, f1, f2 in zip(nonzero,
+                             _basis_ladder(family, alpha0, gamma0, x, 1, nonzero, signs),
+                             _basis_ladder(family, alpha0, gamma0, x, 2, nonzero, signs)):
+            an, cn = _basis_parameters(family, alpha0, gamma0, n)
+            u1 += a[n] * s0 * (an / cn) * f1
+            u2 += a[n] * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) * f2
     if sol.terminated or last_nonzero is None:
         tail = 0.0
     else:
@@ -309,3 +343,15 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         return u, u1, u2, tail
     return u, None, None, tail
 
+
+@functools.lru_cache(maxsize=_LADDER_MEMO)
+def _basis_ladder(family: Family, alpha0, gamma0, x: complex, k: int,
+                  nonzero: tuple, signs: tuple) -> tuple:
+    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero), unwarned.
+    signs is not read: it keeps keys apart that differ in a signed zero."""
+    ladder = []
+    for n in nonzero:
+        an, cn = _basis_parameters(family, alpha0, gamma0, n)
+        ladder.append(eval_1f1_unwarned(an + k, cn + k, x) if k
+                      else eval_1f1_unwarned(an, cn, x))
+    return tuple(ladder)

@@ -1,10 +1,12 @@
 """Kummer confluent hypergeometric function 1F1 and its recurrence identities.
 
 Everything here is double-precision complex, computed by the direct power
-series. That is adequate because every caller in this package evaluates at
-moderate argument (|x| of order a few); accuracy degrades for large |x|
-where the series suffers cancellation, and a warning is issued beyond
-LARGE_X. No asymptotic branch is provided.
+series. Callers in this package do not all stay at small argument: the
+spectrum ladders evaluate at |x| of order 1, the two-state closed form
+reaches |x| of about 20, and a wide two-state window reaches 100. Accuracy
+degrades as |x| grows, most at Re x < 0 where the terms cancel; a
+LargeArgumentWarning is issued beyond LARGE_X, though digits are already
+lost below it. No asymptotic branch is provided.
 """
 
 from __future__ import annotations
@@ -55,7 +57,32 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     below tol. If a is a non-positive integer -m the exact degree-m
     polynomial is returned. NonConvergenceError where the sum overflows;
     ValueError naming the argument where a, c or x is not finite.
+    LargeArgumentWarning beyond LARGE_X (see warn_large_argument).
     """
+    return _eval_1f1(a, c, x, tol, max_terms, True)
+
+
+def eval_1f1_unwarned(a, c, x, tol: float = DEFAULT_TOL,
+                      max_terms: int = DEFAULT_MAX_TERMS):
+    """eval_1f1 without the LargeArgumentWarning: the same checks, errors
+    and value. For a caller that sums many 1F1 at one x and warns once
+    itself, through warn_large_argument."""
+    return _eval_1f1(a, c, x, tol, max_terms, False)
+
+
+def warn_large_argument(x, stacklevel: int = 1) -> None:
+    """LargeArgumentWarning when |x| > LARGE_X, where the direct series may
+    lose digits. stacklevel 1 attributes the warning to the caller of this
+    function, 2 to the caller's caller."""
+    if abs(x) > LARGE_X:
+        warnings.warn(
+            f"|x|={abs(x):.3g} > {LARGE_X}: direct 1F1 series may lose accuracy",
+            LargeArgumentWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _eval_1f1(a, c, x, tol: float, max_terms: int, warn: bool):
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, c, x = complex(a), complex(c), complex(x)
@@ -63,12 +90,8 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
         bad = next(n for n, v in zip("acx", (a, c, x)) if not cmath.isfinite(v))
         raise ValueError(f"1F1 argument {bad} is not finite: {a=}, {c=}, {x=}")
     m = _check_lower_parameter(a, c)
-    if abs(x) > LARGE_X:
-        warnings.warn(
-            f"|x|={abs(x):.3g} > {LARGE_X}: direct 1F1 series may lose accuracy",
-            LargeArgumentWarning,
-            stacklevel=2,
-        )
+    if warn:
+        warn_large_argument(x, stacklevel=3)  # the caller of eval_1f1
     if x == 0:
         return complex(1.0)
     if m is not None:

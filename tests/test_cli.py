@@ -66,6 +66,22 @@ def test_che_series_example_record(capsys):
     assert record["diagnostics"]["tail_estimate"] == 0
 
 
+@pytest.mark.parametrize("family", ["a2", "b3", "c"])
+def test_che_series_warns_when_the_sum_is_not_a_solution(capsys, family):
+    # left-terminated but not right-terminated: the partial sum misses the
+    # equation by order 1, and the record says so while exiting 0
+    code, record = run_json(capsys, ["che-series", "--family", family,
+                                     "--gamma", "2.3", "--delta", "0.4",
+                                     "--eps", "1.1", "--alpha", "0.7",
+                                     "--q", "0.3", "--z", "0.3"])
+    assert code == 0
+    residual = record["diagnostics"]["ode_residual"]
+    assert residual > 1
+    assert record["diagnostics"]["warnings"] == [
+        f"HeunKummerWarning: ode_residual {residual:.3g} exceeds 1e-08: "
+        "the series sum does not solve the equation at z"]
+
+
 def test_che_series_finds_a_finite_sum_past_the_smallest_condition(capsys):
     # alpha/eps = -1 gives AlphaOverEps N = 1, whose spectrum misses q; q is
     # a root of the DeltaInt N = 3 spectrum

@@ -1,26 +1,36 @@
+import math
 import random
+from dataclasses import replace
 
 import mpmath
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from heunkummer import expansions
 from heunkummer import (
     ALPHA_OVER_EPS,
     GAMMA_CHOICE,
     ApplicabilityError,
     CheParams,
     Family,
+    LargeArgumentWarning,
     LeadingCoefficientVanishesError,
+    PoleAtLowerParameterError,
     SeriesSolution,
     TailTooLargeError,
     applicability,
     build_series,
     eval_series,
+    eval_1f1,
     eval_series_with_derivatives,
     frobenius_coefficients,
     frobenius_eval,
     ladder,
     recurrence_coeffs,
 )
+from heunkummer.expansions import resolve_alpha0_gamma0
+from heunkummer.termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
+                                    KIND_GAMMA_DELTA_ALPHA, ladder_polynomial)
 
 from conftest import complex_box, series_residual
 
@@ -386,3 +396,130 @@ def test_basis_parameter_walks():
     assert s_c.basis_parameters(2) == (a0, p.gamma + p.delta + 2)
     s_b3 = build_series(p, Family.B3_ThreeTerm, 3)
     assert s_b3.basis_parameters(2) == (a0 + 2, p.gamma)
+
+
+# ---------------------------------------------------------------------------
+# the basis memo: bit-identical to the per-term loop, same warnings and errors
+
+def reference_eval(sol: SeriesSolution, z):
+    """(u, u', u'', tail) from the per-term loop the basis memo replaced: one
+    eval_1f1 per basis function and shift, for every nonzero coefficient,
+    on every call."""
+    z = complex(z)
+    s0 = sol.s0
+    x = s0 * z
+    u = u1 = u2 = 0j
+    last_nonzero = None
+    for n, a_n in enumerate(sol.coefficients):
+        if a_n == 0:
+            continue
+        an, cn = sol.basis_parameters(n)
+        term = a_n * eval_1f1(an, cn, x)
+        u += term
+        last_nonzero = term
+        u1 += a_n * s0 * (an / cn) * eval_1f1(an + 1, cn + 1, x)
+        u2 += a_n * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) \
+            * eval_1f1(an + 2, cn + 2, x)
+    if sol.terminated or last_nonzero is None:
+        tail = 0.0
+    else:
+        tail = abs(last_nonzero) / max(1e-300, abs(u))
+    return u, u1, u2, tail
+
+
+SPECTRUM_COMBOS = (
+    (Family.A2_ThreeTerm, KIND_ALPHA_OVER_EPS, None),
+    (Family.A2_ThreeTerm, KIND_DELTA_INT, None),
+    (Family.B3_ThreeTerm, KIND_ALPHA_OVER_EPS, ALPHA_OVER_EPS),
+    (Family.B3_ThreeTerm, KIND_DELTA_INT, ALPHA_OVER_EPS),
+    (Family.B3_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, GAMMA_CHOICE),
+    (Family.C_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, None),
+    (Family.C_ThreeTerm, KIND_DELTA_INT, None),
+)
+
+
+def spectrum_solutions(rng: random.Random, family, kind, choice, N: int) -> list:
+    """The series truncated at N at every root of one seeded q-spectrum:
+    N+1 solutions sharing their basis walk and s0, as in one q-spectrum
+    evaluation. The roots are those of the termination polynomial, so an
+    ill-conditioned spectrum still gives N+1 solutions."""
+    g = complex(rng.uniform(1.3, 2.7))
+    if abs(g.real - round(g.real)) < 0.2:
+        g += 0.23
+    d, e, al = (complex(rng.uniform(*box)) for box in ((0.25, 0.85), (0.8, 1.4), (0.6, 1.8)))
+    if kind == KIND_ALPHA_OVER_EPS:
+        al = -N * e
+    elif kind == KIND_DELTA_INT:
+        d = complex(-N)
+    else:
+        al = e * (g + d + N)
+    p = CheParams(g, d, e, al, 0)
+    alpha0, _ = resolve_alpha0_gamma0(p, family, choice)
+    steps = ladder(p, family, alpha0, -p.epsilon, N + 1)
+    roots = npoly.polyroots(ladder_polynomial(steps, [-1] * (N + 1), N)) if N else \
+        [steps[0][1]]  # N = 0: a_1 = 0 at Q_0(q) = 0, Q_0 = Q_0(0) - q
+    return [replace(build_series(replace(p, q=r), family, N, alpha0_choice=choice),
+                    terminated=True, terminal_index=N) for r in roots]
+
+
+def memo_cases() -> list:
+    rng = random.Random(808)
+    cases = [pytest.param(spectrum_solutions(rng, fam, kind, choice, N),
+                          id=f"{fam.value}-{kind}-N{N}")
+             for fam, kind, choice in SPECTRUM_COMBOS for N in (0, 5, 15)]
+    # alpha0 = 1/3: (alpha0 + n) + 1 and alpha0 + (n + 1) differ in the last
+    # bit at n = 1, 3, 7, ..., so a shifted ladder may not stand in for k > 0;
+    # alone, the n = 1 basis function shows that in the sum
+    a1 = build_series(params(2.6, 0, 1.5, 0.5, 0.5), Family.A1_TwoTerm, 60)
+    cases.append(pytest.param([a1, replace(a1, coefficients=(0j, 1 + 0j))], id="a1"))
+    p = draw_params(rng)
+    cases.append(pytest.param([build_series(p, Family.B4_FourTerm, 12, s0=s0)
+                               for s0 in (-0.7 + 0.2j, 0.4 - 0.1j)], id="b4-free-s0"))
+    # q = alpha zeroes Q_0, so a_1 = 0 in a series that does not terminate
+    gapped = build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
+    assert gapped.coefficients[1] == 0 and not gapped.terminated
+    cases.append(pytest.param([gapped], id="a2-gapped"))
+    return cases
+
+
+@pytest.mark.parametrize("sols", memo_cases())
+def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
+    # 0.3+0j and 0.3-0j give points that compare equal; back to back, each
+    # must still get its own uncached result
+    for z in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47):
+        for sol in sols:
+            expect = reference_eval(sol, z)
+            assert repr(eval_series_with_derivatives(sol, z)) == repr(expect)
+            value, tail = eval_series(sol, z, tol=math.inf)
+            assert repr((value, tail)) == repr((expect[0], expect[3]))
+
+
+@pytest.mark.parametrize("evaluate", [eval_series, eval_series_with_derivatives])
+def test_large_argument_warns_on_every_call(evaluate):
+    # d = 0 and q = alpha: a_1 = a_2 = 0, a terminated sum at |x| = 33
+    sol = build_series(params(2.3, 0, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 2)
+    assert sol.terminated
+    z = 30.0
+    with pytest.warns(LargeArgumentWarning) as direct:
+        eval_1f1(1, 2, sol.s0 * z)
+    for _ in range(2):
+        with pytest.warns(LargeArgumentWarning) as caught:
+            evaluate(sol, z)
+        assert {str(w.message) for w in caught} == {str(direct[0].message)}
+
+
+def test_a_failing_ladder_fails_on_every_call():
+    # a1 with gamma0 = 1 + gamma = -1: the n = 0 basis function sits on a pole
+    sol = build_series(params(-2.0, 0, 1.0, 0.5, 0.5), Family.A1_TwoTerm, 0)
+    for evaluate in (eval_series, eval_series_with_derivatives, eval_series):
+        with pytest.raises(PoleAtLowerParameterError):
+            evaluate(sol, 0.3)
+
+
+def test_basis_memo_stays_within_its_bound():
+    sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.3), Family.A2_ThreeTerm, 2)
+    for i in range(expansions._LADDER_MEMO + 10):
+        eval_series_with_derivatives(sol, 0.1 + 1e-3 * i)
+    info = expansions._basis_ladder.cache_info()
+    assert info.maxsize == expansions._LADDER_MEMO
+    assert info.currsize <= expansions._LADDER_MEMO
