@@ -26,8 +26,9 @@ Basis memo: the walk and s0 do not depend on q, so every root of one
 q-spectrum, and every repeated z, reads the same basis values. Evaluation
 takes them from a bounded LRU memo of ladders, (1F1(alpha_n + k; gamma_n +
 k; s0 z) for the n with a_n != 0), keyed by the family, alpha0, gamma0,
-s0 z, the shift k in {0, 1, 2}, those indices and the signs of the
-components of alpha0, gamma0 and s0 z (0.0 == -0.0 in a key). It holds
+s0 z, the shift k in {0, 1, 2} and those indices. A key compares 0.0 ==
+-0.0; a signed zero changes only a zero component of a basis value, and
+every sum below starts at +0j, so no output depends on it. The memo holds
 _LADDER_MEMO ladders, whatever their length. Values are bit-identical to
 one eval_1f1 call per term. Errors are not memoized, so a failing ladder
 fails on every call; where several basis functions fail, the one reported
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -319,19 +319,15 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     if nonzero:
         warn_large_argument(x)
     family, alpha0, gamma0 = sol.family, sol.alpha0, sol.gamma0
-    # 0.0 == -0.0 in a key, so the key also carries every component's sign
-    signs = (math.copysign(1.0, alpha0.real), math.copysign(1.0, alpha0.imag),
-             math.copysign(1.0, gamma0.real), math.copysign(1.0, gamma0.imag),
-             math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
     u = u1 = u2 = 0j
     last_nonzero = None
-    for n, f in zip(nonzero, _basis_ladder(family, alpha0, gamma0, x, 0, nonzero, signs)):
+    for n, f in zip(nonzero, _basis_ladder(family, alpha0, gamma0, x, 0, nonzero)):
         last_nonzero = a[n] * f
         u += last_nonzero
     if derivatives:
         for n, f1, f2 in zip(nonzero,
-                             _basis_ladder(family, alpha0, gamma0, x, 1, nonzero, signs),
-                             _basis_ladder(family, alpha0, gamma0, x, 2, nonzero, signs)):
+                             _basis_ladder(family, alpha0, gamma0, x, 1, nonzero),
+                             _basis_ladder(family, alpha0, gamma0, x, 2, nonzero)):
             an, cn = _basis_parameters(family, alpha0, gamma0, n)
             u1 += a[n] * s0 * (an / cn) * f1
             u2 += a[n] * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) * f2
@@ -346,9 +342,8 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
 
 @functools.lru_cache(maxsize=_LADDER_MEMO)
 def _basis_ladder(family: Family, alpha0, gamma0, x: complex, k: int,
-                  nonzero: tuple, signs: tuple) -> tuple:
-    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero), unwarned.
-    signs is not read: it keeps keys apart that differ in a signed zero."""
+                  nonzero: tuple) -> tuple:
+    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero), unwarned."""
     ladder = []
     for n in nonzero:
         an, cn = _basis_parameters(family, alpha0, gamma0, n)

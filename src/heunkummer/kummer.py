@@ -62,12 +62,12 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     return _eval_1f1(a, c, x, tol, max_terms, True)
 
 
-def eval_1f1_unwarned(a, c, x, tol: float = DEFAULT_TOL,
-                      max_terms: int = DEFAULT_MAX_TERMS):
-    """eval_1f1 without the LargeArgumentWarning: the same checks, errors
-    and value. For a caller that sums many 1F1 at one x and warns once
-    itself, through warn_large_argument."""
-    return _eval_1f1(a, c, x, tol, max_terms, False)
+def eval_1f1_unwarned(a, c, x):
+    """eval_1f1 at the default tol and max_terms without the
+    LargeArgumentWarning: the same checks, errors and value. For a caller
+    that sums many 1F1 at one x and warns once itself, through
+    warn_large_argument."""
+    return _eval_1f1(a, c, x, DEFAULT_TOL, DEFAULT_MAX_TERMS, False)
 
 
 def warn_large_argument(x, stacklevel: int = 1) -> None:

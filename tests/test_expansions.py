@@ -471,7 +471,10 @@ def memo_cases() -> list:
     # bit at n = 1, 3, 7, ..., so a shifted ladder may not stand in for k > 0;
     # alone, the n = 1 basis function shows that in the sum
     a1 = build_series(params(2.6, 0, 1.5, 0.5, 0.5), Family.A1_TwoTerm, 60)
-    cases.append(pytest.param([a1, replace(a1, coefficients=(0j, 1 + 0j))], id="a1"))
+    # alpha0 with a -0.0 component shares the memo key of alpha0 itself
+    cases.append(pytest.param([a1, replace(a1, coefficients=(0j, 1 + 0j)),
+                               replace(a1, alpha0=complex(a1.alpha0.real, -0.0))],
+                              id="a1"))
     p = draw_params(rng)
     cases.append(pytest.param([build_series(p, Family.B4_FourTerm, 12, s0=s0)
                                for s0 in (-0.7 + 0.2j, 0.4 - 0.1j)], id="b4-free-s0"))
@@ -484,8 +487,8 @@ def memo_cases() -> list:
 
 @pytest.mark.parametrize("sols", memo_cases())
 def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
-    # 0.3+0j and 0.3-0j give points that compare equal; back to back, each
-    # must still get its own uncached result
+    # 0.3+0j and 0.3-0j give memo keys that compare equal; back to back,
+    # each must still give its uncached result
     for z in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47):
         for sol in sols:
             expect = reference_eval(sol, z)
