@@ -64,6 +64,9 @@ REQUIRED = object()  # sentinel default for mandatory options
 
 # a che-series sum whose relative ODE residual exceeds this is not a solution
 _RESIDUAL_WARN = 1e-8
+# a two-state closed form further than this from the integrator does not
+# match it (the bound of the release gate on [-5, 5])
+_DEVIATION_WARN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +375,10 @@ def run_two_state(ns):
                 for t, p1, p2, cl, co in zip(match.sample_times, match.p1,
                                              match.p2, match.closed,
                                              match.combined)]
+        if match.max_deviation > _DEVIATION_WARN:
+            warnings.warn(f"max_deviation {match.max_deviation:.3g} exceeds "
+                          f"{_DEVIATION_WARN:g}: the closed form does not match "
+                          f"the integrator", HeunKummerWarning)
         results["max_deviation"] = match.max_deviation
         results["lam"] = match.lam
         results["mu"] = match.mu

@@ -24,17 +24,11 @@ the series can give.
 
 Basis memo: the walk and s0 do not depend on q, so every root of one
 q-spectrum, and every repeated z, reads the same basis values. Evaluation
-takes them from a bounded LRU memo of ladders, (1F1(alpha_n + k; gamma_n +
-k; s0 z) for the n with a_n != 0), keyed by the family, alpha0, gamma0,
-s0 z, the shift k in {0, 1, 2} and those indices. A key compares 0.0 ==
--0.0; a signed zero changes only a zero component of a basis value, and
-every sum below starts at +0j, so no output depends on it. The memo holds
-_LADDER_MEMO ladders, whatever their length. Values are bit-identical to
-one eval_1f1 call per term. Errors are not memoized, so a failing ladder
-fails on every call; where several basis functions fail, the one reported
-is the first in the order k = 0, 1, 2, then n. The LargeArgumentWarning is
-issued outside the memo, once per evaluation with a nonzero coefficient,
-with eval_1f1's text, so a memo hit warns as a miss does.
+at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
+ladders, (1F1(alpha_n + k; gamma_n + k; s0 z) for the n with a_n != 0),
+keyed by the family, alpha0, gamma0, s0 z, the shift k in {0, 1, 2} and
+those indices; beyond LARGE_X, where eval_1f1 warns, nothing is memoized.
+Values are bit-identical to one eval_1f1 call per term.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ from .errors import (
     LeadingCoefficientVanishesError,
     TailTooLargeError,
 )
-from .kummer import INT_TOL, eval_1f1_unwarned, nonpositive_int, warn_large_argument
+from .kummer import INT_TOL, LARGE_X, eval_1f1, nonpositive_int
 
 # R_n and the recurrence numerator both scale like n^2: a step with
 # |R_n| <= ZERO_TOL (1+n)^2 vanishes, in build_series (where a vanishing
@@ -316,18 +310,18 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     # by resizing it, and each resized tuple joins the free list of its new
     # size (up to 2000 a size), so those free lists grew on every call
     nonzero = tuple([n for n, a_n in enumerate(a) if a_n != 0])
-    if nonzero:
-        warn_large_argument(x)
     family, alpha0, gamma0 = sol.family, sol.alpha0, sol.gamma0
+    # a ladder that warns is not memoized, so every evaluation warns
+    basis = _basis_ladder if abs(x) <= LARGE_X else _basis_ladder.__wrapped__
     u = u1 = u2 = 0j
     last_nonzero = None
-    for n, f in zip(nonzero, _basis_ladder(family, alpha0, gamma0, x, 0, nonzero)):
+    for n, f in zip(nonzero, basis(family, alpha0, gamma0, x, 0, nonzero)):
         last_nonzero = a[n] * f
         u += last_nonzero
     if derivatives:
         for n, f1, f2 in zip(nonzero,
-                             _basis_ladder(family, alpha0, gamma0, x, 1, nonzero),
-                             _basis_ladder(family, alpha0, gamma0, x, 2, nonzero)):
+                             basis(family, alpha0, gamma0, x, 1, nonzero),
+                             basis(family, alpha0, gamma0, x, 2, nonzero)):
             an, cn = _basis_parameters(family, alpha0, gamma0, n)
             u1 += a[n] * s0 * (an / cn) * f1
             u2 += a[n] * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) * f2
@@ -343,10 +337,9 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
 @functools.lru_cache(maxsize=_LADDER_MEMO)
 def _basis_ladder(family: Family, alpha0, gamma0, x: complex, k: int,
                   nonzero: tuple) -> tuple:
-    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero), unwarned."""
+    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero)."""
     ladder = []
     for n in nonzero:
         an, cn = _basis_parameters(family, alpha0, gamma0, n)
-        ladder.append(eval_1f1_unwarned(an + k, cn + k, x) if k
-                      else eval_1f1_unwarned(an, cn, x))
+        ladder.append(eval_1f1(an + k, cn + k, x) if k else eval_1f1(an, cn, x))
     return tuple(ladder)

@@ -57,32 +57,9 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     below tol. If a is a non-positive integer -m the exact degree-m
     polynomial is returned. NonConvergenceError where the sum overflows;
     ValueError naming the argument where a, c or x is not finite.
-    LargeArgumentWarning beyond LARGE_X (see warn_large_argument).
+    LargeArgumentWarning beyond LARGE_X, after those checks and the pole
+    rule.
     """
-    return _eval_1f1(a, c, x, tol, max_terms, True)
-
-
-def eval_1f1_unwarned(a, c, x):
-    """eval_1f1 at the default tol and max_terms without the
-    LargeArgumentWarning: the same checks, errors and value. For a caller
-    that sums many 1F1 at one x and warns once itself, through
-    warn_large_argument."""
-    return _eval_1f1(a, c, x, DEFAULT_TOL, DEFAULT_MAX_TERMS, False)
-
-
-def warn_large_argument(x, stacklevel: int = 1) -> None:
-    """LargeArgumentWarning when |x| > LARGE_X, where the direct series may
-    lose digits. stacklevel 1 attributes the warning to the caller of this
-    function, 2 to the caller's caller."""
-    if abs(x) > LARGE_X:
-        warnings.warn(
-            f"|x|={abs(x):.3g} > {LARGE_X}: direct 1F1 series may lose accuracy",
-            LargeArgumentWarning,
-            stacklevel=stacklevel + 1,
-        )
-
-
-def _eval_1f1(a, c, x, tol: float, max_terms: int, warn: bool):
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, c, x = complex(a), complex(c), complex(x)
@@ -90,8 +67,12 @@ def _eval_1f1(a, c, x, tol: float, max_terms: int, warn: bool):
         bad = next(n for n, v in zip("acx", (a, c, x)) if not cmath.isfinite(v))
         raise ValueError(f"1F1 argument {bad} is not finite: {a=}, {c=}, {x=}")
     m = _check_lower_parameter(a, c)
-    if warn:
-        warn_large_argument(x, stacklevel=3)  # the caller of eval_1f1
+    if abs(x) > LARGE_X:
+        warnings.warn(
+            f"|x|={abs(x):.3g} > {LARGE_X}: direct 1F1 series may lose accuracy",
+            LargeArgumentWarning,
+            stacklevel=2,
+        )
     if x == 0:
         return complex(1.0)
     if m is not None:

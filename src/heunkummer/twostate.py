@@ -56,6 +56,10 @@ class LorentzianModel:
     Delta1: float
 
     def __post_init__(self):
+        for name in ("U0", "Delta0", "Delta1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name} = {value} is not finite")
         if not self.U0 > 0:
             raise ValueError("U0 must be positive")
 
@@ -308,8 +312,11 @@ def match_against_rk(model: LorentzianModel,
     -i U e^{i delta} a1 from the first-order system, so with the identity
     as starting states the value fixes mu and the derivative fixes lam.
     Off the termination lines there is no closed form to match, and
-    ConditionNotMetError is raised before any integration.
+    ConditionNotMetError is raised before any integration, and ValueError
+    where samples is below 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cf = closed_form_solution(model, family)
     traj = integrate_rk(model, t_start, t_end, steps, init=np.eye(2))
     c0, c0dot, _ = cf.value_and_derivatives(t_start)

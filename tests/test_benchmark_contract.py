@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heunkummer import cli
+from heunkummer import CheParams, Family, build_series, cli, expansions
 from heunkummer.twostate import ClosedForm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -67,3 +67,25 @@ def test_names_the_workloads_use_exist():
                 and not hasattr(bound[node.value.id], node.attr):
             missing.append(f"{node.value.id}.{node.attr}")
     assert missing == []
+
+
+def test_series_evaluation_calls_the_traced_1f1_name(monkeypatch):
+    """The tracer counts 1F1 calls by rebinding `eval_1f1` in each package
+    module: on a memo miss, a series evaluation with derivatives makes its
+    3 per nonzero term through the name bound in `expansions`."""
+    calls = []
+    real = expansions.eval_1f1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expansions, "eval_1f1", counted)
+    # q = alpha zeroes a_1, so the nonzero terms are fewer than the indices
+    sol = build_series(CheParams(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
+    nonzero = sum(1 for a_n in sol.coefficients if a_n != 0)
+    assert nonzero < len(sol.coefficients)
+    expansions._basis_ladder.cache_clear()
+    expansions.eval_series_with_derivatives(sol, 0.3)
+    assert expansions._basis_ladder.cache_info().misses == 3
+    assert len(calls) == 3 * nonzero

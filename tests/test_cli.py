@@ -173,6 +173,31 @@ def test_two_state_family_a2_matches_the_integrator(capsys):
     assert record["results"]["max_deviation"] <= 1e-6
 
 
+def test_two_state_warns_when_the_closed_form_misses_the_integrator(capsys):
+    # over [-15, 15] the closed form sums 1F1 up to |x| = 30.1 and misses
+    # the integrator by 8e-5, while the integrator itself keeps its norm;
+    # the record names the deviation and still exits 0
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", "2", "--delta1=-2",
+                                     "--t-start=-15", "--t-end", "15",
+                                     "--samples", "3"])
+    assert code == 0
+    deviation = record["results"]["max_deviation"]
+    assert deviation > 1e-6
+    assert record["diagnostics"]["norm_drift"] <= 1e-10
+    assert (f"HeunKummerWarning: max_deviation {deviation:.3g} exceeds 1e-06: "
+            "the closed form does not match the integrator") \
+        in record["diagnostics"]["warnings"]
+
+
+def test_two_state_readme_example_has_no_warning(capsys):
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", "2", "--delta1=-2"])
+    assert code == 0
+    assert record["results"]["max_deviation"] <= 1e-12
+    assert record["diagnostics"]["warnings"] == []
+
+
 def test_two_state_off_manifold_reports_trajectory_only(capsys):
     code, record = run_json(capsys, ["two-state", "--u0", "2", "--delta0",
                                      "0.5", "--delta1", "1", "--t-start=-2",

@@ -29,6 +29,7 @@ from heunkummer import (
     recurrence_coeffs,
 )
 from heunkummer.expansions import resolve_alpha0_gamma0
+from heunkummer.kummer import LARGE_X
 from heunkummer.termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                                     KIND_GAMMA_DELTA_ALPHA, ladder_polynomial)
 
@@ -485,12 +486,20 @@ def memo_cases() -> list:
     return cases
 
 
+def beyond_large_x(sol: SeriesSolution) -> complex:
+    """A z with |s0 z| > LARGE_X, where the series is not memoized."""
+    return complex(1.1 * LARGE_X / abs(sol.s0), 0.7)
+
+
+@pytest.mark.filterwarnings("ignore::heunkummer.LargeArgumentWarning")
 @pytest.mark.parametrize("sols", memo_cases())
 def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
     # 0.3+0j and 0.3-0j give memo keys that compare equal; back to back,
-    # each must still give its uncached result
-    for z in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47):
+    # each must still give its uncached result. None stands for a point
+    # beyond LARGE_X.
+    for z0 in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47, None):
         for sol in sols:
+            z = beyond_large_x(sol) if z0 is None else z0
             expect = reference_eval(sol, z)
             assert repr(eval_series_with_derivatives(sol, z)) == repr(expect)
             value, tail = eval_series(sol, z, tol=math.inf)
@@ -509,6 +518,16 @@ def test_large_argument_warns_on_every_call(evaluate):
         with pytest.warns(LargeArgumentWarning) as caught:
             evaluate(sol, z)
         assert {str(w.message) for w in caught} == {str(direct[0].message)}
+        # one warning per 1F1 call: a_0 alone, with and without derivatives
+        assert len(caught) == (3 if evaluate is eval_series_with_derivatives else 1)
+
+
+def test_nothing_beyond_large_x_is_memoized():
+    sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.3), Family.A2_ThreeTerm, 6)
+    before = expansions._basis_ladder.cache_info()
+    with pytest.warns(LargeArgumentWarning):
+        eval_series_with_derivatives(sol, beyond_large_x(sol))
+    assert expansions._basis_ladder.cache_info() == before
 
 
 def test_a_failing_ladder_fails_on_every_call():

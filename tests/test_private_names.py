@@ -1,7 +1,8 @@
 """No module of the package reaches into another module's private names:
 a leading underscore means "this module only". No library module changes
 the process-wide warning filters: only the CLI, which owns its process,
-records warnings."""
+records warnings. One function, kummer.eval_1f1, issues the
+LargeArgumentWarning."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,46 @@ def test_no_library_module_changes_warning_filters(path):
     # catch_warnings swaps process-wide state and is not thread-safe
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert warning_filter_uses(tree) == []
+
+
+def large_argument_warn_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each `warnings.warn` or `warn` call in
+    tree that names LargeArgumentWarning, bare or as an attribute, in its
+    arguments; "<module>" outside any function."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    (isinstance(child.func, ast.Attribute) and child.func.attr == "warn"
+                     and isinstance(child.func.value, ast.Name)
+                     and child.func.value.id == "warnings")
+                    or (isinstance(child.func, ast.Name) and child.func.id == "warn")):
+                arguments = child.args + [kw.value for kw in child.keywords]
+                if any(getattr(n, "id", getattr(n, "attr", None)) == "LargeArgumentWarning"
+                       for arg in arguments for n in ast.walk(arg)):
+                    found.append((child.lineno, function))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_warning_site_check_sees_both_forms():
+    tree = ast.parse("import warnings\nfrom warnings import warn\n"
+                     "def f():\n    warnings.warn('x', LargeArgumentWarning)\n"
+                     "def g():\n    def h():\n"
+                     "        warn('y', category=LargeArgumentWarning)\n"
+                     "warnings.warn('z', UserWarning, stacklevel=2)\n"
+                     "warnings.warn('w', errors.LargeArgumentWarning)\n")
+    assert large_argument_warn_sites(tree) == [(4, "f"), (7, "h"), (9, "<module>")]
+
+
+def test_eval_1f1_is_the_one_large_argument_warning_site():
+    # a second site, or an eval_1f1 that hands its sum to an unwarned copy,
+    # would let a caller sum 1F1 beyond LARGE_X without the warning
+    sites = [(path.name, function) for path in MODULES
+             for _, function in large_argument_warn_sites(
+                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert sites == [("kummer.py", "eval_1f1")]

@@ -44,6 +44,17 @@ def test_model_requires_positive_coupling():
         LorentzianModel(U0=-1.0, Delta0=0.5, Delta1=1.0)
 
 
+@pytest.mark.parametrize("pulse, name", [((1.0, math.nan, 1.0), "Delta0"),
+                                         ((1.0, 0.3, math.inf), "Delta1"),
+                                         ((math.inf, 0.3, 1.0), "U0"),
+                                         ((math.nan, 0.3, 1.0), "U0")])
+def test_model_refuses_non_finite_parameters(pulse, name):
+    # accepted, such a pulse reached integrate_rk and failed there as a
+    # StepTooCoarseError about a nan endpoint
+    with pytest.raises(ValueError, match=f"parameter {name} = .* is not finite"):
+        LorentzianModel(*pulse)
+
+
 def test_pulse_shapes():
     m = GENERIC
     assert m.coupling(0.0) == 2.0
@@ -234,6 +245,12 @@ def test_closed_form_matches_the_integrator():
     assert match.max_deviation <= 1e-9
     assert match.norm_drift <= 1e-10
     assert match.closed_form.sol.terminal_index == 1
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_match_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        match_against_rk(TERMINATING, samples=samples)
 
 
 def test_closed_form_satisfies_the_time_domain_equation():
