@@ -36,8 +36,6 @@ import sys
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 from .che_core import (CheParams, frobenius_coefficients, frobenius_eval,
                        relative_residual, transform_1_minus_z)
 from .errors import ConditionNotMetError, HeunKummerError, HeunKummerWarning
@@ -89,8 +87,6 @@ def format_complex(z: complex) -> str:
 def _json_default(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, (np.ndarray, np.generic)):
-        return v.tolist()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -113,7 +109,7 @@ def _flatten(v, prefix: str = ""):
     if isinstance(v, dict):
         for k, item in v.items():
             yield from _flatten(item, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(v, (list, tuple, np.ndarray)):
+    elif isinstance(v, (list, tuple)):
         for i, item in enumerate(v):
             yield from _flatten(item, f"{prefix}.{i}")
     else:
@@ -230,6 +226,8 @@ def run_verify_identities(ns):
 
     if ns.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {ns.draws}")
+    if not ns.radius > 0:  # at x = 0 every identity holds trivially
+        raise ValueError(f"--radius must be positive, got {ns.radius}")
     rng = random.Random(ns.seed)
     draws = [_draw_identity_point(rng, ns.radius) for _ in range(ns.draws)]
 
@@ -344,6 +342,8 @@ def run_q_spectrum(ns):
 
 
 def run_two_state(ns):
+    import numpy as np
+
     if ns.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {ns.samples}")
     if ns.t_start == ns.t_end:
@@ -405,6 +405,8 @@ def run_two_state(ns):
 
 
 def run_return_spectrum_scan(ns):
+    import numpy as np
+
     if ns.points < 1:
         raise ValueError(f"--points must be at least 1, got {ns.points}")
     probe = reduce_to_che(LorentzianModel(ns.u0, 1.0, ns.delta1))

@@ -56,12 +56,15 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     Truncates when the relative tail estimate (two consecutive terms) falls
     below tol. If a is a non-positive integer -m the exact degree-m
     polynomial is returned. NonConvergenceError where the sum overflows;
-    ValueError naming the argument where a, c or x is not finite.
+    ValueError where tol is not positive or max_terms is below 1, and
+    naming the argument where a, c or x is not finite.
     LargeArgumentWarning beyond LARGE_X, after those checks and the pole
     rule.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     a, c, x = complex(a), complex(c), complex(x)
     if not (cmath.isfinite(a) and cmath.isfinite(c) and cmath.isfinite(x)):
         bad = next(n for n, v in zip("acx", (a, c, x)) if not cmath.isfinite(v))
@@ -111,6 +114,8 @@ def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAU
     parameter-shift rule sums, so D6 checks only rounding order and the
     stopping point: it is not an independent computation.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     a, c, x = complex(a), complex(c), complex(x)
     m = _check_lower_parameter(a, c)
     coeff = a / c  # (a)_1/(c)_1

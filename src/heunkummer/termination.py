@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+from typing import TYPE_CHECKING
 
 from .che_core import CheParams
 from .errors import (ConditionNotMetError, IllConditionedRootsError,
@@ -29,6 +27,9 @@ from .expansions import (
     resolve_alpha0_gamma0,
 )
 from .kummer import nonpositive_int
+
+if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
+    import numpy as np
 
 KIND_ALPHA_OVER_EPS = "AlphaOverEps"
 KIND_DELTA_INT = "DeltaInt"
@@ -114,6 +115,9 @@ def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
     fixed, so deg a_n = n wherever no slope vanishes. IllConditionedRootsError
     where a coefficient overflows double, as it can near MAX_N.
     """
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
     prev, cur = None, np.array([1.0 + 0j])
     for n in range(1, N + 2):
         R = steps[n][0]
@@ -142,6 +146,8 @@ def q_spectrum(params: CheParams, family: Family,
     its residual |a_{N+1}| and verdict; where that build fails, an N+1
     build gives the residual and the root is unverified.
     """
+    from numpy.polynomial import polynomial as npoly
+
     p0 = dataclasses.replace(params, q=0)
     check_condition(p0, family, condition, alpha0_choice)
     N = condition.N

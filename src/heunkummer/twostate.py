@@ -28,9 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+from typing import TYPE_CHECKING
 
 from .che_core import CheParams
 from .errors import ConditionNotMetError, StepTooCoarseError
@@ -38,6 +36,9 @@ from .expansions import (Family, SeriesSolution, eval_series,
                          eval_series_with_derivatives, ladder)
 from .termination import (KIND_DELTA_INT, TerminationCondition, check_condition,
                           finite_solution, ladder_polynomial, q_spectrum)
+
+if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
+    import numpy as np
 
 DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
@@ -71,6 +72,8 @@ class LorentzianModel:
 
     def phase(self, t: float) -> float:
         """delta(t) = integral of the detuning rate, taken analytically."""
+        import numpy as np
+
         return self.Delta0 * t + self.Delta1 * np.arctan(t)
 
 
@@ -101,6 +104,8 @@ class Trajectory:
     def norm_drift(self) -> float:
         """Largest change of |a1|^2 + |a2|^2 from its start, over every
         stacked trajectory."""
+        import numpy as np
+
         norms = np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2
         return float(np.max(np.abs(norms - norms[..., :1])))
 
@@ -160,6 +165,8 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
     chunk's step matrices times P_start, carried over from the chunk
     before, so memory stays O(_CHUNK).
     """
+    import numpy as np
+
     carry = np.array([1, 0, 0, 1], dtype=complex)  # P_0 = I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
@@ -183,6 +190,8 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
 def _apply(P, init):
     """(a1, a2) = P_n y0, shaped (stack..., n): each state of init broadcasts
     alone against the time axis, so a stacked run repeats every single run."""
+    import numpy as np
+
     y0 = np.asarray(init, dtype=complex)
     y1, y2 = y0[..., 0, None], y0[..., 1, None]
     m00, m01, m10, m11 = P
@@ -198,6 +207,8 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     then carry one row per state. A step-halving check must move every
     endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised.
     """
+    import numpy as np
+
     if steps < 100:
         raise ValueError("steps must be at least 100")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
@@ -315,6 +326,8 @@ def match_against_rk(model: LorentzianModel,
     ConditionNotMetError is raised before any integration, and ValueError
     where samples is below 1.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     cf = closed_form_solution(model, family)
@@ -360,6 +373,8 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     polynomial in Delta0; the ladders at Delta0 = +-1 give Q_n at 0 and its
     slope. A root within RELATION_TOL of the real axis counts as real.
     """
+    from numpy.polynomial import polynomial as npoly
+
     reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
                   for d0 in (1.0, -1.0)]
     check_condition(reductions[0].che, Family.B3_ThreeTerm,
@@ -412,6 +427,8 @@ def scan_return_delta0(U0: float, Delta1: float, N: int,
     over the bracket, each clamped like the located point: returns
     (grid, residuals, delta0, residual).
     """
+    import numpy as np
+
     delta0, relation = locate_return_delta0(U0, Delta1, N, delta0_min, delta0_max)
     grid = np.linspace(delta0_min, delta0_max, points)
     vals = [return_spectrum_relation(LorentzianModel(U0, _clamp(d0), Delta1), N)

@@ -5,12 +5,16 @@ failing any other test. perfbench/ is only read here."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from heunkummer import CheParams, Family, build_series, cli, expansions
 from heunkummer.twostate import ClosedForm
+
+from conftest import subprocess_env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +93,16 @@ def test_series_evaluation_calls_the_traced_1f1_name(monkeypatch):
     expansions.eval_series_with_derivatives(sol, 0.3)
     assert expansions._basis_ladder.cache_info().misses == 3
     assert len(calls) == 3 * nonzero
+
+
+def test_cli_import_loads_every_traced_home_module():
+    """The traced bootstrap imports heunkummer.cli and then reads each home
+    module straight from sys.modules, so none of them may load lazily."""
+    homes = sorted({home for home, _ in {**TRACING.SPANNED,
+                                         **TRACING.COUNTED}.values()})
+    probe = ("import sys\nimport heunkummer.cli\n"
+             "print(' '.join(m for m in sys.argv[1:] if m not in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe, *homes],
+                          capture_output=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == []

@@ -514,6 +514,15 @@ def test_csv_flatten_output(capsys):
 # ---------------------------------------------------------------------------
 # exit codes
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_sweep_without_radius_is_a_domain_error(capsys, radius):
+    # at radius 0 every draw has x = 0, where each identity holds trivially
+    code, record = run_json(capsys, ["verify-identities", f"--radius={radius}"])
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "--radius" in record["error"]["message"]
+
+
 @pytest.mark.parametrize("draws", ["0", "-3"])
 def test_sweep_without_draws_is_a_domain_error(capsys, draws):
     code, record = run_json(capsys, ["verify-identities", f"--draws={draws}"])
@@ -787,3 +796,43 @@ def test_module_invocation_matches_entry_point():
     assert proc.returncode == 0
     json.loads(proc.stdout)
     assert proc.stdout == run_entry_point(CHE_EXAMPLE).stdout
+
+
+# ---------------------------------------------------------------------------
+# import boundary: numpy loads only in the subcommands that compute with it
+
+NUMPY_FREE = ("eval-1f1", "verify-identities", "che-series", "frobenius",
+              "transform", "detect-termination")
+README_ARGV = {line.split()[1]: line.split()[1:]
+               for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if line.startswith("heunkummer ")}
+# prints whether numpy is loaded after the imports and, given an argv, after
+# cli.main has run it
+NUMPY_PROBE = """import contextlib, io, json, sys
+import heunkummer, heunkummer.cli
+loaded = {"import": "numpy" in sys.modules}
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded["code"] = heunkummer.cli.main(sys.argv[1:])
+    loaded["run"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def numpy_loaded(argv):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          capture_output=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_and_cli_leaves_numpy_unloaded():
+    assert numpy_loaded([]) == {"import": False}
+
+
+# q-spectrum shows that the probe sees a load
+@pytest.mark.parametrize("command, loads", [(c, False) for c in NUMPY_FREE]
+                         + [("q-spectrum", True)])
+def test_only_array_subcommands_load_numpy(command, loads):
+    assert numpy_loaded(README_ARGV[command]) == {"import": False, "code": 0,
+                                                  "run": loads}

@@ -14,7 +14,7 @@ from heunkummer import (
     eval_1f1,
     identity_residual,
 )
-from heunkummer.kummer import nonpositive_int
+from heunkummer.kummer import _series_derivative, nonpositive_int
 
 from conftest import complex_box, disk_draw
 
@@ -117,6 +117,17 @@ def test_overflowed_sum_is_not_returned():
 def test_bad_tol_rejected():
     with pytest.raises(ValueError):
         eval_1f1(1.0, 2.0, 0.5, tol=0.0)
+
+
+@pytest.mark.parametrize("max_terms", [0, -5])
+@pytest.mark.parametrize("a, x", [(1.0, 1.0), (1.0, 0.0), (-2.0, 1.0)],
+                         ids=["series", "x=0", "polynomial"])
+def test_max_terms_below_one_rejected(max_terms, a, x):
+    # refused before the sum, also where no series term would be needed
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        eval_1f1(a, 2.0, x, max_terms=max_terms)
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        _series_derivative(a, 2.0, x, max_terms=max_terms)
 
 
 @pytest.mark.parametrize("a, c, x, name", [
