@@ -383,6 +383,7 @@ def run_two_state(ns):
         results["lam"] = match.lam
         results["mu"] = match.mu
         diagnostics["norm_drift"] = match.norm_drift
+        diagnostics["halving_delta"] = match.halving_delta
         diagnostics["equation_residual_max"] = eq_residual
         diagnostics["anchor"] = match.anchor
     else:
@@ -397,6 +398,7 @@ def run_two_state(ns):
                  float(abs(traj.a2[i]) ** 2), None] for i in idx]
         results["max_deviation"] = None
         diagnostics["norm_drift"] = traj.norm_drift()
+        diagnostics["halving_delta"] = traj.halving_delta
         diagnostics["closed_form"] = ("series does not terminate at these "
                                       "parameters; deviation not computed")
     results["table"] = {"columns": ["t", "p1", "p2", "closed_rk_deviation"],

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +45,7 @@ DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
 RELATION_TOL = 1e-8   # a located return point meets its relation this well
-_CHUNK = 512          # RK steps per prefix-product chunk: bounds the temporaries
+_CHUNK = 2048         # RK steps per chunk of the one pass: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,14 @@ class TwoStateReduction:
 @dataclass(frozen=True)
 class Trajectory:
     """Amplitudes along the time grid: a1 and a2 have the grid on their last
-    axis, after one leading axis per stacked initial state."""
+    axis, after one leading axis per stacked initial state. halving_delta is
+    the largest change of an endpoint amplitude that the step-halving check
+    measured."""
 
     times: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
+    halving_delta: float
 
     def norm_drift(self) -> float:
         """Largest change of |a1|^2 + |a2|^2 from its start, over every
@@ -157,42 +161,52 @@ def _matmul(a, b):
 
 
 def _propagators(model: LorentzianModel, t_start, h, steps):
-    """Yield (start, stop, P) for each chunk of at most _CHUNK steps: the
-    entries of the RK4 propagators P_n = M_{n-1} ... M_0, n = start+1..stop.
+    """Yield (start, stop, P, F) for each chunk of at most _CHUNK steps.
 
-    A(t) is evaluated as arrays on the chunk's share of the half-step grid
-    t_start + k h/2. P is a log-depth (Hillis-Steele) prefix product of the
-    chunk's step matrices times P_start, carried over from the chunk
-    before, so memory stays O(_CHUNK).
+    P holds the entries of the RK4 propagators P_n = M_{n-1} ... M_0,
+    n = start+1..stop; F those of the one propagator of the halving run
+    (steps of h/2) from t_start to t_start + stop h.
+
+    A(t) is evaluated once per chunk, as arrays on its share of the
+    quarter-step grid t_start + k h/4. The run reads every other point,
+    which is its half-step grid exactly (2k h/4 = k h/2), and its P is a
+    log-depth (Hillis-Steele) prefix product of the chunk's step matrices
+    times P_start, carried over from the chunk before. The halving run
+    reads every point; only its endpoint is checked, so its chunk's step
+    matrices are multiplied by a pairwise tree into one matrix, which goes
+    into F. Memory stays O(_CHUNK).
     """
     import numpy as np
 
-    carry = np.array([1, 0, 0, 1], dtype=complex)  # P_0 = I
+    carry = fine = np.array([1, 0, 0, 1], dtype=complex)[:, None]  # I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
-        t = t_start + np.arange(2 * start, 2 * stop + 1) * (h / 2)
+        t = t_start + np.arange(4 * start, 4 * stop + 1) * (h / 4)
         u = model.coupling(t)
         ph = np.exp(1j * model.phase(t))
         # a model may return scalars, as for a flat pulse
         p = np.broadcast_to(-1j * u * np.conj(ph), t.shape)
         q = np.broadcast_to(-1j * u * ph, t.shape)
-        m = list(_step_matrices(p, q, h))
+        m = list(_step_matrices(p[::2], q[::2], h))
         d = 1
         while d < stop - start:  # m[i] <- m[i] @ m[i - d]
             for e, v in zip(m, _matmul([e[d:] for e in m], [e[:-d] for e in m])):
                 e[d:] = v
             d *= 2
         P = _matmul(m, carry)
-        carry = [e[-1] for e in P]
-        yield start, stop, P
+        carry = [e[-1:] for e in P]
+        f = _step_matrices(p, q, h / 2)
+        while (n := len(f[0])) > 1:  # f[i] <- f[2i+1] @ f[2i]
+            pairs = _matmul([e[1::2] for e in f], [e[:-1:2] for e in f])
+            # an odd last matrix waits for the next level
+            f = [np.append(v, e[-1:]) for v, e in zip(pairs, f)] if n % 2 else pairs
+        fine = _matmul(f, fine)
+        yield start, stop, P, fine
 
 
-def _apply(P, init):
-    """(a1, a2) = P_n y0, shaped (stack..., n): each state of init broadcasts
+def _apply(P, y0):
+    """(a1, a2) = P_n y0, shaped (stack..., n): each state of y0 broadcasts
     alone against the time axis, so a stacked run repeats every single run."""
-    import numpy as np
-
-    y0 = np.asarray(init, dtype=complex)
     y1, y2 = y0[..., 0, None], y0[..., 1, None]
     m00, m01, m10, m11 = P
     return m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
@@ -205,30 +219,40 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     init is one state (a1, a2) or a stack of states along its first axis,
     each integrated exactly as it would be alone; a1 and a2 of the result
     then carry one row per state. A step-halving check must move every
-    endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised.
+    endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised;
+    the change it measured is the result's halving_delta.
     """
     import numpy as np
 
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 100:
         raise ValueError("steps must be at least 100")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError("time range must be finite")
     if t_start == t_end:
         raise ValueError(f"time range is empty: t_start = t_end = {t_start}")
+    y0 = np.asarray(init, dtype=complex)
+    if y0.ndim == 0 or y0.shape[-1] != 2:
+        raise ValueError(f"init must hold states (a1, a2) on its last axis, "
+                         f"got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("init must be finite")
     h = (t_end - t_start) / steps
     P = np.empty((4, steps + 1), dtype=complex)
     P[:, 0] = (1, 0, 0, 1)
-    for start, stop, chunk in _propagators(model, t_start, h, steps):
+    for start, stop, chunk, fine in _propagators(model, t_start, h, steps):
         P[:, start + 1:stop + 1] = chunk
-    for _, _, fine in _propagators(model, t_start, h / 2, 2 * steps):
-        pass  # the halving check reads only the last P_n
-    a1, a2 = _apply(P, init)
-    f1, f2 = _apply([e[-1:] for e in fine], init)
+    a1, a2 = _apply(P, y0)
+    f1, f2 = _apply(fine, y0)
     diff = float(np.max(np.abs([a1[..., -1:] - f1, a2[..., -1:] - f2])))
     if not diff <= HALVING_TOL:  # a NaN endpoint fails too
         raise StepTooCoarseError(
             f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
-    return Trajectory(times=t_start + np.arange(steps + 1) * h, a1=a1, a2=a2)
+    return Trajectory(times=t_start + np.arange(steps + 1) * h, a1=a1, a2=a2,
+                      halving_delta=diff)
 
 
 class ClosedForm:
@@ -295,7 +319,8 @@ class MatchResult:
     lam and mu are the coefficients of the RK trajectories started from
     (1,0) and (0,1) at the anchor; max_deviation is the largest absolute
     difference between the closed form and the matched combination over the
-    sample times; closed_form is the evaluator that was matched."""
+    sample times; closed_form is the evaluator that was matched. norm_drift
+    and halving_delta are those of the RK basis trajectories."""
 
     closed_form: ClosedForm
     max_deviation: float
@@ -308,6 +333,7 @@ class MatchResult:
     p1: np.ndarray
     p2: np.ndarray
     norm_drift: float
+    halving_delta: float
 
 
 def match_against_rk(model: LorentzianModel,
@@ -345,7 +371,8 @@ def match_against_rk(model: LorentzianModel,
     return MatchResult(closed_form=cf, max_deviation=dev, lam=complex(lam),
                        mu=complex(mu), anchor=t_start, sample_times=ts,
                        closed=closed, combined=combined, p1=p1, p2=p2,
-                       norm_drift=traj.norm_drift())
+                       norm_drift=traj.norm_drift(),
+                       halving_delta=traj.halving_delta)
 
 
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:

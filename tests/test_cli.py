@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from heunkummer import LorentzianModel, integrate_rk, match_against_rk
 from heunkummer.cli import format_complex, main, parse_complex
 
 from conftest import subprocess_env
@@ -162,6 +163,10 @@ def test_two_state_record(capsys):
     assert res["max_deviation"] <= 1e-9
     assert len(res["table"]["rows"]) == 7
     assert record["diagnostics"]["norm_drift"] <= 1e-10
+    # the step-halving delta of the RK basis behind the match
+    match = match_against_rk(LorentzianModel(math.sqrt(3.0), 2.0, -2.0),
+                             t_start=-3.0, t_end=3.0, steps=2000)
+    assert record["diagnostics"]["halving_delta"] == match.halving_delta
 
 
 def test_two_state_family_a2_matches_the_integrator(capsys):
@@ -207,8 +212,10 @@ def test_two_state_off_manifold_reports_trajectory_only(capsys):
     assert record["results"]["terminated"] is False
     assert record["results"]["max_deviation"] is None
     assert "closed_form" in record["diagnostics"]
-    # populations still come out of the integrator
+    # populations still come out of the integrator, and so does its check
     assert record["results"]["table"]["rows"][0][1] == pytest.approx(1.0, abs=1e-9)
+    traj = integrate_rk(LorentzianModel(2.0, 0.5, 1.0), -2.0, 2.0, 2000)
+    assert record["diagnostics"]["halving_delta"] == traj.halving_delta
 
 
 def test_two_state_at_zero_detuning_rate_reports_trajectory_only(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from heunkummer import (
     return_spectrum_relation,
     scan_return_delta0,
 )
+from heunkummer import twostate
 
 # R = sqrt(U0^2 + Delta1^2/4) = 2 exactly: the series right-terminates at
 # n = 1 and the closed form is a genuine finite sum valid for all t
@@ -32,6 +34,23 @@ GENERIC = LorentzianModel(U0=2.0, Delta0=0.5, Delta1=1.0)
 # R = 2 natural but Delta0 off the return spectrum: the B3 build cannot take
 # its step past the termination index (R_3 = 0 with a nonzero numerator)
 OFF_SPECTRUM = LorentzianModel(U0=math.sqrt(3.0), Delta0=0.7, Delta1=-2.0)
+
+
+class ConstantPulse(LorentzianModel):
+    """Resonant flat drive: its pulse shape methods return scalars, so the
+    integrator broadcasts them over the time grid."""
+
+    def coupling(self, t):
+        return self.U0
+
+    def detuning_rate(self, t):
+        return 0.0
+
+    def phase(self, t):
+        return 0.0
+
+
+FLAT = ConstantPulse(U0=1.3, Delta0=0.0, Delta1=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +206,77 @@ def test_rk_detects_a_run_that_blows_up():
         integrate_rk(LorentzianModel(1000000.5, 0.3, 1.0), -5.0, 5.0, 100)
 
 
+@pytest.mark.parametrize("init", [(1, 0, 0), (1,), 1.0, np.ones((2, 3))],
+                         ids=["three", "one", "scalar", "stack-of-three"])
+def test_rk_refuses_an_init_of_the_wrong_width(init):
+    # a third component was dropped without a word, a single one raised a
+    # bare IndexError
+    shape = np.shape(init)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        integrate_rk(GENERIC, -5.0, 5.0, 2000, init=init)
+
+
+@pytest.mark.parametrize("init", [(math.nan, 0), (1, complex(0, math.inf)),
+                                  [[1, 0], [0, math.nan]]],
+                         ids=["nan", "inf", "stacked-nan"])
+def test_rk_refuses_a_non_finite_init(init):
+    # reported before as a step-halving failure that moved the endpoint by nan
+    with pytest.raises(ValueError, match="init must be finite"):
+        integrate_rk(GENERIC, -5.0, 5.0, 2000, init=init)
+
+
+@pytest.mark.parametrize("steps", [8000.0, 100.5, "8000"])
+def test_rk_refuses_a_non_integral_step_count(steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        integrate_rk(GENERIC, -5.0, 5.0, steps)
+
+
+def test_rk_takes_a_numpy_integer_step_count():
+    traj = integrate_rk(GENERIC, -5.0, 5.0, np.int64(2000))
+    assert np.array_equal(traj.a2, integrate_rk(GENERIC, -5.0, 5.0, 2000).a2)
+
+
+def two_run_delta(model, t_start, t_end, steps, init):
+    """max |endpoint(steps) - endpoint(2 steps)| from two separate runs."""
+    coarse = integrate_rk(model, t_start, t_end, steps, init=init)
+    fine = integrate_rk(model, t_start, t_end, 2 * steps, init=init)
+    return max(np.max(np.abs(coarse.a1[..., -1] - fine.a1[..., -1])),
+               np.max(np.abs(coarse.a2[..., -1] - fine.a2[..., -1])))
+
+
+@pytest.mark.parametrize("init", [(1 + 0j, 0j), np.eye(2)],
+                         ids=["single", "stacked"])
+def test_halving_delta_is_the_difference_of_two_runs(init):
+    # the halving run inside integrate_rk is RK4 at h/2 over the same window
+    steps = twostate.DEFAULT_STEPS
+    traj = integrate_rk(GENERIC, -5.0, 5.0, steps, init=init)
+    assert 0 < traj.halving_delta <= twostate.HALVING_TOL
+    assert abs(traj.halving_delta
+               - two_run_delta(GENERIC, -5.0, 5.0, steps, init)) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [101, twostate._CHUNK + 1,
+                                   3 * twostate._CHUNK - 1],
+                         ids=["101", "chunk+1", "3chunks-1"])
+@pytest.mark.parametrize("model, t_start, t_end", [(GENERIC, -0.5, 0.5),
+                                                   (FLAT, 0.0, 1.0)],
+                         ids=["lorentzian", "flat"])
+def test_rk_runs_that_end_inside_a_chunk(model, t_start, t_end, steps):
+    # step counts that leave a part-filled last chunk, and halving runs
+    # whose pairwise products meet an odd count of matrices
+    init = np.eye(2)
+    traj = integrate_rk(model, t_start, t_end, steps, init=init)
+    _, a = reference_rk4(model, t_start, t_end, steps, init)
+    assert np.max(np.abs(traj.a1 - a[..., 0])) <= 1e-12
+    assert np.max(np.abs(traj.a2 - a[..., 1])) <= 1e-12
+    assert abs(traj.halving_delta
+               - two_run_delta(model, t_start, t_end, steps, init)) <= 1e-14
+
+
 def test_constant_pulse_reproduces_rabi_oscillations():
-    # resonant flat drive: |a2|^2 = sin^2(U0 t). The pulse shape methods are
-    # replaced here so the integrator itself is what gets checked.
-    class ConstantPulse(LorentzianModel):
-        def coupling(self, t):
-            return self.U0
-
-        def detuning_rate(self, t):
-            return 0.0
-
-        def phase(self, t):
-            return 0.0
-
-    m = ConstantPulse(U0=1.3, Delta0=0.0, Delta1=0.0)
-    traj = integrate_rk(m, 0.0, 4.0, 4000)
+    # |a2|^2 = sin^2(U0 t): with the pulse shape replaced, the integrator
+    # itself is what gets checked
+    traj = integrate_rk(FLAT, 0.0, 4.0, 4000)
     worst = max(abs(abs(a2) ** 2 - math.sin(1.3 * t) ** 2)
                 for t, a2 in zip(traj.times, traj.a2))
     assert worst <= 1e-10
@@ -407,8 +482,6 @@ def test_return_points_need_a_natural_R():
 
 
 def test_locate_evaluates_the_relation_only_at_roots(monkeypatch):
-    import heunkummer.twostate as twostate
-
     calls = []
     relation = twostate.return_spectrum_relation
 
