@@ -25,7 +25,6 @@ from .errors import (
     ConditionNotMetError,
     HeunKummerError,
     HeunKummerWarning,
-    IllConditionedRootsError,
     LargeArgumentWarning,
     LeadingCoefficientVanishesError,
     NonConvergenceError,

@@ -322,22 +322,23 @@ def run_q_spectrum(ns):
                 "no integer coincidence detected for these parameters")
         condition = found[0]
     spectrum = q_spectrum(params, family, condition, ns.alpha0_choice)
+    # a rebuild that overflows double has no residual, and JSON no NaN
+    residuals = [res if math.isfinite(res) else None
+                 for res in spectrum.root_residuals]
     rows = [[r.real, r.imag, v, res]
-            for r, v, res in zip(spectrum.roots, spectrum.verified,
-                                 spectrum.root_residuals)]
+            for r, v, res in zip(spectrum.roots, spectrum.verified, residuals)]
     LOG.info("spectrum %s N=%d: %d roots, all verified: %s",
              condition.kind, condition.N, len(spectrum.roots),
              all(spectrum.verified))
     results = {"kind": condition.kind, "N": condition.N,
                "roots": list(spectrum.roots),
                "verified": list(spectrum.verified),
-               "polynomial": list(spectrum.polynomial),
                "table": {"columns": ["root_re", "root_im", "verified",
                                      "rebuild_residual"],
                          "rows": rows}}
     diagnostics = {"degree": condition.N + 1,
                    "all_verified": all(spectrum.verified),
-                   "root_residuals": list(spectrum.root_residuals)}
+                   "root_residuals": residuals}
     return results, diagnostics
 
 

@@ -43,11 +43,6 @@ class LeadingCoefficientVanishesError(HeunKummerError):
     non-negligible numerator, so the forward recurrence cannot continue."""
 
 
-class IllConditionedRootsError(HeunKummerError):
-    """A polished spectrum root still leaves |a_{N+1}| above tolerance, or
-    the termination polynomial's coefficients overflow."""
-
-
 class StepTooCoarseError(HeunKummerError):
     """Step-halving check of the integrator failed at the default resolution."""
 

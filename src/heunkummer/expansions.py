@@ -47,8 +47,8 @@ from .errors import (
 from .kummer import INT_TOL, LARGE_X, eval_1f1, nonpositive_int
 
 # R_n and the recurrence numerator both scale like n^2: a step with
-# |R_n| <= ZERO_TOL (1+n)^2 vanishes, in build_series (where a vanishing
-# numerator too marks a terminated resonance) and in ladder_polynomial.
+# |R_n| <= ZERO_TOL (1+n)^2 vanishes in build_series, unless the numerator
+# vanishes too, which marks a terminated resonance.
 ZERO_TOL = 1e-9
 
 # Bound of the basis memo, in ladders: the roots of one spectrum evaluated

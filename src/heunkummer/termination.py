@@ -3,7 +3,9 @@
 A series right-terminates at index N when P_N = 0 (a parameter coincidence,
 detected here as an integer condition) together with a_{N+1} = 0, which is a
 polynomial equation of degree N+1 in q. Its roots are the q-spectrum; for
-each root the recurrence then keeps every later coefficient at zero.
+each root the recurrence then keeps every later coefficient at zero. The
+roots are eigenvalues of the equation's own power-series tridiagonal
+(recurrence_tridiagonal), each checked by rebuilding its Kummer series.
 """
 
 from __future__ import annotations
@@ -12,19 +14,15 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .che_core import CheParams
-from .errors import (ConditionNotMetError, IllConditionedRootsError,
-                     LeadingCoefficientVanishesError)
+from .che_core import CheParams, transform_1_minus_z
+from .errors import ConditionNotMetError, LeadingCoefficientVanishesError
 from .expansions import (
     GAMMA_CHOICE,
-    ZERO_TOL,
     Family,
     SeriesSolution,
     build_series,
     check_alpha0_choice,
     check_applicable,
-    ladder,
-    resolve_alpha0_gamma0,
 )
 from .kummer import nonpositive_int
 
@@ -36,9 +34,8 @@ KIND_DELTA_INT = "DeltaInt"
 KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 
 VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
-POLISH_TOL = 1e-8          # polished root must satisfy the polynomial this well
-MAX_N = 80                 # readers build N-step ladders (delta = -1e20 would never
-                           # finish); a_{N+1}(q) overflows double from about N = 94
+MAX_N = 80                 # readers build N-step ladders and (N+1)x(N+1)
+                           # eigenproblems (delta = -1e20 would never finish)
 
 
 @dataclass(frozen=True)
@@ -56,15 +53,15 @@ class TerminationCondition:
 class QSpectrum:
     """Roots of a_{N+1}(q) = 0 with per-root rebuild verification.
 
-    polynomial holds ascending coefficients of a_{N+1}(q); roots are its
-    N+1 roots (counted with multiplicity); verified[i] is _rebuild's
-    verdict at roots[i], the one terminated_solution acts on, so it is
-    False where the rebuild cannot reach a_{N+5}; root_residuals[i] is
-    |a_{N+1}(root)| from the rebuilt recurrence.
+    roots are the N+1 eigenvalues (counted with multiplicity) of the
+    condition's tridiagonal, shifted back to q, ascending by real then
+    imaginary part; verified[i] is _rebuild's verdict at roots[i], the one
+    terminated_solution acts on, so it is False where the rebuild cannot
+    reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from the rebuilt
+    recurrence.
     """
 
     condition: TerminationCondition
-    polynomial: tuple
     roots: tuple
     verified: tuple
     root_residuals: tuple
@@ -107,32 +104,43 @@ def enumerate_termination_conditions(params: CheParams, family: Family,
     return found
 
 
-def ladder_polynomial(steps, slopes, N: int) -> np.ndarray:
-    """a_{N+1}(lam) as ascending coefficients, with a_0 = 1.
+def recurrence_tridiagonal(params: CheParams, N: int) -> np.ndarray:
+    """The (N+1)x(N+1) tridiagonal T of the power-series recurrence at z = 0.
 
-    steps is a three-term ladder [(R_n, Q_n, P_n, ...) for n = 0..N+1]
-    taken at lam = 0; Q_n moves by slopes[n] * lam while R_n and P_n stay
-    fixed, so deg a_n = n wherever no slope vanishes. IllConditionedRootsError
-    where a coefficient overflows double, as it can near MAX_N.
+    Row k of the equation times z(z-1) on sum c_k z^k reads
+
+        [eps(k-1) + alpha] c_{k-1} + [k(k-1) + k(gamma+delta-eps)] c_k
+            - (k+1)(k+gamma) c_{k+1} = q c_k,
+
+    so where c_{N+1} drops out of rows 0..N, q is an eigenvalue of T. Built
+    here, not through che_core's Frobenius oracle, which stays independent.
+    params.q is not read.
     """
     import numpy as np
-    from numpy.polynomial import polynomial as npoly
 
-    prev, cur = None, np.array([1.0 + 0j])
-    for n in range(1, N + 2):
-        R = steps[n][0]
-        if abs(R) <= ZERO_TOL * (1 + n) ** 2:  # build_series' vanishing step
-            raise LeadingCoefficientVanishesError(
-                f"R_{n} = {R} vanishes; termination polynomial cannot be built")
-        num = npoly.polymul(cur, np.array([steps[n - 1][1], slopes[n - 1]]))
-        if n >= 2:
-            num = npoly.polyadd(num, steps[n - 2][2] * prev)
-        prev, cur = cur, -num / R
-        if not np.all(np.isfinite(cur)):
-            raise IllConditionedRootsError(
-                f"the termination polynomial overflows at step n = {n} of "
-                f"{N + 1}: the coefficients of a_{n} are not finite")
-    return cur
+    g, d, e, al = params.gamma, params.delta, params.epsilon, params.alpha
+    k = np.arange(N + 1)
+    return (np.diag(k * (k - 1) + k * (g + d - e))
+            + np.diag(e * (k[1:] - 1) + al, -1)
+            + np.diag(-(k[:-1] + 1) * (k[:-1] + g), 1))
+
+
+def _eigenproblem(params: CheParams, kind: str):
+    """(p, shift): the spectrum of the condition kind is shift plus the
+    eigenvalues of recurrence_tridiagonal(p, N).
+
+    AlphaOverEps: alpha = -N eps cuts row N+1's coupling to c_N, so
+    c_{N+1} = 0 ends a degree-N polynomial solution. GammaDeltaAlpha:
+    u = exp(-eps z) v makes it AlphaOverEps at the same N. DeltaInt: the
+    series terminates where the solution has no logarithm at z = 1; after
+    z -> 1-z, gamma' = -N cuts row N's coupling to c_{N+1}.
+    """
+    if kind == KIND_ALPHA_OVER_EPS:
+        return params, 0
+    if kind == KIND_DELTA_INT:
+        return transform_1_minus_z(params), params.alpha
+    g, d, e = params.gamma, params.delta, params.epsilon  # GammaDeltaAlpha
+    return CheParams(g, d, -e, params.alpha - e * (g + d), 0), e * g
 
 
 def q_spectrum(params: CheParams, family: Family,
@@ -140,43 +148,29 @@ def q_spectrum(params: CheParams, family: Family,
     """All N+1 accessory-parameter values terminating the series at N.
 
     The q field of params is ignored; ConditionNotMetError unless the
-    parameters meet condition. Roots of a_{N+1}(q) come from numpy's
-    polyroots, then one Newton step (value from an N+1 rebuild at the root,
-    derivative from the polynomial). _rebuild at each polished root gives
-    its residual |a_{N+1}| and verdict; where that build fails, an N+1
-    build gives the residual and the root is unverified.
+    parameters meet condition. The roots are numpy's eigenvalues of the
+    condition's recurrence_tridiagonal. _rebuild at each root gives its
+    residual |a_{N+1}| and verdict; where that build fails, an N+1 build
+    gives the residual and the root is unverified, and where that fails too
+    (an R_n = 0 step up to N+1), its LeadingCoefficientVanishesError stops
+    the spectrum.
     """
-    from numpy.polynomial import polynomial as npoly
+    import numpy as np
 
     p0 = dataclasses.replace(params, q=0)
     check_condition(p0, family, condition, alpha0_choice)
     N = condition.N
-    alpha0, _ = resolve_alpha0_gamma0(p0, family, alpha0_choice)
-    steps = ladder(p0, family, alpha0, -p0.epsilon, N + 1)
-    target = ladder_polynomial(steps, [-1] * (N + 1), N)  # dQ_n/dq = -1
-    roots = npoly.polyroots(target)
-    dpoly = npoly.polyder(target)
-    found = []  # (polished root, _rebuild's verdict, |a_{N+1}| there)
-    for r in roots:
-        fval = build_series(dataclasses.replace(params, q=r), family, N + 1,
-                            alpha0_choice=alpha0_choice).coefficients[N + 1]
-        fder = npoly.polyval(r, dpoly)
-        if abs(fder) > 1e-12 * max(1.0, abs(fval)):
-            r = r - fval / fder  # one Newton step; multiple roots skip it
+    p_eig, shift = _eigenproblem(p0, condition.kind)
+    found = []  # (root, _rebuild's verdict, |a_{N+1}| there)
+    for lam in np.linalg.eigvals(recurrence_tridiagonal(p_eig, N)):
+        r = complex(lam + shift)
         p = dataclasses.replace(params, q=r)
         sol, terminates = _rebuild(p, family, N, alpha0_choice)
-        if sol is None:  # no steps up to N+5 to check: polished but unverified
+        if sol is None:  # no steps up to N+5 to check: unverified
             sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
-        fval = sol.coefficients[N + 1]
-        scale = max(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(target))
-        if abs(fval) > POLISH_TOL * scale:
-            raise IllConditionedRootsError(
-                f"polished root {r} leaves |a_{N + 1}| = {abs(fval):.3e} "
-                f"above {POLISH_TOL:.0e} of the polynomial scale {scale:.3e}")
-        found.append((complex(r), terminates, abs(fval)))
+        found.append((r, terminates, abs(sol.coefficients[N + 1])))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
     return QSpectrum(condition=condition,
-                     polynomial=tuple(complex(c) for c in target),
                      roots=tuple(f[0] for f in found),
                      verified=tuple(f[1] for f in found),
                      root_residuals=tuple(f[2] for f in found))

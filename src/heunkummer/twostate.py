@@ -31,12 +31,12 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .che_core import CheParams
+from .che_core import CheParams, transform_1_minus_z
 from .errors import ConditionNotMetError, StepTooCoarseError
 from .expansions import (Family, SeriesSolution, eval_series,
-                         eval_series_with_derivatives, ladder)
+                         eval_series_with_derivatives)
 from .termination import (KIND_DELTA_INT, TerminationCondition, check_condition,
-                          finite_solution, ladder_polynomial, q_spectrum)
+                          finite_solution, q_spectrum, recurrence_tridiagonal)
 
 if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
     import numpy as np
@@ -394,25 +394,27 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     """Real Delta0, ascending, where the reduced b3 series terminates at N
     for fixed (U0, Delta1): the return points and the trivial Delta0 = 0.
 
-    ConditionNotMetError unless R = N+1, before any ladder is built. At alpha = 0
-    the reduced ladder keeps R_n and P_n as Delta0 moves (alpha0 = alpha/eps
-    = 0) and Q_n is affine in Delta0 through eps and q, so a_{N+1} is a
-    polynomial in Delta0; the ladders at Delta0 = +-1 give Q_n at 0 and its
-    slope. A root within RELATION_TOL of the real axis counts as real.
+    ConditionNotMetError unless R = N+1, before any matrix is built. The
+    condition is det M = 0, M = T - (q - alpha) I with T the
+    recurrence_tridiagonal of the reduced equation after z -> 1-z. At
+    alpha = 0, M = A + Delta0 B, read off at Delta0 = +-1. Column 0 of A is
+    zero and B_00 = R + Delta1/2 > 0, which splits off Delta0 = 0; the rest
+    are 1/mu for the nonzero eigenvalues mu of -A'^-1 B' (row and column 0
+    dropped). A' is upper triangular with diagonal k(k+1), never singular.
+    A point within RELATION_TOL of the real axis counts as real.
     """
-    from numpy.polynomial import polynomial as npoly
+    import numpy as np
 
     reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
                   for d0 in (1.0, -1.0)]
     check_condition(reductions[0].che, Family.B3_ThreeTerm,
                     TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
-    up, down = (ladder(red.che, Family.B3_ThreeTerm, 0.0, -red.che.epsilon,
-                       N + 1) for red in reductions)
-    steps = [(R_n, (Qu + Qd) / 2, P_n) for (R_n, Qu, P_n, _), (_, Qd, _, _)
-             in zip(up, down)]
-    slopes = [(u[1] - d[1]) / 2 for u, d in zip(up, down)]
-    roots = npoly.polyroots(ladder_polynomial(steps, slopes, N).real)
-    return sorted(float(r.real) for r in roots
+    up, down = (recurrence_tridiagonal(p, N) - p.q * np.eye(N + 1)
+                for p in (transform_1_minus_z(red.che) for red in reductions))
+    A, B = (up + down) / 2, (up - down) / 2
+    mu = np.linalg.eigvals(-np.linalg.solve(A[1:, 1:], B[1:, 1:]))
+    points = [0j] + [1 / m for m in mu if m != 0]
+    return sorted(float(r.real) for r in points
                   if abs(r.imag) <= RELATION_TOL * max(1.0, abs(r)))
 
 

@@ -11,7 +11,10 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import heunkummer
-from heunkummer import eval_series, eval_series_with_derivatives, relative_residual
+from heunkummer import (ALPHA_OVER_EPS, GAMMA_CHOICE, CheParams, Family, eval_series,
+                        eval_series_with_derivatives, relative_residual)
+from heunkummer.termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
+                                    KIND_GAMMA_DELTA_ALPHA)
 
 # the directory the test process imports heunkummer from; subprocesses put it
 # first on PYTHONPATH so they run the same source
@@ -77,3 +80,31 @@ def polynomial_certificate(sol, N: int) -> float:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260816)
+
+
+# the seven (family, condition kind, alpha0 branch) combinations with a
+# right-termination rule
+SPECTRUM_COMBOS = (
+    (Family.A2_ThreeTerm, KIND_ALPHA_OVER_EPS, None),
+    (Family.A2_ThreeTerm, KIND_DELTA_INT, None),
+    (Family.B3_ThreeTerm, KIND_ALPHA_OVER_EPS, ALPHA_OVER_EPS),
+    (Family.B3_ThreeTerm, KIND_DELTA_INT, ALPHA_OVER_EPS),
+    (Family.B3_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, GAMMA_CHOICE),
+    (Family.C_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, None),
+    (Family.C_ThreeTerm, KIND_DELTA_INT, None),
+)
+
+
+def draw_on_condition(rng: random.Random, kind, N: int) -> CheParams:
+    """Real parameters on the kind's condition at N, q = 0."""
+    g = rng.uniform(1.3, 2.7)
+    if abs(g - round(g)) < 0.2:
+        g += 0.23
+    d, e, al = (rng.uniform(*box) for box in ((0.25, 0.85), (0.8, 1.4), (0.6, 1.8)))
+    if kind == KIND_ALPHA_OVER_EPS:
+        al = -N * e
+    elif kind == KIND_DELTA_INT:
+        d = -N
+    else:
+        al = e * (g + d + N)
+    return CheParams(g, d, e, al, 0)

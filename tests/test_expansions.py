@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import mpmath
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from heunkummer import expansions
 from heunkummer import (
@@ -28,12 +27,10 @@ from heunkummer import (
     ladder,
     recurrence_coeffs,
 )
-from heunkummer.expansions import resolve_alpha0_gamma0
 from heunkummer.kummer import LARGE_X
-from heunkummer.termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
-                                    KIND_GAMMA_DELTA_ALPHA, ladder_polynomial)
+from heunkummer.termination import TerminationCondition, q_spectrum
 
-from conftest import complex_box, series_residual
+from conftest import SPECTRUM_COMBOS, complex_box, draw_on_condition, series_residual
 
 THREE_TERM = (Family.A2_ThreeTerm, Family.B3_ThreeTerm, Family.C_ThreeTerm)
 
@@ -428,37 +425,13 @@ def reference_eval(sol: SeriesSolution, z):
     return u, u1, u2, tail
 
 
-SPECTRUM_COMBOS = (
-    (Family.A2_ThreeTerm, KIND_ALPHA_OVER_EPS, None),
-    (Family.A2_ThreeTerm, KIND_DELTA_INT, None),
-    (Family.B3_ThreeTerm, KIND_ALPHA_OVER_EPS, ALPHA_OVER_EPS),
-    (Family.B3_ThreeTerm, KIND_DELTA_INT, ALPHA_OVER_EPS),
-    (Family.B3_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, GAMMA_CHOICE),
-    (Family.C_ThreeTerm, KIND_GAMMA_DELTA_ALPHA, None),
-    (Family.C_ThreeTerm, KIND_DELTA_INT, None),
-)
-
-
 def spectrum_solutions(rng: random.Random, family, kind, choice, N: int) -> list:
     """The series truncated at N at every root of one seeded q-spectrum:
     N+1 solutions sharing their basis walk and s0, as in one q-spectrum
-    evaluation. The roots are those of the termination polynomial, so an
-    ill-conditioned spectrum still gives N+1 solutions."""
-    g = complex(rng.uniform(1.3, 2.7))
-    if abs(g.real - round(g.real)) < 0.2:
-        g += 0.23
-    d, e, al = (complex(rng.uniform(*box)) for box in ((0.25, 0.85), (0.8, 1.4), (0.6, 1.8)))
-    if kind == KIND_ALPHA_OVER_EPS:
-        al = -N * e
-    elif kind == KIND_DELTA_INT:
-        d = complex(-N)
-    else:
-        al = e * (g + d + N)
-    p = CheParams(g, d, e, al, 0)
-    alpha0, _ = resolve_alpha0_gamma0(p, family, choice)
-    steps = ladder(p, family, alpha0, -p.epsilon, N + 1)
-    roots = npoly.polyroots(ladder_polynomial(steps, [-1] * (N + 1), N)) if N else \
-        [steps[0][1]]  # N = 0: a_1 = 0 at Q_0(q) = 0, Q_0 = Q_0(0) - q
+    evaluation. Every root is taken, verified or not, so each spectrum
+    gives N+1 solutions."""
+    p = draw_on_condition(rng, kind, N)
+    roots = q_spectrum(p, family, TerminationCondition(family, kind, N), choice).roots
     return [replace(build_series(replace(p, q=r), family, N, alpha0_choice=choice),
                     terminated=True, terminal_index=N) for r in roots]
 

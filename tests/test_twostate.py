@@ -476,6 +476,17 @@ def test_return_points_match_the_determinant_oracle(N):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_return_points_where_a_delta0_slope_vanishes():
+    # B_k = N+1+Delta1/2-2k, the Delta0 slope of the tridiagonal's diagonal,
+    # is 0 at k = 1 for both (to rounding for sqrt(8)); the oracle above
+    # divides by it. At N = 1 the condition is 4 Delta0 = 0, the trivial
+    # point alone
+    assert return_points(2.0, 0.0, 1) == [0.0]
+    points = return_points(math.sqrt(8.0), -2.0, 2)
+    assert 0.0 in points
+    assert min(abs(d0 - 1.5) for d0 in points) <= 1e-12
+
+
 def test_return_points_need_a_natural_R():
     with pytest.raises(ConditionNotMetError):
         return_points(2.0, 1.0, 1)
