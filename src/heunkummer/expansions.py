@@ -28,7 +28,9 @@ at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
 ladders, (1F1(alpha_n + k; gamma_n + k; s0 z) for the n with a_n != 0),
 keyed by the family, alpha0, gamma0, s0 z, the shift k in {0, 1, 2} and
 those indices; beyond LARGE_X, where eval_1f1 warns, nothing is memoized.
-Values are bit-identical to one eval_1f1 call per term.
+Values are bit-identical to one eval_1f1 call per term. An array of z
+bypasses the memo: each basis function is one eval_1f1 call over all of
+its points.
 """
 
 from __future__ import annotations
@@ -286,6 +288,10 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
     tail_estimate is |last included nonzero term| / |partial sum|, or exactly
     0 for a terminated solution. Raises TailTooLargeError when the estimate
     exceeds tol on a non-terminated solution.
+
+    z may be an ndarray: value is then an array of its shape, each basis
+    function summed over every point by one eval_1f1 call (no memo), and
+    tail_estimate is the largest over the points.
     """
     value, _, _, tail = _eval_series_impl(sol, z, derivatives=False)
     if not sol.terminated and tail > tol:
@@ -302,7 +308,9 @@ def eval_series_with_derivatives(sol: SeriesSolution, z):
 
 
 def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
-    z = complex(z)
+    array = getattr(z, "ndim", 0) > 0  # an ndarray of points
+    if not array:
+        z = complex(z)
     s0 = sol.s0
     x = s0 * z
     a = sol.coefficients
@@ -311,8 +319,10 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     # size (up to 2000 a size), so those free lists grew on every call
     nonzero = tuple([n for n, a_n in enumerate(a) if a_n != 0])
     family, alpha0, gamma0 = sol.family, sol.alpha0, sol.gamma0
-    # a ladder that warns is not memoized, so every evaluation warns
-    basis = _basis_ladder if abs(x) <= LARGE_X else _basis_ladder.__wrapped__
+    # a ladder that warns is not memoized, so every evaluation warns; an
+    # array of points is summed afresh, one eval_1f1 call per basis function
+    memo = not array and abs(x) <= LARGE_X
+    basis = _basis_ladder if memo else _basis_ladder.__wrapped__
     u = u1 = u2 = 0j
     last_nonzero = None
     for n, f in zip(nonzero, basis(family, alpha0, gamma0, x, 0, nonzero)):
@@ -327,6 +337,8 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
             u2 += a[n] * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) * f2
     if sol.terminated or last_nonzero is None:
         tail = 0.0
+    elif array:
+        tail = float((abs(last_nonzero) / abs(u).clip(1e-300)).max(initial=0.0))
     else:
         tail = abs(last_nonzero) / max(1e-300, abs(u))
     if derivatives:

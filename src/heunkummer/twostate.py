@@ -272,10 +272,19 @@ class ClosedForm:
         log_zm1 = complex(math.log(r), -math.pi - th)
         return self.reduction.exp_alpha1 * log_z + self.reduction.exp_alpha2 * log_zm1
 
-    def value(self, t: float) -> complex:
-        z = self.reduction.z_of_t(t)
-        u, _ = eval_series(self.sol, z)  # terminated: no tail gate applies
-        return cmath.exp(self._prefactor_log(t)) * u
+    def value(self, t):
+        """a2 at t, or at every time of a 1-D array t: the series is then
+        summed at all of them in one array pass per basis function."""
+        if getattr(t, "ndim", 0) == 0:
+            z = self.reduction.z_of_t(t)
+            u, _ = eval_series(self.sol, z)  # terminated: no tail gate applies
+            return cmath.exp(self._prefactor_log(t)) * u
+        import numpy as np
+
+        t = np.asarray(t, dtype=float)
+        u, _ = eval_series(self.sol, 0.5 + 0.5j * t)  # z_of_t at every t, exactly
+        pref = [cmath.exp(self._prefactor_log(s)) for s in t.tolist()]
+        return np.array(pref, dtype=complex) * u
 
     def value_and_derivatives(self, t: float):
         """(a2, da2/dt, d2a2/dt2) by the chain rule through z(t)."""
@@ -363,7 +372,7 @@ def match_against_rk(model: LorentzianModel,
     lam, mu = c0dot / coupling0, c0
     idx = np.linspace(0, len(traj.times) - 1, samples).round().astype(int)
     ts = traj.times[idx]
-    closed = np.array([cf.value(t) for t in ts], dtype=complex)
+    closed = cf.value(ts)
     combined = lam * traj.a2[0, idx] + mu * traj.a2[1, idx]
     dev = float(np.max(np.abs(closed - combined)))
     p1 = np.abs(traj.a1[0, idx]) ** 2
@@ -401,7 +410,10 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     zero and B_00 = R + Delta1/2 > 0, which splits off Delta0 = 0; the rest
     are 1/mu for the nonzero eigenvalues mu of -A'^-1 B' (row and column 0
     dropped). A' is upper triangular with diagonal k(k+1), never singular.
-    A point within RELATION_TOL of the real axis counts as real.
+    An eigenvalue with |mu| <= (N+1) 2^-52 max|mu| counts as zero: B' is
+    singular to rounding there (sqrt(8), -2, N = 2 rounds R to 3 + 4e-16),
+    and Delta0 = inf is no point. A point within RELATION_TOL of the real
+    axis counts as real.
     """
     import numpy as np
 
@@ -413,7 +425,8 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
                 for p in (transform_1_minus_z(red.che) for red in reductions))
     A, B = (up + down) / 2, (up - down) / 2
     mu = np.linalg.eigvals(-np.linalg.solve(A[1:, 1:], B[1:, 1:]))
-    points = [0j] + [1 / m for m in mu if m != 0]
+    floor = (N + 1) * 2.0 ** -52 * np.max(np.abs(mu), initial=0.0)
+    points = [0j] + [1 / m for m in mu if abs(m) > floor]
     return sorted(float(r.real) for r in points
                   if abs(r.imag) <= RELATION_TOL * max(1.0, abs(r)))
 

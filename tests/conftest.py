@@ -40,6 +40,19 @@ def disk_draw(rng: random.Random, radius: float) -> complex:
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
+def abs_term_sum(a, c, x, tol: float = 1e-17) -> float:
+    """S = sum_k |(a)_k/(c)_k x^k/k!|, the scale of the rounding error of
+    the summed 1F1(a; c; x): where the terms cancel, |F| is far below S."""
+    a, c, x = complex(a), complex(c), complex(x)
+    total = term = 1.0
+    for k in range(10000):
+        term *= abs((a + k) * x / ((c + k) * (k + 1)))
+        total += term
+        if term <= tol * total and k > abs(x):
+            return total
+    raise AssertionError(f"sum of |terms| at {a=}, {c=}, {x=} did not settle")
+
+
 def dyadic_complex(rng: random.Random, bits: int = 22, shift: int = 19) -> complex:
     """Random complex with both parts on the grid of multiples of 2**-shift.
 

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from heunkummer import expansions
@@ -518,3 +519,19 @@ def test_basis_memo_stays_within_its_bound():
     info = expansions._basis_ladder.cache_info()
     assert info.maxsize == expansions._LADDER_MEMO
     assert info.currsize <= expansions._LADDER_MEMO
+
+
+def test_an_array_of_points_is_one_1f1_call_per_term_and_skips_the_memo():
+    sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
+    zs = np.array([0.12, 0.3 - 0.2j, 0.47, 0.0])
+    expansions._basis_ladder.cache_clear()
+    values, tail = eval_series(sol, zs, tol=math.inf)
+    assert expansions._basis_ladder.cache_info().currsize == 0
+    scalar = [eval_series(sol, z, tol=math.inf) for z in zs.tolist()]
+    assert values.shape == zs.shape
+    for v, (f, _) in zip(values.tolist(), scalar):
+        assert v == pytest.approx(f, rel=1e-14)
+    # the tail of an array is the largest over its points
+    assert tail == pytest.approx(max(t for _, t in scalar), rel=1e-12)
+    with pytest.raises(TailTooLargeError):
+        eval_series(sol, zs, tol=0.5 * tail)

@@ -1,7 +1,9 @@
 import math
 import random
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from heunkummer import (
 )
 from heunkummer.kummer import _series_derivative, nonpositive_int
 
-from conftest import complex_box, disk_draw
+from conftest import abs_term_sum, complex_box, disk_draw
 
 
 def kummer_ode_residual(a, c, x) -> float:
@@ -145,6 +147,92 @@ def test_non_finite_arguments_are_refused(a, c, x, name):
 def test_large_argument_warns():
     with pytest.warns(LargeArgumentWarning):
         eval_1f1(1.0, 2.0, 31.0)
+
+
+# ---------------------------------------------------------------------------
+# an array of x: one numpy pass, the scalar path's checks and values
+
+def test_array_matches_the_scalar_path_over_the_point_box():
+    # the kummer_points box: a and c in [0.5, 3] x [-0.5, 0.5]i, |x| <= 50.
+    # Both paths round differently, so each value agrees to the rounding
+    # scale of the sum, S = sum |terms|, not of |F| (Re x < 0 cancels)
+    rng = random.Random(7)
+    for _ in range(30):
+        a, c = complex_box(rng, 0.5, 3.0), complex_box(rng, 0.5, 3.0)
+        x = np.array([disk_draw(rng, 50.0) for _ in range(25)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LargeArgumentWarning)
+            values = eval_1f1(a, c, x)
+            scalar = [eval_1f1(a, c, v) for v in x.tolist()]
+        assert values.shape == x.shape and values.dtype == complex
+        for v, f, xk in zip(values.tolist(), scalar, x.tolist()):
+            assert abs(v - f) <= 1e-13 * abs_term_sum(a, c, xk)
+
+
+def test_array_keeps_the_shape_polynomial_origin_and_empty_cases():
+    x = np.array([[0.0, 1.7], [-2.5 + 1j, 0.0]])
+    values = eval_1f1(-3, 2.2, x)
+    assert values.shape == (2, 2)
+    for v, xk in zip(values.ravel().tolist(), x.ravel().tolist()):
+        assert v == pytest.approx(eval_1f1(-3, 2.2, xk), rel=1e-15)
+    # the exact polynomial takes m terms whatever tol says
+    assert np.array_equal(eval_1f1(-3, 2.2, x, tol=1e-2), values)
+    values = eval_1f1(2.3, 1.7, np.array([0.0, 0.4, 0.0]))
+    assert values[0] == 1.0 and values[2] == 1.0
+    empty = eval_1f1(1.0, 2.0, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_zero_dimensional_x_takes_the_scalar_path():
+    assert eval_1f1(1.3, 2.1, np.float64(0.7)) == eval_1f1(1.3, 2.1, 0.7)
+    assert eval_1f1(1.3, 2.1, np.array(0.7)) == eval_1f1(1.3, 2.1, 0.7)
+    assert type(eval_1f1(1.3, 2.1, np.array(0.7))) is complex
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_array_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match=r"argument x is not finite: .*x\[1\]"):
+        eval_1f1(1.0, 2.0, np.array([0.5, bad, 1.0]))
+    # a point of a 2-D array is named by its flat index
+    with pytest.raises(ValueError, match=r"argument x is not finite: .*x\[3\]"):
+        eval_1f1(1.0, 2.0, np.array([[0.5, 0.1], [1.0, bad]]))
+
+
+def test_array_refuses_a_non_finite_parameter():
+    with pytest.raises(ValueError, match="argument c is not finite"):
+        eval_1f1(1.0, complex(2.0, math.inf), np.array([0.5]))
+
+
+def test_array_keeps_the_pole_rule():
+    with pytest.raises(PoleAtLowerParameterError):
+        eval_1f1(0.5, -2.0, np.array([0.3, 0.4]))
+    with pytest.raises(PoleAtLowerParameterError):
+        eval_1f1(-3.0, -2.0, np.array([1.0]))
+    values = eval_1f1(-1.0, -2.0, np.array([1.0, 2.0]))
+    assert values.tolist() == pytest.approx([1.5, 2.0])
+
+
+def test_array_raises_where_the_scalar_path_does():
+    with pytest.raises(NonConvergenceError, match="did not reach tol"):
+        eval_1f1(1.0, 2.0, np.array([0.1, 8.0]), max_terms=5)
+    with pytest.warns(LargeArgumentWarning), pytest.raises(NonConvergenceError):
+        eval_1f1(1.0, 2.0, np.array([1.0, 800.0]))
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        eval_1f1(1.0, 2.0, np.array([1.0]), max_terms=0)
+
+
+def test_array_warns_once_per_call():
+    x = np.array([31.0, 1.0, -35.0, 2j])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eval_1f1(1.5, 2.5, x)
+    assert [w.category for w in caught] == [LargeArgumentWarning]
+    assert "2 of 4 points" in str(caught[0].message)
+    assert "up to 35" in str(caught[0].message)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eval_1f1(1.5, 2.5, np.array([30.0, -30.0, 30j]))
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------

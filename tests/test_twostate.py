@@ -22,7 +22,9 @@ from heunkummer import (
     return_spectrum_relation,
     scan_return_delta0,
 )
-from heunkummer import twostate
+from heunkummer import expansions, twostate
+
+from conftest import abs_term_sum
 
 # R = sqrt(U0^2 + Delta1^2/4) = 2 exactly: the series right-terminates at
 # n = 1 and the closed form is a genuine finite sum valid for all t
@@ -342,6 +344,55 @@ def test_closed_form_value_is_branch_stable_at_zero():
         assert cf.value(t) == cf.value_and_derivatives(t)[0]
 
 
+def wide_terminating_model():
+    """N = 3 at the return point Delta0 = -3.35: on t in [-5, 5] the basis
+    functions reach |x| = 2 |Delta0| |z| of about 17, and Re x < 0."""
+    u0 = math.sqrt(16 - 1.2 ** 2 / 4)
+    return LorentzianModel(u0, min(return_points(u0, -1.2, 3)), -1.2)
+
+
+@pytest.mark.parametrize("model", [TERMINATING, wide_terminating_model()],
+                         ids=["N=1", "N=3"])
+def test_closed_form_value_takes_an_array_of_times(model):
+    # numpy rounds complex * and / differently from CPython, so the array
+    # agrees with the scalar values to the rounding scale of the sum,
+    # |prefactor| sum_n |a_n| sum_k |terms of 1F1_n|, not bit for bit
+    cf = closed_form_solution(model)
+    sol = cf.sol
+    ts = np.linspace(-5.0, 5.0, 101)
+    values = cf.value(ts)
+    assert values.shape == ts.shape and values.dtype == complex
+    for t, v in zip(ts, values.tolist()):
+        scalar = cf.value(t)  # a numpy float is a scalar time
+        assert scalar == cf.value_and_derivatives(t)[0]
+        x = sol.s0 * cf.reduction.z_of_t(t)
+        scale = abs(cmath.exp(cf._prefactor_log(t))) * sum(
+            abs(a_n) * abs_term_sum(*sol.basis_parameters(n), x)
+            for n, a_n in enumerate(sol.coefficients) if a_n != 0)
+        assert abs(v - scalar) <= 1e-13 * scale
+
+
+def test_match_sums_each_basis_function_once_over_the_samples(monkeypatch):
+    """The tracer counts 1F1 calls through the name bound in `expansions`:
+    per nonzero term, one array call over all samples and three scalar
+    calls (value and two derivatives) at the anchor."""
+    calls = []
+    real = expansions.eval_1f1
+
+    def counted(*args, **kwargs):
+        calls.append(np.ndim(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expansions, "eval_1f1", counted)
+    for model in (TERMINATING, wide_terminating_model()):
+        calls.clear()
+        expansions._basis_ladder.cache_clear()
+        match = match_against_rk(model, samples=101)
+        nonzero = sum(1 for a_n in match.closed_form.sol.coefficients if a_n != 0)
+        assert sorted(calls) == [0] * (3 * nonzero) + [1] * nonzero
+        assert match.max_deviation <= 1e-9
+
+
 def test_generic_model_has_no_finite_closed_form():
     with pytest.raises(ConditionNotMetError):
         closed_form_solution(GENERIC)
@@ -483,8 +534,11 @@ def test_return_points_where_a_delta0_slope_vanishes():
     # point alone
     assert return_points(2.0, 0.0, 1) == [0.0]
     points = return_points(math.sqrt(8.0), -2.0, 2)
-    assert 0.0 in points
-    assert min(abs(d0 - 1.5) for d0 in points) <= 1e-12
+    # R rounds to 3 + 4e-16, so B_1 is 4e-16, not 0: its eigenvalue of order
+    # 1e-16 is B' singular to rounding (Delta0 = inf), not a point near -8e15
+    assert len(points) == 2
+    assert points[0] == 0.0
+    assert abs(points[1] - 1.5) <= 1e-12
 
 
 def test_return_points_need_a_natural_R():
