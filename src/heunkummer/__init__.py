@@ -51,6 +51,7 @@ from .kummer import (
     IDENTITY_IDS,
     eval_1f1,
     identity_residual,
+    identity_residuals,
 )
 from .termination import (
     QSpectrum,

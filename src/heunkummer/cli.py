@@ -41,7 +41,7 @@ from .che_core import (CheParams, frobenius_coefficients, frobenius_eval,
 from .errors import ConditionNotMetError, HeunKummerError, HeunKummerWarning
 from .expansions import Family, build_series, eval_series_with_derivatives
 from .kummer import (DEFAULT_MAX_TERMS, DEFAULT_TOL, IDENTITY_IDS, eval_1f1,
-                     identity_residual)
+                     identity_residuals)
 from .termination import (KIND_ALPHA_OVER_EPS, KIND_DELTA_INT,
                           KIND_GAMMA_DELTA_ALPHA, TerminationCondition,
                           admissible_kinds, enumerate_termination_conditions,
@@ -186,8 +186,9 @@ def _params_from(ns) -> CheParams:
 
 def run_eval_1f1(ns):
     value = eval_1f1(ns.a, ns.c, ns.x, ns.tol, ns.max_terms)
-    # recheck against a tighter, longer sum of the same series
-    recheck = eval_1f1(ns.a, ns.c, ns.x, ns.tol / 100, ns.max_terms * 2)
+    # recheck against a tighter, longer sum of the same series (tol kept above 0)
+    recheck = eval_1f1(ns.a, ns.c, ns.x, max(ns.tol / 100, math.ulp(0.0)),
+                       ns.max_terms * 2)
     LOG.info("eval-1f1 value %s recheck delta %.3e", value, abs(value - recheck))
     results = {"value": value}
     diagnostics = {"recheck_delta": abs(value - recheck),
@@ -219,7 +220,7 @@ def run_verify_identities(ns):
     if any(v is not None for v in point_args):
         if any(v is None for v in point_args):
             raise ValueError("point mode needs all of --a, --c, --x")
-        residuals = {i: identity_residual(i, ns.a, ns.c, ns.x) for i in ids}
+        residuals = identity_residuals(ns.a, ns.c, ns.x, ids)
         results = {"residuals": residuals,
                    "max_residual": max(residuals.values())}
         return results, {"mode": "point"}
@@ -231,7 +232,8 @@ def run_verify_identities(ns):
     rng = random.Random(ns.seed)
     draws = [_draw_identity_point(rng, ns.radius) for _ in range(ns.draws)]
 
-    sweep = {i: [identity_residual(i, a, c, x) for a, c, x in draws] for i in ids}
+    per_draw = [identity_residuals(a, c, x, ids) for a, c, x in draws]
+    sweep = {i: [found[i] for found in per_draw] for i in ids}
     residuals = {i: max(found) for i, found in sweep.items()}
     # the first maximum over identities, then draws, in order
     overall, worst_id, (wa, wc, wx) = max(

@@ -1,12 +1,13 @@
 """Kummer confluent hypergeometric function 1F1 and its recurrence identities.
 
 Everything here is double-precision complex, computed by the direct power
-series. Callers in this package do not all stay at small argument: the
-spectrum ladders evaluate at |x| of order 1, the two-state closed form
-reaches |x| of about 20, and a wide two-state window reaches 100. Accuracy
-degrades as |x| grows, most at Re x < 0 where the terms cancel; a
-LargeArgumentWarning is issued beyond LARGE_X, though digits are already
-lost below it. No asymptotic branch is provided.
+series; every scalar sum, 1F1 and its term-wise derivative alike, runs
+through the one loop _sum_scalar. Callers in this package do not all stay
+at small argument: the spectrum ladders evaluate at |x| of order 1, the
+two-state closed form reaches |x| of about 20, and a wide two-state window
+reaches 100. Accuracy degrades as |x| grows, most at Re x < 0 where the
+terms cancel; a LargeArgumentWarning is issued beyond LARGE_X, though
+digits are already lost below it. No asymptotic branch is provided.
 
 eval_1f1 also takes an ndarray of x, as the two-state closed form does for
 its sample times: numpy sums the same series over every point, with the
@@ -17,6 +18,7 @@ call covers every point beyond LARGE_X. A scalar x never loads numpy.
 from __future__ import annotations
 
 import cmath
+import functools
 import warnings
 
 from .errors import LargeArgumentWarning, NonConvergenceError, PoleAtLowerParameterError
@@ -25,8 +27,6 @@ INT_TOL = 1e-9          # |value - m| below this treats value as the integer m
 DEFAULT_TOL = 1e-14     # relative tail target of the power series
 DEFAULT_MAX_TERMS = 10000
 LARGE_X = 30.0          # beyond this the direct series loses digits; warn
-
-IDENTITY_IDS = ("D6", "R14", "R27", "R28", "R29", "R46", "R47")
 
 
 def nonpositive_int(value) -> int | None:
@@ -61,7 +61,7 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     Truncates when the relative tail estimate (two consecutive terms) falls
     below tol. If a is a non-positive integer -m the exact degree-m
     polynomial is returned. NonConvergenceError where the sum overflows;
-    ValueError where tol is not positive or max_terms is below 1, and
+    ValueError where tol is not positive (or NaN), max_terms is below 1, and
     naming the argument where a, c or x is not finite.
     LargeArgumentWarning beyond LARGE_X, after those checks and the pole
     rule.
@@ -71,10 +71,7 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     below tol and frozen there (see _sum_array). A call warns once,
     naming how many points lie beyond LARGE_X and the largest |x|.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
+    _check_budget(tol, max_terms)
     array = getattr(x, "ndim", 0) != 0  # numpy scalars and 0-d arrays are scalars
     if array:
         shape = x.shape
@@ -98,34 +95,41 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
         )
     if array:
         return _sum_array(a, c, x, m, tol, max_terms).reshape(shape)
+    return _sum_scalar(1 + 0j, 0, a, c, x, m, tol, max_terms)
+
+
+def _check_budget(tol: float, max_terms: int) -> None:
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+
+
+def _sum_scalar(first, k0: int, a, c, x, m, tol: float, max_terms: int) -> complex:
+    """The one scalar series loop: t_{k0} = first, t_{k+1} = t_k (a+k) x/((c+k)(k+1-k0)),
+    summed through k = m where a = -m (the exact polynomial), else until two
+    consecutive terms fall below tol max(1, |sum|); x = 0 gives first. k0 = 0,
+    first = 1 sums 1F1(a; c; x); k0 = 1, first = a/c its term-wise derivative.
+    NonConvergenceError where the sum does not stop or is not finite."""
     if x == 0:
-        return complex(1.0)
-    if m is not None:
-        # exact polynomial of degree m; no tolerance involved
-        total = term = complex(1.0)
-        for k in range(m):
-            term *= (a + k) * x / ((c + k) * (k + 1))
-            total += term
-        return _finite(total, a, c, x)
-    total = term = complex(1.0)
+        return first
+    d = 1 - k0
+    total = term = first
     small_streak = 0
-    for k in range(max_terms):
-        term *= (a + k) * x / ((c + k) * (k + 1))
+    for k in range(k0, max_terms if m is None else m):
+        term *= (a + k) * x / ((c + k) * (k + d))
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
+        if m is None and abs(term) <= tol * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= 2:
-                return _finite(total, a, c, x)
+                break
         else:
             small_streak = 0
-    raise NonConvergenceError(
-        f"1F1({a}; {c}; {x}) did not reach tol={tol} within {max_terms} terms"
-    )
-
-
-def _finite(total: complex, a, c, x) -> complex:
+    if m is None and small_streak < 2:
+        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) did not reach "
+                                  f"tol={tol} within {max_terms} terms")
     if not cmath.isfinite(total):
-        raise NonConvergenceError(f"1F1({a}; {c}; {x}) overflows to {total}")
+        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) overflows to {total}")
     return total
 
 
@@ -201,75 +205,53 @@ def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAU
     parameter-shift rule sums, so D6 checks only rounding order and the
     stopping point: it is not an independent computation.
     """
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
+    _check_budget(tol, max_terms)
     a, c, x = complex(a), complex(c), complex(x)
     m = _check_lower_parameter(a, c)
     coeff = a / c  # (a)_1/(c)_1
     if m == 0:
         return complex(0.0)
-    if x == 0:
-        return coeff
-    total = term = coeff
-    small_streak = 0
-    for k in range(1, max_terms):
-        if m is not None and k >= m:
-            return total
-        term *= (a + k) * x / ((c + k) * k)
-        total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise NonConvergenceError(
-        f"1F1'({a}; {c}; {x}) did not reach tol={tol} within {max_terms} terms"
-    )
+    return _sum_scalar(coeff, 1, a, c, x, m, tol, max_terms)
+
+
+# Each identity as (lhs, rhs) at (a, c, x) from F(a', c') = 1F1(a'; c'; x) and
+# dF(), the term-wise derivative of 1F1(a; c; x). R14 shifts both parameters down.
+_IDENTITIES = {
+    "D6": lambda a, c, x, F, dF: (dF(), (a / c) * F(a + 1, c + 1)),
+    "R14": lambda a, c, x, F, dF: (x * (dF() - F(a, c)), (c - 1) * (F(a - 1, c - 1) - F(a, c))),
+    "R27": lambda a, c, x, F, dF: (x * dF(), a * (F(a + 1, c) - F(a, c))),
+    "R28": lambda a, c, x, F, dF: (x * F(a, c), (a - c) * F(a - 1, c) + (c - 2 * a) * F(a, c)
+                                   + a * F(a + 1, c)),
+    "R29": lambda a, c, x, F, dF: (x * x * dF(), a * (
+        (a + 1) * F(a + 2, c) + (c - 3 * a - 2) * F(a + 1, c)
+        + (3 * a - 2 * c + 1) * F(a, c) + (c - a) * F(a - 1, c))),
+    "R46": lambda a, c, x, F, dF: (x * dF(), (c - 1) * (F(a, c - 1) - F(a, c))),
+    "R47": lambda a, c, x, F, dF: (dF(), F(a, c) - (1 - a / c) * F(a, c + 1)),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
+def identity_residuals(a, c, x, ids=IDENTITY_IDS) -> dict[str, float]:
+    """identity_residual of each id in ids at one (a, c, x). Each distinct
+    1F1 value and the derivative is summed once, 1F1(a; c; x) first and the
+    rest when an identity first reads them; one no listed identity reads is
+    never summed."""
+    unknown = [i for i in ids if i not in _IDENTITIES]
+    if unknown:
+        raise ValueError(f"unknown identity id {unknown[0]!r}; expected one of {IDENTITY_IDS}")
+    a, c, x = complex(a), complex(c), complex(x)
+    F = functools.cache(lambda ap, cp: eval_1f1(ap, cp, x))
+    dF = functools.cache(lambda: _series_derivative(a, c, x))
+    F(a, c)
+    residuals = {}
+    for i in ids:
+        lhs, rhs = _IDENTITIES[i](a, c, x, F, dF)
+        residuals[i] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return residuals
 
 
 def identity_residual(identity_id: str, a, c, x) -> float:
-    """Relative residual |LHS - RHS| / max(1, |LHS|, |RHS|) of a recurrence
-    identity at (a, c, x).
-
-    Derivatives on the left-hand sides are term-wise series sums; for D6
-    both sides sum the same terms (see _series_derivative). Shifted
-    functions use the same x.
-    """
-    a, c, x = complex(a), complex(c), complex(x)
-    F = eval_1f1(a, c, x)
-    if identity_id == "D6":
-        lhs = _series_derivative(a, c, x)
-        rhs = (a / c) * eval_1f1(a + 1, c + 1, x)
-    elif identity_id == "R14":
-        # shifts both parameters down by one
-        lhs = x * (_series_derivative(a, c, x) - F)
-        rhs = (c - 1) * (eval_1f1(a - 1, c - 1, x) - F)
-    elif identity_id == "R27":
-        lhs = x * _series_derivative(a, c, x)
-        rhs = a * (eval_1f1(a + 1, c, x) - F)
-    elif identity_id == "R28":
-        lhs = x * F
-        rhs = (
-            (a - c) * eval_1f1(a - 1, c, x)
-            + (c - 2 * a) * F
-            + a * eval_1f1(a + 1, c, x)
-        )
-    elif identity_id == "R29":
-        lhs = x * x * _series_derivative(a, c, x)
-        rhs = a * (
-            (a + 1) * eval_1f1(a + 2, c, x)
-            + (c - 3 * a - 2) * eval_1f1(a + 1, c, x)
-            + (3 * a - 2 * c + 1) * F
-            + (c - a) * eval_1f1(a - 1, c, x)
-        )
-    elif identity_id == "R46":
-        lhs = x * _series_derivative(a, c, x)
-        rhs = (c - 1) * (eval_1f1(a, c - 1, x) - F)
-    elif identity_id == "R47":
-        lhs = _series_derivative(a, c, x)
-        rhs = F - (1 - a / c) * eval_1f1(a, c + 1, x)
-    else:
-        raise ValueError(f"unknown identity id {identity_id!r}; expected one of {IDENTITY_IDS}")
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
+    """Relative residual |LHS - RHS| / max(1, |LHS|, |RHS|) of one recurrence
+    identity at (a, c, x). D6 sums the same terms on both sides (see
+    _series_derivative): it is no independent check."""
+    return identity_residuals(a, c, x, (identity_id,))[identity_id]

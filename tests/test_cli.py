@@ -97,6 +97,14 @@ def test_che_series_finds_a_finite_sum_past_the_smallest_condition(capsys):
     assert record["diagnostics"]["tail_estimate"] == 0
 
 
+def test_eval_1f1_recheck_keeps_a_tiny_tol_positive(capsys):
+    # --tol / 100 underflows to 0 below about 2.5e-322
+    code, record = run_json(capsys, ["eval-1f1", "--a", "1", "--c", "2",
+                                     "--x", "0.5", "--tol", "5e-324"])
+    assert code == 0
+    assert record["results"]["value"]["re"] == 1.2974425414002562
+
+
 def test_eval_1f1_record(capsys):
     code, record = run_json(capsys, ["eval-1f1", "--a", "1", "--c", "1",
                                      "--x", "1"])
@@ -378,10 +386,30 @@ def test_sweep_holds_tolerance_and_rejects_jobs(capsys):
     code, record = run_json(capsys, base)
     assert code == 0
     assert record["results"]["max_residual"] <= 1e-10
+    # summing each distinct 1F1 value once per draw leaves every residual
+    # bit for bit as it was when each identity summed its own
+    assert record["results"]["max_residual"] == 9.060102920137001e-12
     # --jobs is not an option, so a saved record that still carries it fails
     code = main(base + ["--jobs", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--draws", "1"], ["--a", "1.3", "--c", "0.7", "--x", "0.4"]],
+    ids=["sweep", "point"])
+def test_verify_identities_sums_each_value_once_per_point(capsys, monkeypatch, argv):
+    # eight distinct 1F1 values and one derivative serve all seven identities
+    from heunkummer import kummer
+    calls = {"eval_1f1": 0, "_series_derivative": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(kummer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(kummer, name, counted)
+    code, _ = run_json(capsys, ["verify-identities", *argv])
+    assert code == 0
+    assert calls == {"eval_1f1": 8, "_series_derivative": 1}
 
 
 def test_replay_reproduces_the_record(capsys, tmp_path):

@@ -15,6 +15,7 @@ from heunkummer import (
     PoleAtLowerParameterError,
     eval_1f1,
     identity_residual,
+    identity_residuals,
 )
 from heunkummer.kummer import _series_derivative, nonpositive_int
 
@@ -62,6 +63,12 @@ def test_polynomial_is_exact_not_tolerance_driven():
                                * mpmath.mpf(1.7) ** k / math.factorial(k)
                                for k in range(4)))
     assert val_tight == pytest.approx(expected, rel=1e-15)
+    # so is its term-wise derivative, through its last term
+    d_loose = _series_derivative(-6.0, 1.0, 0.01, tol=0.5)
+    assert d_loose == _series_derivative(-6.0, 1.0, 0.01)
+    exact = sum(math.prod(range(-6, -6 + k)) / math.factorial(k) ** 2 * k * 0.01 ** (k - 1)
+                for k in range(1, 7))
+    assert d_loose == pytest.approx(exact, rel=1e-15)
 
 
 def test_against_mpmath_oracle():
@@ -114,11 +121,19 @@ def test_overflowed_sum_is_not_returned():
     # the terms pass the double range near k = 800, so the sum is inf
     with pytest.warns(LargeArgumentWarning), pytest.raises(NonConvergenceError):
         eval_1f1(1.0, 2.0, 800.0)
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        _series_derivative(1.0, 2.0, 800.0)
 
 
 def test_bad_tol_rejected():
-    with pytest.raises(ValueError):
-        eval_1f1(1.0, 2.0, 0.5, tol=0.0)
+    # NaN compares false with everything: it used to pass the check, sum
+    # max_terms terms and only then fail to converge
+    for tol in (0.0, -1.0, math.nan):
+        for x in (0.5, np.array([0.5, 0.25])):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                eval_1f1(1.0, 2.0, x, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            _series_derivative(1.0, 2.0, 0.5, tol=tol)
 
 
 @pytest.mark.parametrize("max_terms", [0, -5])
@@ -276,6 +291,26 @@ def test_identity_with_complex_arguments():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         identity_residual("R99", 1.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="R99"):
+        identity_residuals(1.0, 2.0, 0.5, ("D6", "R99"))
+
+
+def test_identity_table_sums_only_what_an_identity_reads():
+    # at c = 1, R46 reads 1F1(a; 0; x), a pole; D6 never sums it
+    assert identity_residual("D6", 1.3, 1.0, 0.4) <= 1e-12
+    with pytest.raises(PoleAtLowerParameterError):
+        identity_residual("R46", 1.3, 1.0, 0.4)
+
+
+def test_identity_residuals_equal_the_one_id_form_bitwise():
+    rng = random.Random(11)
+    for _ in range(40):
+        a, c = complex_box(rng, 0.5, 3.0), complex_box(rng, 1.2, 3.0)
+        x = disk_draw(rng, 5.0)
+        found = identity_residuals(a, c, x)
+        assert tuple(found) == IDENTITY_IDS
+        for i in IDENTITY_IDS:
+            assert found[i].hex() == identity_residual(i, a, c, x).hex()
 
 
 @settings(max_examples=60, deadline=None)

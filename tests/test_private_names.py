@@ -2,7 +2,8 @@
 a leading underscore means "this module only". No library module changes
 the process-wide warning filters: only the CLI, which owns its process,
 records warnings. One function, kummer.eval_1f1, issues the
-LargeArgumentWarning."""
+LargeArgumentWarning, and one loop, kummer._sum_scalar, sums every scalar
+1F1 series."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,34 @@ def test_eval_1f1_is_the_one_large_argument_warning_site():
              for _, function in large_argument_warn_sites(
                  ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
     assert sites == [("kummer.py", "eval_1f1")]
+
+
+def term_update_sites(tree: ast.Module) -> list[str]:
+    """The enclosing function of each `term *= ...` in tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Mult)
+                    and isinstance(child.target, ast.Name) and child.target.id == "term"):
+                found.append(function)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_term_update_check_sees_nested_loops():
+    tree = ast.parse("def f():\n    for k in r:\n        term *= k\n"
+                     "def g():\n    term += 1\n    if x:\n        term *= 2\n")
+    assert term_update_sites(tree) == ["f", "g"]
+
+
+def test_every_scalar_1f1_sum_runs_through_one_loop():
+    # a per-sum error estimate added to one loop must not miss a copy of it:
+    # 1F1 and its term-wise derivative share the scalar loop, and the array
+    # path has its polynomial and its series step
+    path = SRC / "kummer.py"
+    sites = term_update_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert sites == ["_sum_scalar", "_sum_array", "_sum_array"]
