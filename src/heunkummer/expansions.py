@@ -28,16 +28,20 @@ at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
 ladders, (1F1(alpha_n + k; gamma_n + k; s0 z) for the n with a_n != 0),
 keyed by the family, alpha0, gamma0, s0 z, the shift k in {0, 1, 2} and
 those indices; beyond LARGE_X, where eval_1f1 warns, nothing is memoized.
-Values are bit-identical to one eval_1f1 call per term. An array of z
-bypasses the memo: each basis function is one eval_1f1 call over all of
-its points.
+The k = 1 and k = 2 entries also hold the walk's derivative weights,
+alpha_n/gamma_n and alpha_n(alpha_n+1), gamma_n(gamma_n+1). Values are
+bit-identical to one eval_1f1 call per term. An array of z bypasses the
+memo: each basis function is one eval_1f1 call over all of its points.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, truediv
 from typing import Optional
 
 from .che_core import CheParams
@@ -287,12 +291,14 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
 
     tail_estimate is |last included nonzero term| / |partial sum|, or exactly
     0 for a terminated solution. Raises TailTooLargeError when the estimate
-    exceeds tol on a non-terminated solution.
+    exceeds tol on a non-terminated solution, and ValueError at a NaN tol.
 
     z may be an ndarray: value is then an array of its shape, each basis
     function summed over every point by one eval_1f1 call (no memo), and
     tail_estimate is the largest over the points.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     value, _, _, tail = _eval_series_impl(sol, z, derivatives=False)
     if not sol.terminated and tail > tol:
         raise TailTooLargeError(
@@ -313,45 +319,46 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         z = complex(z)
     s0 = sol.s0
     x = s0 * z
-    a = sol.coefficients
     # from a list, not a generator: CPython builds a tuple from a generator
     # by resizing it, and each resized tuple joins the free list of its new
     # size (up to 2000 a size), so those free lists grew on every call
-    nonzero = tuple([n for n, a_n in enumerate(a) if a_n != 0])
-    family, alpha0, gamma0 = sol.family, sol.alpha0, sol.gamma0
+    nonzero = tuple([n for n, a_n in enumerate(sol.coefficients) if a_n != 0])
+    coeffs = [sol.coefficients[n] for n in nonzero]
     # a ladder that warns is not memoized, so every evaluation warns; an
     # array of points is summed afresh, one eval_1f1 call per basis function
     memo = not array and abs(x) <= LARGE_X
-    basis = _basis_ladder if memo else _basis_ladder.__wrapped__
-    u = u1 = u2 = 0j
-    last_nonzero = None
-    for n, f in zip(nonzero, basis(family, alpha0, gamma0, x, 0, nonzero)):
-        last_nonzero = a[n] * f
-        u += last_nonzero
-    if derivatives:
-        for n, f1, f2 in zip(nonzero,
-                             basis(family, alpha0, gamma0, x, 1, nonzero),
-                             basis(family, alpha0, gamma0, x, 2, nonzero)):
-            an, cn = _basis_parameters(family, alpha0, gamma0, n)
-            u1 += a[n] * s0 * (an / cn) * f1
-            u2 += a[n] * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) * f2
-    if sol.terminated or last_nonzero is None:
+    basis = functools.partial(_basis_ladder if memo else _basis_ladder.__wrapped__,
+                              sol.family, sol.alpha0, sol.gamma0, x)
+    # sum from 0j adds left to right, and the chains keep the per-term order
+    # a_n s0 w1 F1 and a_n s0 s0 n2 / d2 F2: bit-identical to a loop over n
+    (f0,) = basis(0, nonzero)
+    u = sum(map(mul, coeffs, f0), 0j)
+    if sol.terminated or not nonzero:
         tail = 0.0
     elif array:
-        tail = float((abs(last_nonzero) / abs(u).clip(1e-300)).max(initial=0.0))
+        tail = float((abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
     else:
-        tail = abs(last_nonzero) / max(1e-300, abs(u))
-    if derivatives:
-        return u, u1, u2, tail
-    return u, None, None, tail
+        tail = abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u))
+    if not derivatives:
+        return u, None, None, tail
+    f1, w1 = basis(1, nonzero)
+    f2, n2, d2 = basis(2, nonzero)
+    as0 = list(map(mul, coeffs, repeat(s0)))
+    u1 = sum(map(mul, map(mul, as0, w1), f1), 0j)
+    u2 = sum(map(mul, map(truediv, map(mul, map(mul, as0, repeat(s0)), n2), d2), f2), 0j)
+    return u, u1, u2, tail
 
 
 @functools.lru_cache(maxsize=_LADDER_MEMO)
 def _basis_ladder(family: Family, alpha0, gamma0, x: complex, k: int,
                   nonzero: tuple) -> tuple:
-    """(1F1(alpha_n + k; gamma_n + k; x) for n in nonzero)."""
-    ladder = []
-    for n in nonzero:
-        an, cn = _basis_parameters(family, alpha0, gamma0, n)
-        ladder.append(eval_1f1(an + k, cn + k, x) if k else eval_1f1(an, cn, x))
-    return tuple(ladder)
+    """The column 1F1(alpha_n + k; gamma_n + k; x), n in nonzero, and shift k's weights."""
+    walk = [_basis_parameters(family, alpha0, gamma0, n) for n in nonzero]
+    f = tuple([eval_1f1(an + k, cn + k, x) if k else eval_1f1(an, cn, x)
+               for an, cn in walk])
+    if k == 0:
+        return (f,)
+    if k == 1:
+        return f, tuple([an / cn for an, cn in walk])
+    return (f, tuple([an * (an + 1) for an, _ in walk]),
+            tuple([cn * (cn + 1) for _, cn in walk]))

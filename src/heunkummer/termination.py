@@ -5,12 +5,14 @@ detected here as an integer condition) together with a_{N+1} = 0, which is a
 polynomial equation of degree N+1 in q. Its roots are the q-spectrum; for
 each root the recurrence then keeps every later coefficient at zero. The
 roots are eigenvalues of the equation's own power-series tridiagonal
-(recurrence_tridiagonal), each checked by rebuilding its Kummer series.
+(recurrence_tridiagonal), each checked by a memoized rebuild of its Kummer
+series, the very one terminated_solution and finite_solution read there.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +38,7 @@ KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 MAX_N = 80                 # readers build N-step ladders and (N+1)x(N+1)
                            # eigenproblems (delta = -1e20 would never finish)
+_REBUILD_MEMO = 256        # rebuilds kept: every root of a spectrum, N <= MAX_N
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class QSpectrum:
 
     roots are the N+1 eigenvalues (counted with multiplicity) of the
     condition's tridiagonal, shifted back to q, ascending by real then
-    imaginary part; verified[i] is _rebuild's verdict at roots[i], the one
-    terminated_solution acts on, so it is False where the rebuild cannot
+    imaginary part; verified[i] is _rebuild's memoized verdict at roots[i],
+    the one terminated_solution reads, so it is False where the rebuild cannot
     reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from the rebuilt
     recurrence.
     """
@@ -191,10 +194,15 @@ def check_condition(params: CheParams, family: Family,
 
 
 def _rebuild(params: CheParams, family: Family, N: int, alpha0_choice):
-    """The one termination verdict: (the series at params.q built to N+5,
-    whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|).
-    (None, False) where the build cannot take those steps (an R_n = 0 with
-    a non-negligible numerator)."""
+    """The one termination verdict, memoized: (the series at params.q built to
+    N+5, whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|),
+    or (None, False) where an R_n = 0 with a non-negligible numerator stops it.
+    The key holds repr(params): q = r+0j and r-0j compare equal, their series do not."""
+    return _rebuild_memo(repr(params), params, family, N, alpha0_choice)
+
+
+@functools.lru_cache(maxsize=_REBUILD_MEMO)
+def _rebuild_memo(key: str, params: CheParams, family: Family, N: int, alpha0_choice):
     try:
         sol = build_series(params, family, N + 5, alpha0_choice=alpha0_choice)
     except (LeadingCoefficientVanishesError, ZeroDivisionError):

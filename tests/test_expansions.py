@@ -344,6 +344,17 @@ def test_untermininated_build_fails_the_tail_gate():
         eval_series(sol, 0.3)
 
 
+def test_a_nan_tol_is_refused():
+    # this series' tail is 0.030: tol = 1e-10 refuses it, and a NaN tol, which
+    # no tail exceeds, must not let it pass silently
+    sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.3), Family.A2_ThreeTerm, 3)
+    with pytest.raises(TailTooLargeError):
+        eval_series(sol, 0.3, tol=1e-10)
+    for s in (sol, replace(sol, terminated=True, terminal_index=3)):
+        with pytest.raises(ValueError, match="tol"):
+            eval_series(s, 0.3, tol=float("nan"))
+
+
 def test_untermininated_build_is_a_formal_object():
     # the partial sum is NOT proportional to the actual solution: the ratio
     # drifts at the percent level between nearby points
@@ -453,6 +464,14 @@ def memo_cases() -> list:
     p = draw_params(rng)
     cases.append(pytest.param([build_series(p, Family.B4_FourTerm, 12, s0=s0)
                                for s0 in (-0.7 + 0.2j, 0.4 - 0.1j)], id="b4-free-s0"))
+    # alpha_n = alpha0 for c and gamma_n = gamma0 for b3 carry a -0.0 part
+    # into the memoized weights alpha_n/gamma_n, under a key equal to +0.0's
+    for fam, kind, choice in (SPECTRUM_COMBOS[5], SPECTRUM_COMBOS[2]):
+        sol = spectrum_solutions(rng, fam, kind, choice, 5)[0]
+        cases.append(pytest.param(
+            [sol, replace(sol, alpha0=complex(sol.alpha0.real, -0.0),
+                          gamma0=complex(sol.gamma0.real, -0.0))],
+            id=f"{fam.value}-signed-zero"))
     # q = alpha zeroes Q_0, so a_1 = 0 in a series that does not terminate
     gapped = build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
     assert gapped.coefficients[1] == 0 and not gapped.terminated
@@ -519,6 +538,31 @@ def test_basis_memo_stays_within_its_bound():
     info = expansions._basis_ladder.cache_info()
     assert info.maxsize == expansions._LADDER_MEMO
     assert info.currsize <= expansions._LADDER_MEMO
+
+
+def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
+    """A hit reads the 1F1 values and the derivative weights from the memo:
+    no eval_1f1 call and no walk through _basis_parameters."""
+    calls = []
+
+    def counting(name):
+        real = getattr(expansions, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("eval_1f1", "_basis_parameters"):
+        monkeypatch.setattr(expansions, name, counting(name))
+    sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
+    expansions._basis_ladder.cache_clear()
+    miss = eval_series_with_derivatives(sol, 0.3)
+    nonzero = sum(1 for a_n in sol.coefficients if a_n != 0)
+    assert sorted(calls) == ["_basis_parameters"] * (3 * nonzero) + ["eval_1f1"] * (3 * nonzero)
+    calls.clear()
+    assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(miss)
+    assert calls == []
 
 
 def test_an_array_of_points_is_one_1f1_call_per_term_and_skips_the_memo():

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import random
 
@@ -19,6 +20,7 @@ from heunkummer import (
     q_spectrum,
     terminated_solution,
 )
+from heunkummer import termination
 from heunkummer.termination import (
     KIND_ALPHA_OVER_EPS,
     KIND_DELTA_INT,
@@ -368,6 +370,99 @@ def test_root_whose_rebuild_meets_a_vanishing_step_is_refused():
     with pytest.raises(ValueError, match="cannot reach a_21"):
         terminated_solution(dataclasses.replace(p, q=root + 1e-3),
                             Family.B3_ThreeTerm, cond)
+
+
+# ---------------------------------------------------------------------------
+# the rebuild memo
+
+def outcome(call) -> str:
+    """repr of call(), or the type and text of the error it raises."""
+    try:
+        return repr(call())
+    except (ValueError, ConditionNotMetError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def cold(call) -> str:
+    termination._rebuild_memo.cache_clear()
+    return outcome(call)
+
+
+@pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
+                         ids=[f"{f.value}-{k}" for f, k, _ in SPECTRUM_COMBOS])
+def test_memoized_rebuilds_are_repr_identical_to_cold_ones(family, kind, choice):
+    rng = random.Random(4242)
+    for N in (0, 5, 15):
+        p = draw_on_condition(rng, kind, N)
+        cond = TerminationCondition(family, kind, N)
+        spectrum = functools.partial(q_spectrum, p, family, cond, choice)
+        spec = spectrum()
+        # a real root also comes back with a -0.0 imaginary part: a q that
+        # compares equal to the root, whose series must carry the caller's q
+        signed = [(complex(r.real, -0.0), ok)
+                  for r, ok in zip(spec.roots, spec.verified) if r.imag == 0]
+        calls = [spectrum]
+        for r in (*spec.roots, *(r for r, _ in signed)):
+            p_r = dataclasses.replace(p, q=r)
+            calls += [functools.partial(terminated_solution, p_r, family, cond, choice),
+                      functools.partial(finite_solution, p_r, family, choice)]
+        expect = [cold(call) for call in calls]
+        termination._rebuild_memo.cache_clear()
+        assert [outcome(call) for call in calls] == expect
+        for r, verified in signed:
+            if not verified:
+                continue
+            termination._rebuild_memo.cache_clear()
+            for q in (r.conjugate(), r):  # +0.0 first, then -0.0 on a warm memo
+                sol = terminated_solution(dataclasses.replace(p, q=q), family, cond, choice)
+                assert repr(sol.params.q) == repr(q)
+
+
+def test_terminated_solution_at_every_root_reuses_the_spectrum_builds(monkeypatch):
+    calls = []
+    real = termination.build_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(termination, "build_series", counted)
+    N = 5
+    p = draw_on_condition(random.Random(11), KIND_DELTA_INT, N)
+    cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, N)
+    termination._rebuild_memo.cache_clear()
+    spec = q_spectrum(p, Family.A2_ThreeTerm, cond)
+    assert all(spec.verified) and len(calls) == N + 1
+    calls.clear()
+    for root in spec.roots:
+        terminated_solution(dataclasses.replace(p, q=root), Family.A2_ThreeTerm, cond)
+    assert calls == []
+
+
+def test_rebuild_memo_stays_within_its_bound():
+    p = params(2.5, -1.0, 1.0, 1.0)
+    for i in range(termination._REBUILD_MEMO + 10):
+        termination._rebuild(dataclasses.replace(p, q=1e-3 * i), Family.A2_ThreeTerm, 1, None)
+    info = termination._rebuild_memo.cache_info()
+    assert info.maxsize == termination._REBUILD_MEMO >= MAX_N + 1
+    assert info.currsize <= termination._REBUILD_MEMO
+
+
+def test_a_failing_rebuild_fails_on_every_call():
+    # gamma + delta = 0 is no a2 series: raised, not memoized, every time
+    bad = params(1.0, -1.0, 1.0, 1.0)
+    before = termination._rebuild_memo.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ApplicabilityError):
+            termination._rebuild(bad, Family.A2_ThreeTerm, 1, None)
+    assert termination._rebuild_memo.cache_info().currsize == before
+    # a build stopped by a vanishing step is a verdict, (None, False), and
+    # is memoized like any other
+    p = params(19.8, -16.0, 1.0, 1.8, 187.5)
+    assert termination._rebuild(p, Family.B3_ThreeTerm, 16, None) == (None, False)
+    hits = termination._rebuild_memo.cache_info().hits
+    assert termination._rebuild(p, Family.B3_ThreeTerm, 16, None) == (None, False)
+    assert termination._rebuild_memo.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------
