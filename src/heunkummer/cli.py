@@ -261,7 +261,7 @@ def run_che_series(ns):
                            alpha0_choice=ns.alpha0_choice, s0=ns.s0)
     u, u1, u2, tail = eval_series_with_derivatives(sol, ns.z)
     residual = relative_residual(params, u, u1, u2, ns.z)
-    if residual > _RESIDUAL_WARN:
+    if residual is not None and residual > _RESIDUAL_WARN:  # None at z = 0, 1
         warnings.warn(f"ode_residual {residual:.3g} exceeds {_RESIDUAL_WARN:g}: "
                       f"the series sum does not solve the equation at z",
                       HeunKummerWarning)

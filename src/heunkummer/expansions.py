@@ -25,13 +25,13 @@ the series can give.
 Basis memo: the walk and s0 do not depend on q, so every root of one
 q-spectrum, and every repeated z, reads the same basis values. Evaluation
 at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
-ladders, (1F1(alpha_n + k; gamma_n + k; s0 z) for the n with a_n != 0),
-keyed by the family, alpha0, gamma0, s0 z, the shift k in {0, 1, 2} and
-those indices; beyond LARGE_X, where eval_1f1 warns, nothing is memoized.
-The k = 1 and k = 2 entries also hold the walk's derivative weights,
-alpha_n/gamma_n and alpha_n(alpha_n+1), gamma_n(gamma_n+1). Values are
-bit-identical to one eval_1f1 call per term. An array of z bypasses the
-memo: each basis function is one eval_1f1 call over all of its points.
+points: 1F1(alpha_n + k; gamma_n + k; s0 z) at the n with a_n != 0, for
+k = 0, or 0, 1, 2 with the weights alpha_n/gamma_n and alpha_n(alpha_n+1),
+gamma_n(gamma_n+1). A miss sums each distinct (a, c), bit for bit, once: in
+a1 and a2, N+1 terms take N+3 sums, as k = 1, 2 mostly read the ladder one
+and two places on. Values are bit-identical to one eval_1f1 call per term.
+Beyond LARGE_X, where eval_1f1 warns, nothing is memoized; an array of z
+bypasses the memo, with one eval_1f1 call per distinct basis function.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, truediv
@@ -57,9 +58,10 @@ from .kummer import INT_TOL, LARGE_X, eval_1f1, nonpositive_int
 # vanishes too, which marks a terminated resonance.
 ZERO_TOL = 1e-9
 
-# Bound of the basis memo, in ladders: the roots of one spectrum evaluated
-# with derivatives at P points share 3P ladders, whatever N.
-_LADDER_MEMO = 256
+# Bound of the basis memo, in points: the roots of one spectrum evaluated
+# at P points share P entries of up to three columns each, whatever N.
+_LADDER_MEMO = 86
+_PAIR_BITS = struct.Struct("4d")  # (a, c) of a 1F1, signed zeros kept apart
 
 
 class Family(enum.Enum):
@@ -247,12 +249,20 @@ def build_series(params: CheParams, family: Family, N: int,
 
     # a_0 alone reads no step (an A1 pole at gamma_0 = 0 must not raise)
     steps = ladder(params, family, alpha0, s0, N) if N else []
+    return solve_ladder(params, family, alpha0, gamma0, s0, steps, N, 0)
+
+
+def solve_ladder(params: CheParams, family: Family, alpha0, gamma0, s0,
+                 steps: list, N: int, q) -> SeriesSolution:
+    """build_series's a_0..a_N from steps[0..N], each Q_n less q. The
+    three-term families subtract q last in Q_n and read it nowhere else, so
+    steps at q = 0 less params.q give the same series bit for bit."""
     coeffs = [1.0 + 0j]
     scale = 1.0
     for n in range(1, N + 1):
         R = steps[n][0]
         num = 0j
-        num += steps[n - 1][1] * coeffs[n - 1]
+        num += (steps[n - 1][1] - q) * coeffs[n - 1]
         if n >= 2:
             num += steps[n - 2][2] * coeffs[n - 2]
         if n >= 3 and family is Family.B4_FourTerm:
@@ -327,11 +337,10 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     # a ladder that warns is not memoized, so every evaluation warns; an
     # array of points is summed afresh, one eval_1f1 call per basis function
     memo = not array and abs(x) <= LARGE_X
-    basis = functools.partial(_basis_ladder if memo else _basis_ladder.__wrapped__,
-                              sol.family, sol.alpha0, sol.gamma0, x)
+    f0, *shifted = (_basis_ladder if memo else _basis_ladder.__wrapped__)(
+        sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
     # sum from 0j adds left to right, and the chains keep the per-term order
     # a_n s0 w1 F1 and a_n s0 s0 n2 / d2 F2: bit-identical to a loop over n
-    (f0,) = basis(0, nonzero)
     u = sum(map(mul, coeffs, f0), 0j)
     if sol.terminated or not nonzero:
         tail = 0.0
@@ -341,8 +350,7 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         tail = abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u))
     if not derivatives:
         return u, None, None, tail
-    f1, w1 = basis(1, nonzero)
-    f2, n2, d2 = basis(2, nonzero)
+    f1, w1, f2, n2, d2 = shifted
     as0 = list(map(mul, coeffs, repeat(s0)))
     u1 = sum(map(mul, map(mul, as0, w1), f1), 0j)
     u2 = sum(map(mul, map(truediv, map(mul, map(mul, as0, repeat(s0)), n2), d2), f2), 0j)
@@ -350,15 +358,25 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
 
 
 @functools.lru_cache(maxsize=_LADDER_MEMO)
-def _basis_ladder(family: Family, alpha0, gamma0, x: complex, k: int,
-                  nonzero: tuple) -> tuple:
-    """The column 1F1(alpha_n + k; gamma_n + k; x), n in nonzero, and shift k's weights."""
+def _basis_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
+                  derivatives: bool) -> tuple:
+    """(f0,) or (f0, f1, w1, f2, n2, d2): fk = 1F1(alpha_n + k; gamma_n + k; x),
+    n in nonzero, and the weights of k = 1 and 2. Each (a, c) is summed once
+    per distinct bits, in the order k, then n, as by a per-term loop."""
     walk = [_basis_parameters(family, alpha0, gamma0, n) for n in nonzero]
-    f = tuple([eval_1f1(an + k, cn + k, x) if k else eval_1f1(an, cn, x)
-               for an, cn in walk])
-    if k == 0:
-        return (f,)
-    if k == 1:
-        return f, tuple([an / cn for an, cn in walk])
-    return (f, tuple([an * (an + 1) for an, _ in walk]),
+    summed = {}
+
+    def f11(a, c):
+        bits = _PAIR_BITS.pack(a.real, a.imag, c.real, c.imag)
+        if bits not in summed:
+            summed[bits] = eval_1f1(a, c, x)
+        return summed[bits]
+
+    f0 = tuple([f11(an, cn) for an, cn in walk])
+    if not derivatives:
+        return (f0,)
+    return (f0, tuple([f11(an + 1, cn + 1) for an, cn in walk]),
+            tuple([an / cn for an, cn in walk]),
+            tuple([f11(an + 2, cn + 2) for an, cn in walk]),
+            tuple([an * (an + 1) for an, _ in walk]),
             tuple([cn * (cn + 1) for _, cn in walk]))

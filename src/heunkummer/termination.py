@@ -7,12 +7,15 @@ each root the recurrence then keeps every later coefficient at zero. The
 roots are eigenvalues of the equation's own power-series tridiagonal
 (recurrence_tridiagonal), each checked by a memoized rebuild of its Kummer
 series, the very one terminated_solution and finite_solution read there.
+q enters the three-term ladders only as Q_n - q, so a spectrum builds its
+ladder once, at q = 0, and a root's rebuild only runs the recurrence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,9 +25,11 @@ from .expansions import (
     GAMMA_CHOICE,
     Family,
     SeriesSolution,
-    build_series,
     check_alpha0_choice,
     check_applicable,
+    ladder,
+    resolve_alpha0_gamma0,
+    solve_ladder,
 )
 from .kummer import nonpositive_int
 
@@ -39,6 +44,7 @@ VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 MAX_N = 80                 # readers build N-step ladders and (N+1)x(N+1)
                            # eigenproblems (delta = -1e20 would never finish)
 _REBUILD_MEMO = 256        # rebuilds kept: every root of a spectrum, N <= MAX_N
+_PARTS = struct.Struct("10d")  # gamma, delta, eps, alpha, q: real, imag
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,8 @@ def q_spectrum(params: CheParams, family: Family,
         p = dataclasses.replace(params, q=r)
         sol, terminates = _rebuild(p, family, N, alpha0_choice)
         if sol is None:  # no steps up to N+5 to check: unverified
-            sol = build_series(p, family, N + 1, alpha0_choice=alpha0_choice)
+            q_free = _q_free_ladder(_bits(p)[:-16], family, N, alpha0_choice)
+            sol = solve_ladder(p, family, *q_free, N + 1, p.q)
         found.append((r, terminates, abs(sol.coefficients[N + 1])))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
     return QSpectrum(condition=condition,
@@ -193,23 +200,42 @@ def check_condition(params: CheParams, family: Family,
             f"meet {[(c.kind, c.N) for c in held]}")
 
 
+def _bits(params: CheParams) -> bytes:
+    """The ten real parts, q's last: r+0j and r-0j compare equal, their series do not."""
+    g, d, e, al, q = params.gamma, params.delta, params.epsilon, params.alpha, params.q
+    return _PARTS.pack(g.real, g.imag, d.real, d.imag, e.real, e.imag,
+                       al.real, al.imag, q.real, q.imag)
+
+
 def _rebuild(params: CheParams, family: Family, N: int, alpha0_choice):
     """The one termination verdict, memoized: (the series at params.q built to
     N+5, whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|),
     or (None, False) where an R_n = 0 with a non-negligible numerator stops it.
-    The key holds repr(params): q = r+0j and r-0j compare equal, their series do not."""
-    return _rebuild_memo(repr(params), params, family, N, alpha0_choice)
+    Keyed on _bits(params); a miss solves the spectrum's q-free ladder at
+    params.q, build_series's series bit for bit at the cost of N+5 steps."""
+    return _rebuild_memo(_bits(params), params, family, N, alpha0_choice)
 
 
 @functools.lru_cache(maxsize=_REBUILD_MEMO)
-def _rebuild_memo(key: str, params: CheParams, family: Family, N: int, alpha0_choice):
+def _rebuild_memo(key: bytes, params: CheParams, family: Family, N: int, alpha0_choice):
+    check_applicable(params, family)
     try:
-        sol = build_series(params, family, N + 5, alpha0_choice=alpha0_choice)
+        sol = solve_ladder(params, family, *_q_free_ladder(key[:-16], family, N, alpha0_choice),
+                           N + 5, params.q)
     except (LeadingCoefficientVanishesError, ZeroDivisionError):
         return None, False
     a = sol.coefficients
     bound = VERIFY_TOL * max(abs(a[n]) for n in range(N + 1))
     return sol, all(abs(a[n]) <= bound for n in range(N + 1, N + 6))
+
+
+@functools.lru_cache(maxsize=8)  # one per spectrum, for the last few spectra
+def _q_free_ladder(parts: bytes, family: Family, N: int, alpha0_choice):
+    """(alpha0, gamma0, s0, steps to N+5 at q = 0) at the bits _bits(params)[:-16]."""
+    re_im = struct.unpack("8d", parts)
+    p0 = CheParams(*map(complex, re_im[0::2], re_im[1::2]), 0)
+    alpha0, gamma0 = resolve_alpha0_gamma0(p0, family, alpha0_choice)
+    return alpha0, gamma0, -p0.epsilon, ladder(p0, family, alpha0, -p0.epsilon, N + 5)
 
 
 def terminated_solution(params: CheParams, family: Family,

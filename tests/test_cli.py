@@ -83,6 +83,22 @@ def test_che_series_warns_when_the_sum_is_not_a_solution(capsys, family):
         "the series sum does not solve the equation at z"]
 
 
+@pytest.mark.parametrize("z", ["0", "1"])
+def test_che_series_at_a_singular_point_records_a_null_residual(capsys, z):
+    # the equation is singular at z = 0 and 1: the sum is still a value, the
+    # residual is not, as in frobenius
+    code, record = run_json(capsys, ["che-series", "--family", "a2", "--gamma", "2.3",
+                                     "--delta", "0", "--eps", "1.1", "--alpha", "0.7",
+                                     "--q", "0.7", "--z", z])
+    assert code == 0
+    assert record["diagnostics"]["ode_residual"] is None
+    assert record["diagnostics"]["warnings"] == []
+    _, frobenius = run_json(capsys, ["frobenius", "--gamma", "2.3", "--delta", "0",
+                                     "--eps", "1.1", "--alpha", "0.7", "--q", "0.7",
+                                     "--z", z])
+    assert frobenius["diagnostics"]["ode_residual"] is None
+
+
 def test_che_series_finds_a_finite_sum_past_the_smallest_condition(capsys):
     # alpha/eps = -1 gives AlphaOverEps N = 1, whose spectrum misses q; q is
     # a root of the DeltaInt N = 3 spectrum

@@ -448,6 +448,15 @@ def spectrum_solutions(rng: random.Random, family, kind, choice, N: int) -> list
                     terminated=True, terminal_index=N) for r in roots]
 
 
+def distinct_pairs(sol: SeriesSolution) -> list:
+    """The (a, c) of 1F1(alpha_n + k; gamma_n + k; x) over k = 0, 1, 2 and
+    then the nonzero n, each distinct one bit for bit (repr keeps signed
+    zeros) once: the sums a cold evaluation with derivatives makes."""
+    walk = [sol.basis_parameters(n) for n, a_n in enumerate(sol.coefficients) if a_n != 0]
+    pairs = [(an + k, cn + k) if k else (an, cn) for k in range(3) for an, cn in walk]
+    return list(dict.fromkeys(map(repr, pairs)))
+
+
 def memo_cases() -> list:
     rng = random.Random(808)
     cases = [pytest.param(spectrum_solutions(rng, fam, kind, choice, N),
@@ -457,6 +466,11 @@ def memo_cases() -> list:
     # bit at n = 1, 3, 7, ..., so a shifted ladder may not stand in for k > 0;
     # alone, the n = 1 basis function shows that in the sum
     a1 = build_series(params(2.6, 0, 1.5, 0.5, 0.5), Family.A1_TwoTerm, 60)
+    # a2 at alpha/eps = 1/3 too: (alpha0 + n) + 2 and alpha0 + (n + 2) differ
+    # at n = 1, 2, 3, 6, 7, where a cold evaluation sums both
+    a2 = build_series(params(2.6, 0.5, 1.5, 0.5, 0.5), Family.A2_ThreeTerm, 12)
+    assert len(distinct_pairs(a2)) > 12 + 3
+    cases.append(pytest.param([a2], id="a2-third"))
     # alpha0 with a -0.0 component shares the memo key of alpha0 itself
     cases.append(pytest.param([a1, replace(a1, coefficients=(0j, 1 + 0j)),
                                replace(a1, alpha0=complex(a1.alpha0.real, -0.0))],
@@ -540,6 +554,28 @@ def test_basis_memo_stays_within_its_bound():
     assert info.currsize <= expansions._LADDER_MEMO
 
 
+@pytest.mark.parametrize("family", THREE_TERM, ids=[f.value for f in THREE_TERM])
+def test_a_cold_evaluation_sums_each_distinct_1f1_once(monkeypatch, family):
+    """In a2, alpha_n + k and gamma_n + k are basis function n+k's own
+    parameters (alpha0 = 0.5 and gamma0 = 1.75 shift exactly), so N+1
+    terms need N+3 sums; b3 and c shift onto other ladders, three a term."""
+    calls = []
+    real = expansions.eval_1f1
+
+    def counted(a, c, x):
+        calls.append(repr((a, c)))
+        return real(a, c, x)
+
+    monkeypatch.setattr(expansions, "eval_1f1", counted)
+    N = 12
+    sol = build_series(params(1.25, 0.5, 1.0, 0.5, 0.3), family, N)
+    assert all(a_n != 0 for a_n in sol.coefficients)
+    expansions._basis_ladder.cache_clear()
+    eval_series_with_derivatives(sol, 0.3)
+    assert calls == distinct_pairs(sol)
+    assert len(calls) == (N + 3 if family is Family.A2_ThreeTerm else 3 * (N + 1))
+
+
 def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
     """A hit reads the 1F1 values and the derivative weights from the memo:
     no eval_1f1 call and no walk through _basis_parameters."""
@@ -559,7 +595,8 @@ def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
     expansions._basis_ladder.cache_clear()
     miss = eval_series_with_derivatives(sol, 0.3)
     nonzero = sum(1 for a_n in sol.coefficients if a_n != 0)
-    assert sorted(calls) == ["_basis_parameters"] * (3 * nonzero) + ["eval_1f1"] * (3 * nonzero)
+    assert sorted(calls) == ["_basis_parameters"] * nonzero + \
+        ["eval_1f1"] * len(distinct_pairs(sol))
     calls.clear()
     assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(miss)
     assert calls == []

@@ -15,6 +15,7 @@ from heunkummer import (
     Family,
     GAMMA_CHOICE,
     TerminationCondition,
+    build_series,
     enumerate_termination_conditions,
     eval_series,
     q_spectrum,
@@ -420,13 +421,13 @@ def test_memoized_rebuilds_are_repr_identical_to_cold_ones(family, kind, choice)
 
 def test_terminated_solution_at_every_root_reuses_the_spectrum_builds(monkeypatch):
     calls = []
-    real = termination.build_series
+    real = termination.solve_ladder
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(termination, "build_series", counted)
+    monkeypatch.setattr(termination, "solve_ladder", counted)
     N = 5
     p = draw_on_condition(random.Random(11), KIND_DELTA_INT, N)
     cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, N)
@@ -437,6 +438,85 @@ def test_terminated_solution_at_every_root_reuses_the_spectrum_builds(monkeypatc
     for root in spec.roots:
         terminated_solution(dataclasses.replace(p, q=root), Family.A2_ThreeTerm, cond)
     assert calls == []
+
+
+def count_recurrence_coeffs(monkeypatch) -> list:
+    """The n of every recurrence_coeffs call, through the name the ladder reads."""
+    import heunkummer.expansions as expansions
+
+    calls = []
+    formula = expansions.recurrence_coeffs
+
+    def counted(params, family, alpha0, s0, n):
+        calls.append(n)
+        return formula(params, family, alpha0, s0, n)
+
+    monkeypatch.setattr(expansions, "recurrence_coeffs", counted)
+    return calls
+
+
+# every combination at N = 5, and a b3 spectrum whose rebuilds stop at
+# R_25 = 0 (gamma - alpha/eps = N+4) on four roots, which take their
+# residual from the N+1 fallback
+LADDER_CASES = [pytest.param(f, k, c, draw_on_condition(random.Random(13), k, 5), 5,
+                             id=f"{f.value}-{k}") for f, k, c in SPECTRUM_COMBOS] + [
+    pytest.param(Family.B3_ThreeTerm, KIND_DELTA_INT, None, params(29.0, -21.0, 0.5, 2.0),
+                 21, id="b3-fallback")]
+
+
+@pytest.mark.parametrize("family, kind, choice, p, N", LADDER_CASES)
+def test_a_spectrum_builds_its_ladder_once(monkeypatch, family, kind, choice, p, N):
+    """q enters the three-term ladders only as Q_n - q: a cold spectrum
+    builds its N+6 steps once, not once per root, and terminated_solution
+    at every root after it builds none."""
+    calls = count_recurrence_coeffs(monkeypatch)
+    cond = TerminationCondition(family, kind, N)
+    termination._rebuild_memo.cache_clear()
+    termination._q_free_ladder.cache_clear()
+    spec = q_spectrum(p, family, cond, choice)
+    assert sorted(calls) == list(range(N + 6))
+    calls.clear()
+    for root, verified in zip(spec.roots, spec.verified):
+        try:
+            terminated_solution(dataclasses.replace(p, q=root), family, cond, choice)
+        except ValueError:
+            assert not verified
+    assert calls == []
+    rebuilt = [termination._rebuild(dataclasses.replace(p, q=r), family, N, choice)[0]
+               for r in spec.roots]
+    assert (rebuilt.count(None) == 4) == (N == 21)
+
+
+@pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
+                         ids=[f"{f.value}-{k}" for f, k, _ in SPECTRUM_COMBOS])
+def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, kind, choice):
+    """The recurrence over the ladder at q = 0, less the root, to N+5 (the
+    rebuild) and to N+1 (the fallback) repr-equals a build at the root; a
+    real root is also passed back as r-0j."""
+    def solved(build) -> str:
+        try:
+            return repr(build())
+        except LeadingCoefficientVanishesError as err:
+            return f"raises {err}"
+
+    rng = random.Random(2121)
+    for N in (0, 1, 5, 15, 30):
+        p = draw_on_condition(rng, kind, N)
+        try:
+            roots = q_spectrum(p, family, TerminationCondition(family, kind, N), choice).roots
+        except LeadingCoefficientVanishesError:  # a fallback stopped too
+            continue
+        termination._rebuild_memo.cache_clear()
+        for r in (*roots, *(complex(r.real, -0.0) for r in roots if r.imag == 0)):
+            p_r = dataclasses.replace(p, q=r)
+            steps = termination._q_free_ladder(termination._bits(p_r)[:-16], family, N, choice)
+            for upto in (N + 1, N + 5):
+                expect = solved(functools.partial(build_series, p_r, family, upto,
+                                                  alpha0_choice=choice))
+                assert solved(functools.partial(termination.solve_ladder, p_r, family,
+                                                *steps, upto, p_r.q)) == expect
+            rebuilt = termination._rebuild(p_r, family, N, choice)[0]
+            assert repr(rebuilt) == ("None" if expect.startswith("raises") else expect)
 
 
 def test_rebuild_memo_stays_within_its_bound():
