@@ -13,6 +13,7 @@ eval_1f1 also takes an ndarray of x, as the two-state closed form does for
 its sample times: numpy sums the same series over every point, with the
 same checks and the same per-point stop, and one LargeArgumentWarning per
 call covers every point beyond LARGE_X. A scalar x never loads numpy.
+Both paths refuse the polynomial of a = -m where m exceeds max_terms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ INT_TOL = 1e-9          # |value - m| below this treats value as the integer m
 DEFAULT_TOL = 1e-14     # relative tail target of the power series
 DEFAULT_MAX_TERMS = 10000
 LARGE_X = 30.0          # beyond this the direct series loses digits; warn
+_BLOCK = 16             # series steps of the array pass per stop test
 
 
 def nonpositive_int(value) -> int | None:
@@ -60,7 +62,8 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
 
     Truncates when the relative tail estimate (two consecutive terms) falls
     below tol. If a is a non-positive integer -m the exact degree-m
-    polynomial is returned. NonConvergenceError where the sum overflows;
+    polynomial is returned. NonConvergenceError where the sum overflows,
+    does not stop within max_terms terms, or where m exceeds max_terms;
     ValueError where tol is not positive (or NaN), max_terms is below 1, and
     naming the argument where a, c or x is not finite.
     LargeArgumentWarning beyond LARGE_X, after those checks and the pole
@@ -110,24 +113,32 @@ def _sum_scalar(first, k0: int, a, c, x, m, tol: float, max_terms: int) -> compl
     summed through k = m where a = -m (the exact polynomial), else until two
     consecutive terms fall below tol max(1, |sum|); x = 0 gives first. k0 = 0,
     first = 1 sums 1F1(a; c; x); k0 = 1, first = a/c its term-wise derivative.
-    NonConvergenceError where the sum does not stop or is not finite."""
+    NonConvergenceError where m exceeds max_terms, or the sum does not stop or
+    is not finite. t <= tol or t <= tol |sum| is t <= tol max(1, |sum|), NaN too."""
+    series = m is None
+    if not series and m > max_terms:
+        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}): a = -{m} gives a "
+                                  f"polynomial of degree {m}, above max_terms={max_terms}")
     if x == 0:
         return first
     d = 1 - k0
     total = term = first
-    small_streak = 0
-    for k in range(k0, max_terms if m is None else m):
+    small = False
+    for k in range(k0, max_terms if series else m):
         term *= (a + k) * x / ((c + k) * (k + d))
         total += term
-        if m is None and abs(term) <= tol * max(1.0, abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    if m is None and small_streak < 2:
-        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) did not reach "
-                                  f"tol={tol} within {max_terms} terms")
+        if series:
+            t = abs(term)
+            if t <= tol or t <= tol * abs(total):
+                if small:
+                    break
+                small = True
+            else:
+                small = False
+    else:
+        if series:
+            raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) did not reach "
+                                      f"tol={tol} within {max_terms} terms")
     if not cmath.isfinite(total):
         raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) overflows to {total}")
     return total
@@ -156,7 +167,10 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
     Each step multiplies the terms of the points still running by
     (a+k)/((c+k)(k+1)) x. A point stops, and its sum is frozen, after two
     consecutive terms below tol max(1, |sum|); the pass goes on with the
-    rest. x = 0 stops at exactly 1, after two zero terms.
+    rest. x = 0 stops at exactly 1, after two zero terms. The stop is tested
+    once per block of _BLOCK steps, each step the contiguous 1-D multiply and
+    add of a step-by-step pass, bit for bit. a = -m with m above max_terms
+    raises before the first term.
     """
     import numpy as np
 
@@ -165,6 +179,9 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
     with np.errstate(over="ignore", invalid="ignore"):
         if m is not None:
             # exact polynomial of degree m; no tolerance involved
+            if m > max_terms:
+                raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m} gives a polynomial "
+                                          f"of degree {m}, above max_terms={max_terms}")
             for k in range(m):
                 term *= (a + k) / ((c + k) * (k + 1)) * x
                 total += term
@@ -173,19 +190,31 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
             out = np.empty_like(x)
             live = np.arange(x.size)  # the points still summing, and their x
             xs, was_small = x, np.zeros(x.size, dtype=bool)
-            for k in range(max_terms):
-                if not live.size:
-                    break
-                term *= (a + k) / ((c + k) * (k + 1)) * xs
-                total += term
-                small = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
-                done = small & was_small
-                if done.any():
-                    out[live[done]] = total[done]
-                    keep = ~done
-                    live, xs, small = live[keep], xs[keep], small[keep]
-                    term, total = term[keep], total[keep]
-                was_small = small
+            start = 0
+            while live.size and start < max_terms:
+                terms = np.empty((min(_BLOCK, max_terms - start), live.size), dtype=complex)
+                totals = np.empty_like(terms)
+                for row, k in enumerate(range(start, start + len(terms))):
+                    term *= (a + k) / ((c + k) * (k + 1)) * xs
+                    terms[row] = term
+                    total = np.add(total, term, out=totals[row])
+                small = np.abs(terms) <= tol * np.maximum(1.0, np.abs(totals))
+                # each point's first stopping row, len(terms) where it runs on
+                stops = np.vstack((small & np.vstack((was_small, small[:-1])),
+                                   np.ones_like(was_small))).argmax(axis=0)
+                # numpy multiplies a lone element in place without its vector loop's
+                # fused multiply-add, so a block ends where one point is left
+                top, end = stops.max(), len(terms)
+                if live.size > 1 and np.count_nonzero(stops == top) == 1:
+                    end = stops[stops < top].max() + 1
+                keep = stops >= end
+                gone = np.flatnonzero(~keep)
+                if gone.size:
+                    out[live[gone]] = totals[stops[gone], gone]
+                    live, xs = live[keep], xs[keep]
+                term, total = terms[end - 1, keep], totals[end - 1, keep]
+                was_small = small[end - 1, keep]
+                start += end
             if live.size:
                 raise NonConvergenceError(
                     f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} "

@@ -648,6 +648,18 @@ def test_unmet_condition_and_overflow_are_domain_errors(capsys, argv, error):
     assert "results" not in record
 
 
+@pytest.mark.parametrize("a, max_terms, degree", [("-20", "5", 20), ("-3", "1", 3),
+                                                  ("-1e12", "10", 10**12)])
+def test_eval_1f1_polynomial_beyond_max_terms_is_a_domain_error(capsys, a, max_terms, degree):
+    # it used to sum every term of the polynomial: at a = -1e12, 10^12 of them
+    code, record = run_json(capsys, ["eval-1f1", f"--a={a}", "--c", "2", "--x", "0.5",
+                                     "--max-terms", max_terms])
+    assert code == 1
+    assert record["error"]["type"] == "NonConvergenceError"
+    assert f"degree {degree}, above max_terms={max_terms}" in record["error"]["message"]
+    assert "results" not in record
+
+
 @pytest.mark.parametrize("argv, error, text", [
     (["two-state", "--u0", "1000000.5", "--delta0", "0.3", "--delta1", "1",
       "--steps", "100", "--samples", "3"], "StepTooCoarseError", "nan"),

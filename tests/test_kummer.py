@@ -147,6 +147,45 @@ def test_max_terms_below_one_rejected(max_terms, a, x):
         _series_derivative(a, 2.0, x, max_terms=max_terms)
 
 
+@pytest.mark.parametrize("x", [0.5, np.array([0.5, -0.25])], ids=["scalar", "array"])
+def test_a_polynomial_beyond_max_terms_is_refused(x):
+    # a = -m sums m steps whatever tol is; it used to ignore max_terms, so
+    # a = -1e12 ran 10^12 steps. The refusal comes before the first term
+    for a in (-20.0, -1e6):
+        m = round(-a)
+        with pytest.raises(NonConvergenceError,
+                           match=f"degree {m}, above max_terms=5"):
+            eval_1f1(a, 2.0, x, max_terms=5)
+    with pytest.raises(NonConvergenceError, match="degree 20, above max_terms=19"):
+        eval_1f1(-20.0, 2.0, x, max_terms=19)
+
+
+def test_a_derivative_polynomial_beyond_max_terms_is_refused():
+    with pytest.raises(NonConvergenceError, match=r"1F1'\(.*degree 20, above max_terms=5"):
+        _series_derivative(-20.0, 2.0, 0.5, max_terms=5)
+    with pytest.raises(NonConvergenceError, match="degree 3, above max_terms=1"):
+        _series_derivative(-3.0, 2.0, 0.0, max_terms=1)
+
+
+def test_a_polynomial_within_max_terms_is_exact():
+    # m == max_terms is enough: the polynomial of degree m takes m steps
+    exact = eval_1f1(-20.0, 2.0, 0.5)
+    assert eval_1f1(-20.0, 2.0, 0.5, max_terms=20) == exact
+    assert eval_1f1(-20.0, 2.0, np.array([0.5]), max_terms=20)[0] == exact
+    assert _series_derivative(-20.0, 2.0, 0.5, max_terms=20) == _series_derivative(-20.0, 2.0, 0.5)
+    ref = complex(mpmath.hyp1f1(-20, 2, 0.5))
+    assert abs(exact - ref) <= 1e-14 * abs_term_sum(-20.0, 2.0, 0.5)
+
+
+def test_the_degree_cap_comes_after_the_argument_checks_and_the_warning():
+    with pytest.raises(ValueError, match="argument x is not finite"):
+        eval_1f1(-20.0, 2.0, math.nan, max_terms=5)
+    with pytest.raises(PoleAtLowerParameterError):
+        eval_1f1(-20.0, -3.0, 0.5, max_terms=5)
+    with pytest.warns(LargeArgumentWarning), pytest.raises(NonConvergenceError, match="degree 40"):
+        eval_1f1(-40.0, 2.0, 35.0, max_terms=5)
+
+
 @pytest.mark.parametrize("a, c, x, name", [
     (math.nan, 2.0, 1.0, "a"),
     (1.0, complex(2.0, math.inf), 1.0, "c"),
