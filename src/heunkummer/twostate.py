@@ -133,38 +133,35 @@ def reduce_to_che(model: LorentzianModel) -> TwoStateReduction:
                              exp_alpha2=complex(-alpha1), R=R)
 
 
-def _step_matrices(p, q, h):
-    """Entries (m00, m01, m10, m11) of the classical RK4 step matrices
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = A y, A = [[0, p], [q, 0]].
+def _step_matrices(p, h):
+    """Top rows (m00, m01) of the classical RK4 step matrices
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = A y, A = [[0, p], [-p*, 0]].
 
-    p and q hold A's entries on the half-step grid t_0, t_0 + h/2, ..., so
-    step n reads A at t_n, t_n + h/2 and t_n + h: K1 = A(t_n),
+    p holds A's entry on the half-step grid t_0, t_0 + h/2, ..., so step n
+    reads A at t_n, t_n + h/2 and t_n + h: K1 = A(t_n),
     K2 = A(t_n + h/2)(I + h/2 K1), K3 = A(t_n + h/2)(I + h/2 K2) and
-    K4 = A(t_n + h)(I + h K3).
+    K4 = A(t_n + h)(I + h K3). For a real pulse each is [[a, b], [-b*, a*]],
+    so a lower entry is read exactly as -b* or a*.
     """
-    k = (0.0, p[:-1:2], q[:-1:2], 0.0)
+    k = (0.0, p[:-1:2])
     total = k
-    for pa, qa, c, w in ((p[1::2], q[1::2], h / 2, 2), (p[1::2], q[1::2], h / 2, 2),
-                         (p[2::2], q[2::2], h, 1)):
-        x00, x01, x10, x11 = 1 + c * k[0], c * k[1], c * k[2], 1 + c * k[3]
-        k = (pa * x10, pa * x11, qa * x00, qa * x01)
+    for pa, c, w in ((p[1::2], h / 2, 2), (p[1::2], h / 2, 2), (p[2::2], h, 1)):
+        k = (pa * (c * -k[1].conjugate()), pa * (1 + c * k[0].conjugate()))
         total = tuple(t + w * kk for t, kk in zip(total, k))
-    return tuple(e + h / 6 * t for e, t in zip((1, 0, 0, 1), total))
+    return tuple(e + h / 6 * t for e, t in zip((1, 0), total))
 
 
 def _matmul(a, b):
-    """2x2 products a @ b, each matrix given as its four entries."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    """Top row of a @ b, each matrix [[x, y], [-y*, x*]] given as (x, y)."""
+    (a00, a01), (b00, b01) = a, b
+    return a00 * b00 - a01 * b01.conjugate(), a00 * b01 + a01 * b00.conjugate()
 
 
 def _propagators(model: LorentzianModel, t_start, h, steps):
     """Yield (start, stop, P, F) for each chunk of at most _CHUNK steps.
 
-    P holds the entries of the RK4 propagators P_n = M_{n-1} ... M_0,
-    n = start+1..stop; F those of the one propagator of the halving run
+    P holds the top rows of the RK4 propagators P_n = M_{n-1} ... M_0,
+    n = start+1..stop; F that of the one propagator of the halving run
     (steps of h/2) from t_start to t_start + stop h.
 
     A(t) is evaluated once per chunk, as arrays on its share of the
@@ -178,16 +175,17 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
     """
     import numpy as np
 
-    carry = fine = np.array([1, 0, 0, 1], dtype=complex)[:, None]  # I
+    carry = fine = np.array([1, 0], dtype=complex)[:, None]  # I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         t = t_start + np.arange(4 * start, 4 * stop + 1) * (h / 4)
-        u = model.coupling(t)
-        ph = np.exp(1j * model.phase(t))
+        u, phase = model.coupling(t), model.phase(t)
+        for name, v in (("coupling", u), ("phase", phase)):
+            if np.iscomplexobj(v):
+                raise ValueError(f"the pulse's {name} must be real, got complex values")
         # a model may return scalars, as for a flat pulse
-        p = np.broadcast_to(-1j * u * np.conj(ph), t.shape)
-        q = np.broadcast_to(-1j * u * ph, t.shape)
-        m = list(_step_matrices(p[::2], q[::2], h))
+        p = np.broadcast_to(-1j * u * np.conj(np.exp(1j * phase)), t.shape)
+        m = list(_step_matrices(p[::2], h))
         d = 1
         while d < stop - start:  # m[i] <- m[i] @ m[i - d]
             for e, v in zip(m, _matmul([e[d:] for e in m], [e[:-d] for e in m])):
@@ -195,7 +193,7 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
             d *= 2
         P = _matmul(m, carry)
         carry = [e[-1:] for e in P]
-        f = _step_matrices(p, q, h / 2)
+        f = _step_matrices(p, h / 2)
         while (n := len(f[0])) > 1:  # f[i] <- f[2i+1] @ f[2i]
             pairs = _matmul([e[1::2] for e in f], [e[:-1:2] for e in f])
             # an odd last matrix waits for the next level
@@ -205,11 +203,12 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
 
 
 def _apply(P, y0):
-    """(a1, a2) = P_n y0, shaped (stack..., n): each state of y0 broadcasts
-    alone against the time axis, so a stacked run repeats every single run."""
+    """(a1, a2) = P_n y0, shaped (stack..., n), from P_n's top row; 0 - m01*
+    keeps a cancelled lower entry +0.0. Each state of y0 broadcasts alone
+    against the time axis, so a stacked run repeats every single run."""
     y1, y2 = y0[..., 0, None], y0[..., 1, None]
-    m00, m01, m10, m11 = P
-    return m00 * y1 + m01 * y2, m10 * y1 + m11 * y2
+    m00, m01 = P
+    return m00 * y1 + m01 * y2, (0 - m01.conjugate()) * y1 + m00.conjugate() * y2
 
 
 def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
@@ -220,7 +219,8 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     each integrated exactly as it would be alone; a1 and a2 of the result
     then carry one row per state. A step-halving check must move every
     endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised;
-    the change it measured is the result's halving_delta.
+    the change it measured is the result's halving_delta. The pulse must be
+    real: a coupling or phase of complex type raises ValueError.
     """
     import numpy as np
 
@@ -241,8 +241,8 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     if not np.all(np.isfinite(y0)):
         raise ValueError("init must be finite")
     h = (t_end - t_start) / steps
-    P = np.empty((4, steps + 1), dtype=complex)
-    P[:, 0] = (1, 0, 0, 1)
+    P = np.empty((2, steps + 1), dtype=complex)
+    P[:, 0] = (1, 0)
     for start, stop, chunk, fine in _propagators(model, t_start, h, steps):
         P[:, start + 1:stop + 1] = chunk
     a1, a2 = _apply(P, y0)

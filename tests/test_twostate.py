@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 
 import mpmath
@@ -273,6 +274,64 @@ def test_rk_runs_that_end_inside_a_chunk(model, t_start, t_end, steps):
     assert np.max(np.abs(traj.a2 - a[..., 1])) <= 1e-12
     assert abs(traj.halving_delta
                - two_run_delta(model, t_start, t_end, steps, init)) <= 1e-14
+
+
+def random_pulse_runs(seed=23, count=6):
+    """(model, t_start, t_end, steps, init) for `count` seeded random real
+    pulses, U0 in [0.2, 3], Delta0 in [-3, 3], Delta1 in [-2, 2], on windows
+    inside [-5, 5], every other one reversed. Steps are 200-1500, at h of
+    0.001-0.004 so that the step-halving check passes; the last run takes
+    _CHUNK + 1-300 steps, so it crosses a chunk. Inits cycle through single,
+    stacked and a general stack."""
+    rng = random.Random(seed)
+    inits = [(1 + 0j, 0j), np.eye(2),
+             np.array([[0.6, 0.8j], [0.3 - 0.1j, -0.2 + 0.9j]])]
+    runs = []
+    for k in range(count):
+        model = LorentzianModel(rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0),
+                                rng.uniform(-2.0, 2.0))
+        steps = (twostate._CHUNK + rng.randint(1, 300) if k == count - 1
+                 else rng.randint(200, 1500))
+        length = steps * (rng.uniform(0.001, 0.004) if k < count - 1 else 0.002)
+        a = rng.uniform(-5.0, 5.0 - length)
+        ends = (a, a + length) if k % 2 == 0 else (a + length, a)
+        runs.append((model, *ends, steps, inits[k % 3]))
+    return runs
+
+
+@pytest.mark.parametrize("model, t_start, t_end, steps, init", random_pulse_runs(),
+                         ids=[f"pulse{k}" for k in range(6)])
+def test_rk_matches_the_reference_on_random_pulses(model, t_start, t_end, steps, init):
+    traj = integrate_rk(model, t_start, t_end, steps, init=init)
+    _, a = reference_rk4(model, t_start, t_end, steps, init)
+    assert np.max(np.abs(traj.a1 - a[..., 0])) <= 1e-12
+    assert np.max(np.abs(traj.a2 - a[..., 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [twostate.DEFAULT_STEPS, twostate._CHUNK + 1],
+                         ids=["8000", "chunk+1"])
+@pytest.mark.parametrize("t_start, t_end", [(-5.0, 5.0), (5.0, -5.0)],
+                         ids=["forward", "reversed"])
+@pytest.mark.parametrize("model", [GENERIC, TERMINATING, FLAT],
+                         ids=["generic", "terminating", "flat"])
+def test_propagators_keep_the_form_of_a_real_pulse(model, t_start, t_end, steps):
+    # for a real pulse every propagator is [[a, b], [-b*, a*]], so the run
+    # from (0, 1) is the conjugate partner of the run from (1, 0): the
+    # integrator keeps only each propagator's top row on this identity
+    traj = integrate_rk(model, t_start, t_end, steps, init=np.eye(2))
+    assert np.array_equal(traj.a1[1], -np.conj(traj.a2[0]))
+    assert np.array_equal(traj.a2[1], np.conj(traj.a1[0]))
+
+
+@pytest.mark.parametrize("name", ["coupling", "phase"])
+def test_rk_refuses_a_complex_pulse(name):
+    # a complex coupling or phase breaks that form: integrated from the top
+    # row alone it would come out wrong, without a word
+    real = getattr(LorentzianModel, name)
+    pulse = type("ComplexPulse", (LorentzianModel,),
+                 {name: lambda self, t: real(self, t) + 0j})(2.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match=f"the pulse's {name} must be real"):
+        integrate_rk(pulse, -5.0, 5.0, 2000)
 
 
 def test_constant_pulse_reproduces_rabi_oscillations():
