@@ -11,8 +11,11 @@ digits are already lost below it. No asymptotic branch is provided.
 
 eval_1f1 also takes an ndarray of x, as the two-state closed form does for
 its sample times: numpy sums the same series over every point, with the
-same checks and the same per-point stop, and one LargeArgumentWarning per
-call covers every point beyond LARGE_X. A scalar x never loads numpy.
+same checks and the same per-point stop, every point running until the
+last one stops, and one LargeArgumentWarning per call covers every point
+beyond LARGE_X. A point's value does not depend on the other points in its
+array, except that a one-point array may round differently in the last
+bits from the same point in a longer one. A scalar x never loads numpy.
 Both paths refuse the polynomial of a = -m where m exceeds max_terms.
 """
 
@@ -73,6 +76,8 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     shape, each point summed until its own two consecutive terms fall
     below tol and frozen there (see _sum_array). A call warns once,
     naming how many points lie beyond LARGE_X and the largest |x|.
+    A point's value is the same in any array of two or more points; a
+    one-point array is the exception, rounded by numpy's one-element loop.
     """
     _check_budget(tol, max_terms)
     array = getattr(x, "ndim", 0) != 0  # numpy scalars and 0-d arrays are scalars
@@ -162,63 +167,54 @@ def _array_arguments(a, c, x):
 
 def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
     """The scalar path's series at every point of the 1-D array x, in one
-    numpy pass.
+    rectangular numpy pass: every point runs every step until the last one
+    stops.
 
-    Each step multiplies the terms of the points still running by
-    (a+k)/((c+k)(k+1)) x. A point stops, and its sum is frozen, after two
-    consecutive terms below tol max(1, |sum|); the pass goes on with the
-    rest. x = 0 stops at exactly 1, after two zero terms. The stop is tested
-    once per block of _BLOCK steps, each step the contiguous 1-D multiply and
-    add of a step-by-step pass, bit for bit. a = -m with m above max_terms
-    raises before the first term.
+    Each step multiplies the terms by (a+k)/((c+k)(k+1)) x. A point stops,
+    and its sum is frozen, after two consecutive terms below tol max(1,
+    |sum|); x = 0 stops at exactly 1, after two zero terms. The stop is
+    tested once per block of _BLOCK steps; a = -m runs its m steps through
+    the same blocks with no stop test, and raises before the first step
+    where m is above max_terms. numpy rounds each point of two or more alike
+    wherever it sits, so a point's value does not depend on the others; a
+    one-point array takes numpy's one-element loop, without the fused
+    multiply-add.
     """
     import numpy as np
 
+    series = m is None
+    if not series and m > max_terms:
+        raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m} gives a polynomial "
+                                  f"of degree {m}, above max_terms={max_terms}")
+    steps = max_terms if series else m
     total, term = np.ones_like(x), np.ones_like(x)
+    out = np.empty_like(x)
+    running, was_small = np.ones(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
+    start = 0
     # an overflow is reported below as NonConvergenceError, not as numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if m is not None:
-            # exact polynomial of degree m; no tolerance involved
-            if m > max_terms:
-                raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m} gives a polynomial "
-                                          f"of degree {m}, above max_terms={max_terms}")
-            for k in range(m):
+        while start < steps and running.any():
+            terms = np.empty((min(_BLOCK, steps - start), x.size), dtype=complex)
+            totals = np.empty_like(terms)
+            for row, k in enumerate(range(start, start + len(terms))):
                 term *= (a + k) / ((c + k) * (k + 1)) * x
-                total += term
-            out = total
-        else:
-            out = np.empty_like(x)
-            live = np.arange(x.size)  # the points still summing, and their x
-            xs, was_small = x, np.zeros(x.size, dtype=bool)
-            start = 0
-            while live.size and start < max_terms:
-                terms = np.empty((min(_BLOCK, max_terms - start), live.size), dtype=complex)
-                totals = np.empty_like(terms)
-                for row, k in enumerate(range(start, start + len(terms))):
-                    term *= (a + k) / ((c + k) * (k + 1)) * xs
-                    terms[row] = term
-                    total = np.add(total, term, out=totals[row])
+                terms[row] = term
+                total = np.add(total, term, out=totals[row])
+            start += len(terms)
+            if series:
                 small = np.abs(terms) <= tol * np.maximum(1.0, np.abs(totals))
                 # each point's first stopping row, len(terms) where it runs on
                 stops = np.vstack((small & np.vstack((was_small, small[:-1])),
                                    np.ones_like(was_small))).argmax(axis=0)
-                # numpy multiplies a lone element in place without its vector loop's
-                # fused multiply-add, so a block ends where one point is left
-                top, end = stops.max(), len(terms)
-                if live.size > 1 and np.count_nonzero(stops == top) == 1:
-                    end = stops[stops < top].max() + 1
-                keep = stops >= end
-                gone = np.flatnonzero(~keep)
-                if gone.size:
-                    out[live[gone]] = totals[stops[gone], gone]
-                    live, xs = live[keep], xs[keep]
-                term, total = terms[end - 1, keep], totals[end - 1, keep]
-                was_small = small[end - 1, keep]
-                start += end
-            if live.size:
-                raise NonConvergenceError(
-                    f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} "
-                    f"terms at {live.size} of {x.size} points, first x={xs[0]}")
+                new = np.flatnonzero(running & (stops < len(terms)))
+                out[new] = totals[stops[new], new]
+                running[new], was_small = False, small[-1]
+    if not series:
+        out = total
+    elif running.any():
+        raise NonConvergenceError(
+            f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} terms at "
+            f"{np.count_nonzero(running)} of {x.size} points, first x={x[running][0]}")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise NonConvergenceError(

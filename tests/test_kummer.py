@@ -223,6 +223,28 @@ def test_array_matches_the_scalar_path_over_the_point_box():
             assert abs(v - f) <= 1e-13 * abs_term_sum(a, c, xk)
 
 
+def test_a_point_does_not_depend_on_the_other_points_in_its_array():
+    # every point of an array runs every step until the last one stops, and
+    # numpy's vector loop rounds it alike wherever it sits, so beside any
+    # companion a point keeps its bits; a one-point array is the exception
+    rng = random.Random(31)
+    cases = [(complex_box(rng, 0.5, 3.0), complex_box(rng, 0.5, 3.0),
+              np.array([disk_draw(rng, 50.0) for _ in range(20)])) for _ in range(20)]
+    t = np.linspace(-5.0, 5.0, 101)
+    for delta0 in (1.0, 2.0, 4.0, -2.5):
+        # the two-state closed form's sample points x = 2 Delta0 z(t), z = (1 + i t)/2
+        a, c = complex_box(rng, 0.5, 3.0), complex_box(rng, 1.2, 3.0)
+        cases.append((a, c, delta0 * (1 + 1j * t)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LargeArgumentWarning)
+        for a, c, x in cases:
+            values = eval_1f1(a, c, x).view(np.uint64).reshape(-1, 2)
+            for j in range(x.size):
+                for k in rng.sample(range(x.size), 3):
+                    paired = eval_1f1(a, c, x[[j, k]]).view(np.uint64).reshape(-1, 2)
+                    assert paired[0].tolist() == values[j].tolist(), (a, c, x[j], x[k])
+
+
 def test_array_keeps_the_shape_polynomial_origin_and_empty_cases():
     x = np.array([[0.0, 1.7], [-2.5 + 1j, 0.0]])
     values = eval_1f1(-3, 2.2, x)

@@ -2,7 +2,8 @@
 
 `kummer._sum_scalar` tests its stop as t <= tol or t <= tol |sum|, with no
 max() call, and `kummer._sum_array` tests it once per block of steps. The
-loops below test it at every step with max(), and are the reference: every
+loops below test it at every step with max(), and are the reference; the
+array one runs every point at full width until the last one stops. Every
 value must agree bit for bit, and every error in type and message, including
 the count of points left and the first x.
 Inputs with a polynomial beyond max_terms are left out: the kernels refuse
@@ -46,35 +47,35 @@ def frozen_sum_scalar(first, k0, a, c, x, m, tol, max_terms):
     return total
 
 
-def frozen_sum_array(a, c, x, m, tol, max_terms):
+def frozen_pass(a, c, x, m, tol, steps):
+    """A step-by-step pass that never drops a point: each point's sum, frozen
+    at its stopping step where m is None, and that step (steps where it has
+    not stopped). a = -m sums the polynomial through m steps."""
     total, term = np.ones_like(x), np.ones_like(x)
+    out = np.empty_like(x)
+    stop = np.full(x.size, steps)
+    was_small = np.zeros(x.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        if m is not None:
-            for k in range(m):
-                term *= (a + k) / ((c + k) * (k + 1)) * x
-                total += term
-            out = total
-        else:
-            out = np.empty_like(x)
-            live = np.arange(x.size)
-            xs, was_small = x, np.zeros(x.size, dtype=bool)
-            for k in range(max_terms):
-                if not live.size:
-                    break
-                term *= (a + k) / ((c + k) * (k + 1)) * xs
-                total += term
+        for k in range(steps if m is None else m):
+            if m is None and (stop < steps).all():
+                break
+            term *= (a + k) / ((c + k) * (k + 1)) * x
+            total += term
+            if m is None:
                 small = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
-                done = small & was_small
-                if done.any():
-                    out[live[done]] = total[done]
-                    keep = ~done
-                    live, xs, small = live[keep], xs[keep], small[keep]
-                    term, total = term[keep], total[keep]
+                done = (stop == steps) & small & was_small
+                out[done], stop[done] = total[done], k
                 was_small = small
-            if live.size:
-                raise NonConvergenceError(
-                    f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} "
-                    f"terms at {live.size} of {x.size} points, first x={xs[0]}")
+    return (out if m is None else total), stop
+
+
+def frozen_sum_array(a, c, x, m, tol, max_terms):
+    out, stop = frozen_pass(a, c, x, m, tol, max_terms)
+    left = np.flatnonzero(stop == max_terms)
+    if m is None and left.size:
+        raise NonConvergenceError(
+            f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} "
+            f"terms at {left.size} of {x.size} points, first x={x[left[0]]}")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise NonConvergenceError(
@@ -118,21 +119,6 @@ def box_point(rng):
     while abs(c - 1.0) <= 1e-6:
         c = complex_box(rng, 0.5, 3.0)
     return a, c, cmath.rect(50.0 * rng.random(), 2 * math.pi * rng.random())
-
-
-def stop_steps(a, c, x, tol=kummer.DEFAULT_TOL, steps=80):
-    """Each point's stopping step in a pass that never drops a point, or
-    steps where it has not stopped."""
-    term, total = np.ones_like(x), np.ones_like(x)
-    stop = np.full(x.size, steps)
-    was_small = np.zeros(x.size, dtype=bool)
-    for k in range(steps):
-        term = term * ((a + k) / ((c + k) * (k + 1)) * x)
-        total = total + term
-        small = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
-        stop[(stop == steps) & small & was_small] = k
-        was_small = small
-    return stop
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +171,8 @@ def boundary_points(rng, a, c, wanted):
     for _ in range(40):
         x = np.array([cmath.rect(10 ** rng.uniform(-8.0, 1.0), rng.uniform(0, 2 * math.pi))
                       for _ in range(400)])
-        for k, point in zip(stop_steps(a, c, x).tolist(), x.tolist()):
+        stops = frozen_pass(a, c, x, None, kummer.DEFAULT_TOL, 80)[1]
+        for k, point in zip(stops.tolist(), x.tolist()):
             if k in wanted:
                 found.setdefault(k, point)
         if set(found) == set(wanted):
@@ -217,11 +204,11 @@ def test_array_points_stopping_around_a_block_boundary_are_bit_identical():
     wanted = [k for edge in (BLOCK, 2 * BLOCK) for k in range(edge - 2, edge + 2)]
     found = boundary_points(rng, a, c, wanted)
     x = np.array([found[k] for k in wanted])
-    assert stop_steps(a, c, x).tolist() == wanted
+    assert frozen_pass(a, c, x, None, kummer.DEFAULT_TOL, 80)[1].tolist() == wanted
     assert_array_kernels_agree(a, c, x)
     assert_array_kernels_agree(a, c, x[::-1])
-    # a point left alone is multiplied by numpy's one-element loop: where the
-    # others stop inside a block, at its end, or in the step after it
+    # pairs whose earlier point stops inside a block, at its end, or in the
+    # step after it, and is frozen there while the later one runs on
     for k in wanted:
         for late in wanted:
             if late > k:
@@ -256,6 +243,8 @@ def test_array_pass_is_bit_identical_at_loose_tolerances_and_polynomials():
         a, c, _ = box_point(rng)
         x = np.array([box_point(rng)[2] for _ in range(30)] + [0.0])
         assert_array_kernels_agree(a, c, x, tol=tol)
-    for m in (0, 1, 7, 30):
+    # a polynomial runs its m steps through every block, whatever tol says
+    for m in (0, 1, 7, 30, 40):
         x = np.array([box_point(rng)[2] / 10 for _ in range(9)] + [0.0])
-        assert_array_kernels_agree(-m, 2.5 + 0.25j, x, max_terms=max(m, 1))
+        for tol in (kummer.DEFAULT_TOL, 10.0):
+            assert_array_kernels_agree(-m, 2.5 + 0.25j, x, tol=tol, max_terms=max(m, 1))
