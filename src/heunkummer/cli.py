@@ -633,8 +633,11 @@ def main(argv=None) -> int:
         # each distinct text once, in the order it was first raised
         diagnostics["warnings"] = list(dict.fromkeys(
             f"{type(w.message).__name__}: {w.message}" for w in caught))
-        record["results"] = results
-        record["diagnostics"] = diagnostics
+        fields = {"results": results, "diagnostics": diagnostics}
+        for path, value in _flatten(fields):  # JSON has no number for inf or nan
+            if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+                raise ValueError(f"{path} = {value} is not finite")
+        record.update(fields)
     except (HeunKummerError, ZeroDivisionError, ValueError) as exc:
         LOG.error("%s: %s", type(exc).__name__, exc)
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}

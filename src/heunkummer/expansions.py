@@ -36,6 +36,7 @@ bypasses the memo, with one eval_1f1 call per distinct basis function.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -117,7 +118,8 @@ def _basis_parameters(family: Family, alpha0, gamma0, n: int):
 def applicability(params: CheParams, family: Family) -> list[str]:
     """Complete list of violated applicability conditions for the family.
 
-    Empty list means the family's series can be built for these parameters.
+    Empty list means the family's series can be built for these parameters;
+    ValueError where gamma + delta overflows.
     """
     g, d, e, al, q = params.gamma, params.delta, params.epsilon, params.alpha, params.q
     out = []
@@ -132,6 +134,8 @@ def applicability(params: CheParams, family: Family) -> list[str]:
         if abs(d) > INT_TOL:
             out.append("DeltaNonZero")
     elif family in (Family.A2_ThreeTerm, Family.C_ThreeTerm):
+        if not cmath.isfinite(g + d):
+            raise ValueError(f"gamma + delta = {g + d} is not finite")
         if nonpositive_int(g + d) is not None:
             out.append("GammaDeltaNonPositiveInt")
         # alpha/eps == gamma+delta collapses every basis function onto

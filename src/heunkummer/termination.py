@@ -7,12 +7,13 @@ each root the recurrence then keeps every later coefficient at zero. The
 roots are eigenvalues of the equation's own power-series tridiagonal
 (recurrence_tridiagonal), each checked by a memoized rebuild of its Kummer
 series, the very one terminated_solution and finite_solution read there.
-q enters the three-term ladders only as Q_n - q, so a spectrum builds its
-ladder once, at q = 0, and a root's rebuild only runs the recurrence.
+q enters the three-term ladders only as Q_n - q and no condition reads q, so a
+spectrum checks and builds its ladder once: a root's rebuild runs the recurrence.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import struct
@@ -64,7 +65,7 @@ class QSpectrum:
 
     roots are the N+1 eigenvalues (counted with multiplicity) of the
     condition's tridiagonal, shifted back to q, ascending by real then
-    imaginary part; verified[i] is _rebuild's memoized verdict at roots[i],
+    imaginary part; verified[i] is the memoized rebuild's verdict at roots[i],
     the one terminated_solution reads, so it is False where the rebuild cannot
     reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from the rebuilt
     recurrence.
@@ -101,12 +102,15 @@ def _kind_value(params: CheParams, kind: str):
 def enumerate_termination_conditions(params: CheParams, family: Family,
                                      alpha0_choice=None) -> list[TerminationCondition]:
     """All admissible integer coincidences for the family, smallest N first;
-    ApplicabilityError at eps = 0, where no family applies."""
+    ApplicabilityError at eps = 0 and ValueError where a kind's value overflows."""
     if params.epsilon == 0:
         check_applicable(params, family)  # EpsilonZero
     found = []
     for kind in admissible_kinds(family, alpha0_choice):
-        m = nonpositive_int(_kind_value(params, kind))
+        value = _kind_value(params, kind)
+        if not cmath.isfinite(value):
+            raise ValueError(f"the {kind} value {value} is not finite")
+        m = nonpositive_int(value)
         if m is not None:
             found.append(TerminationCondition(family=family, kind=kind, N=m))
     found.sort(key=lambda c: c.N)
@@ -156,9 +160,9 @@ def q_spectrum(params: CheParams, family: Family,
                condition: TerminationCondition, alpha0_choice=None) -> QSpectrum:
     """All N+1 accessory-parameter values terminating the series at N.
 
-    The q field of params is ignored; ConditionNotMetError unless the
+    The q field of params is ignored; check_condition's errors unless the
     parameters meet condition. The roots are numpy's eigenvalues of the
-    condition's recurrence_tridiagonal. _rebuild at each root gives its
+    condition's recurrence_tridiagonal. The rebuild at each root gives its
     residual |a_{N+1}| and verdict; where that build fails, an N+1 build
     gives the residual and the root is unverified, and where that fails too
     (an R_n = 0 step up to N+1), its LeadingCoefficientVanishesError stops
@@ -166,17 +170,15 @@ def q_spectrum(params: CheParams, family: Family,
     """
     import numpy as np
 
-    p0 = dataclasses.replace(params, q=0)
-    check_condition(p0, family, condition, alpha0_choice)
+    q_free = _q_free_ladder(_bits(params)[:-16], family, condition, alpha0_choice)
     N = condition.N
-    p_eig, shift = _eigenproblem(p0, condition.kind)
-    found = []  # (root, _rebuild's verdict, |a_{N+1}| there)
+    p_eig, shift = _eigenproblem(dataclasses.replace(params, q=0), condition.kind)
+    found = []  # (root, the rebuild's verdict, |a_{N+1}| there)
     for lam in np.linalg.eigvals(recurrence_tridiagonal(p_eig, N)):
         r = complex(lam + shift)
         p = dataclasses.replace(params, q=r)
-        sol, terminates = _rebuild(p, family, N, alpha0_choice)
+        sol, terminates = _rebuild_memo(_bits(p), p, family, condition, alpha0_choice)
         if sol is None:  # no steps up to N+5 to check: unverified
-            q_free = _q_free_ladder(_bits(p)[:-16], family, N, alpha0_choice)
             sol = solve_ladder(p, family, *q_free, N + 1, p.q)
         found.append((r, terminates, abs(sol.coefficients[N + 1])))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
@@ -188,11 +190,11 @@ def q_spectrum(params: CheParams, family: Family,
 
 def check_condition(params: CheParams, family: Family,
                     condition: TerminationCondition, alpha0_choice=None) -> None:
-    """The one place that decides whether a condition holds: the family must
-    apply (else ApplicabilityError) and the condition's family, kind, N and
-    alpha0 branch must be among the enumerated ones (else ConditionNotMetError)."""
-    check_applicable(params, family)
+    """The one place that decides whether a condition holds: enumerated (else
+    ConditionNotMetError) for a family that applies (else ApplicabilityError).
+    Enumeration first refuses a1 and b4, whose applicability reads q: no q is read."""
     held = enumerate_termination_conditions(params, family, alpha0_choice)
+    check_applicable(params, family)
     if condition not in held:
         raise ConditionNotMetError(
             f"{condition.family.name} {condition.kind} N = {condition.N} does not "
@@ -207,22 +209,19 @@ def _bits(params: CheParams) -> bytes:
                        al.real, al.imag, q.real, q.imag)
 
 
-def _rebuild(params: CheParams, family: Family, N: int, alpha0_choice):
+@functools.lru_cache(maxsize=_REBUILD_MEMO)
+def _rebuild_memo(key: bytes, params: CheParams, family: Family,
+                  condition: TerminationCondition, alpha0_choice):
     """The one termination verdict, memoized: (the series at params.q built to
     N+5, whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|),
     or (None, False) where an R_n = 0 with a non-negligible numerator stops it.
-    Keyed on _bits(params); a miss solves the spectrum's q-free ladder at
-    params.q, build_series's series bit for bit at the cost of N+5 steps."""
-    return _rebuild_memo(_bits(params), params, family, N, alpha0_choice)
-
-
-@functools.lru_cache(maxsize=_REBUILD_MEMO)
-def _rebuild_memo(key: bytes, params: CheParams, family: Family, N: int, alpha0_choice):
-    check_applicable(params, family)
+    key = _bits(params). A miss solves the checked q-free ladder at params.q
+    (build_series's series bit for bit); errors are not memoized: a hit is checked."""
+    N = condition.N
+    steps = _q_free_ladder(key[:-16], family, condition, alpha0_choice)
     try:
-        sol = solve_ladder(params, family, *_q_free_ladder(key[:-16], family, N, alpha0_choice),
-                           N + 5, params.q)
-    except (LeadingCoefficientVanishesError, ZeroDivisionError):
+        sol = solve_ladder(params, family, *steps, N + 5, params.q)
+    except LeadingCoefficientVanishesError:
         return None, False
     a = sol.coefficients
     bound = VERIFY_TOL * max(abs(a[n]) for n in range(N + 1))
@@ -230,26 +229,26 @@ def _rebuild_memo(key: bytes, params: CheParams, family: Family, N: int, alpha0_
 
 
 @functools.lru_cache(maxsize=8)  # one per spectrum, for the last few spectra
-def _q_free_ladder(parts: bytes, family: Family, N: int, alpha0_choice):
-    """(alpha0, gamma0, s0, steps to N+5 at q = 0) at the bits _bits(params)[:-16]."""
+def _q_free_ladder(parts: bytes, family: Family, cond: TerminationCondition, alpha0_choice):
+    """(alpha0, gamma0, s0, steps to N+5 at q = 0) at _bits(params)[:-16], once cond holds."""
     re_im = struct.unpack("8d", parts)
     p0 = CheParams(*map(complex, re_im[0::2], re_im[1::2]), 0)
+    check_condition(p0, family, cond, alpha0_choice)
     alpha0, gamma0 = resolve_alpha0_gamma0(p0, family, alpha0_choice)
-    return alpha0, gamma0, -p0.epsilon, ladder(p0, family, alpha0, -p0.epsilon, N + 5)
+    return alpha0, gamma0, -p0.epsilon, ladder(p0, family, alpha0, -p0.epsilon, cond.N + 5)
 
 
 def terminated_solution(params: CheParams, family: Family,
                         condition: TerminationCondition,
                         alpha0_choice=None) -> SeriesSolution:
-    """The series truncated to a_0..a_N, N = condition.N, where _rebuild
-    finds that it terminates there.
+    """The series truncated to a_0..a_N, N = condition.N, where the memoized
+    rebuild finds that it terminates there.
 
     check_condition's errors unless the parameters meet condition; ValueError
     where params.q is not a spectrum root or the rebuild cannot reach N+5.
     """
-    check_condition(params, family, condition, alpha0_choice)
     N = condition.N
-    sol, terminates = _rebuild(params, family, N, alpha0_choice)
+    sol, terminates = _rebuild_memo(_bits(params), params, family, condition, alpha0_choice)
     if not terminates:
         why = ("is q a spectrum root?" if sol is not None
                else f"the rebuild cannot reach a_{N + 5}")

@@ -675,6 +675,38 @@ def test_non_finite_results_are_domain_errors(capsys, argv, error, text):
     assert text in record["error"]["message"]
 
 
+ALPHA_OVER_EPS_OVERFLOWS = ["--family", "a2", "--gamma", "2.3", "--delta=-3", "--eps", "1e-320",
+                  "--alpha", "0.7"]
+TWO_STATE_NAN = ["two-state", "--u0=1e-320", "--delta0=1e-320",
+                 "--delta1=1.7320508075688772", "--steps", "200", "--samples", "3",
+                 "--t-start=-1", "--t-end=1"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["detect-termination", *ALPHA_OVER_EPS_OVERFLOWS], "the AlphaOverEps value (inf+0j) "),
+    (["q-spectrum", *ALPHA_OVER_EPS_OVERFLOWS, "--kind", "DeltaInt", "--n", "3"],
+     "the AlphaOverEps value (inf+0j) "),
+    (["che-series", "--family", "a2", "--gamma", "1e308", "--delta", "1e308", "--eps", "1",
+      "--alpha", "0.7", "--z", "0.3"], "gamma + delta = (inf+0j) "),
+    (["che-series", "--family", "a2", "--gamma=-3", "--delta=0.5", "--eps=1e154",
+      "--alpha=3e200", "--q=-1e308", "--z", "1e-320"], "results.value = (nan+nanj) "),
+    (["verify-identities", "--a=1e-320", "--c=1e308", "--x=0.5"],
+     "results.residuals.R29 = nan "),
+    (TWO_STATE_NAN, "results.max_deviation = nan "),
+    (TWO_STATE_NAN + ["--format", "csv"], "results.max_deviation = nan "),
+], ids=["detect-overflow", "spectrum-overflow", "applicability-overflow", "che-series-nan",
+        "identity-nan", "two-state-nan", "two-state-nan-csv"])
+def test_overflowed_and_non_finite_values_are_domain_errors(capsys, argv, text):
+    # these raised OverflowError from round(inf), or exited 0 with a NaN token
+    code, out = run(capsys, argv)
+    assert code == 1
+    record = json.loads(out, parse_constant=refuse_constant)
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].startswith(text)
+    assert record["error"]["message"].endswith("is not finite")
+    assert "results" not in record
+
+
 @pytest.mark.parametrize("n", ["-1", "-2", "-3"])
 def test_q_spectrum_with_negative_n_is_a_domain_error(capsys, n):
     code, record = run_json(capsys, SPECTRUM_EXAMPLE + ["--kind", "DeltaInt",

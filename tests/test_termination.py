@@ -15,6 +15,7 @@ from heunkummer import (
     Family,
     GAMMA_CHOICE,
     TerminationCondition,
+    applicability,
     build_series,
     enumerate_termination_conditions,
     eval_series,
@@ -389,6 +390,11 @@ def cold(call) -> str:
     return outcome(call)
 
 
+def rebuild(p, family, cond, choice):
+    """The memoized rebuild at p.q, keyed as its callers key it."""
+    return termination._rebuild_memo(termination._bits(p), p, family, cond, choice)
+
+
 @pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
                          ids=[f"{f.value}-{k}" for f, k, _ in SPECTRUM_COMBOS])
 def test_memoized_rebuilds_are_repr_identical_to_cold_ones(family, kind, choice):
@@ -482,7 +488,7 @@ def test_a_spectrum_builds_its_ladder_once(monkeypatch, family, kind, choice, p,
         except ValueError:
             assert not verified
     assert calls == []
-    rebuilt = [termination._rebuild(dataclasses.replace(p, q=r), family, N, choice)[0]
+    rebuilt = [rebuild(dataclasses.replace(p, q=r), family, cond, choice)[0]
                for r in spec.roots]
     assert (rebuilt.count(None) == 4) == (N == 21)
 
@@ -507,22 +513,24 @@ def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, ki
         except LeadingCoefficientVanishesError:  # a fallback stopped too
             continue
         termination._rebuild_memo.cache_clear()
+        cond = TerminationCondition(family, kind, N)
         for r in (*roots, *(complex(r.real, -0.0) for r in roots if r.imag == 0)):
             p_r = dataclasses.replace(p, q=r)
-            steps = termination._q_free_ladder(termination._bits(p_r)[:-16], family, N, choice)
+            steps = termination._q_free_ladder(termination._bits(p_r)[:-16], family, cond, choice)
             for upto in (N + 1, N + 5):
                 expect = solved(functools.partial(build_series, p_r, family, upto,
                                                   alpha0_choice=choice))
                 assert solved(functools.partial(termination.solve_ladder, p_r, family,
                                                 *steps, upto, p_r.q)) == expect
-            rebuilt = termination._rebuild(p_r, family, N, choice)[0]
+            rebuilt = rebuild(p_r, family, cond, choice)[0]
             assert repr(rebuilt) == ("None" if expect.startswith("raises") else expect)
 
 
 def test_rebuild_memo_stays_within_its_bound():
     p = params(2.5, -1.0, 1.0, 1.0)
+    cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1)
     for i in range(termination._REBUILD_MEMO + 10):
-        termination._rebuild(dataclasses.replace(p, q=1e-3 * i), Family.A2_ThreeTerm, 1, None)
+        rebuild(dataclasses.replace(p, q=1e-3 * i), Family.A2_ThreeTerm, cond, None)
     info = termination._rebuild_memo.cache_info()
     assert info.maxsize == termination._REBUILD_MEMO >= MAX_N + 1
     assert info.currsize <= termination._REBUILD_MEMO
@@ -534,14 +542,16 @@ def test_a_failing_rebuild_fails_on_every_call():
     before = termination._rebuild_memo.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ApplicabilityError):
-            termination._rebuild(bad, Family.A2_ThreeTerm, 1, None)
+            rebuild(bad, Family.A2_ThreeTerm,
+                    TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1), None)
     assert termination._rebuild_memo.cache_info().currsize == before
     # a build stopped by a vanishing step is a verdict, (None, False), and
     # is memoized like any other
     p = params(19.8, -16.0, 1.0, 1.8, 187.5)
-    assert termination._rebuild(p, Family.B3_ThreeTerm, 16, None) == (None, False)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 16)
+    assert rebuild(p, Family.B3_ThreeTerm, cond, None) == (None, False)
     hits = termination._rebuild_memo.cache_info().hits
-    assert termination._rebuild(p, Family.B3_ThreeTerm, 16, None) == (None, False)
+    assert rebuild(p, Family.B3_ThreeTerm, cond, None) == (None, False)
     assert termination._rebuild_memo.cache_info().hits == hits + 1
 
 
@@ -564,6 +574,102 @@ def test_terminated_solution_rejects_off_spectrum_q():
     cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1)
     with pytest.raises(ValueError):
         terminated_solution(p, Family.A2_ThreeTerm, cond)
+
+
+# ---------------------------------------------------------------------------
+# one check per spectrum
+
+def count_checks(monkeypatch) -> dict:
+    """Calls of the two halves of check_condition, through the names it reads."""
+    counts = {"enumerate": 0, "applicable": 0}
+    enumerate_real, applicable_real = (termination.enumerate_termination_conditions,
+                                       termination.check_applicable)
+
+    def enumerate_counted(*args):
+        counts["enumerate"] += 1
+        return enumerate_real(*args)
+
+    def applicable_counted(*args):
+        counts["applicable"] += 1
+        return applicable_real(*args)
+
+    monkeypatch.setattr(termination, "enumerate_termination_conditions", enumerate_counted)
+    monkeypatch.setattr(termination, "check_applicable", applicable_counted)
+    return counts
+
+
+def test_a_spectrum_and_its_roots_check_the_condition_once(monkeypatch):
+    # the condition reads no q: it was checked N+2 and 2N+3 times, once by
+    # the spectrum and again for every root
+    N = 15
+    p = draw_on_condition(random.Random(25), KIND_DELTA_INT, N)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
+    termination._rebuild_memo.cache_clear()
+    termination._q_free_ladder.cache_clear()
+    counts = count_checks(monkeypatch)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
+    assert all(spec.verified) and len(spec.roots) == N + 1
+    for root in spec.roots:
+        terminated_solution(dataclasses.replace(p, q=root), Family.B3_ThreeTerm, cond)
+    assert counts == {"enumerate": 1, "applicable": 1}
+
+
+@pytest.mark.parametrize("family, cond, choice", [
+    (Family.B3_ThreeTerm, TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 14),
+     None),
+    (Family.B3_ThreeTerm, TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 15),
+     GAMMA_CHOICE),
+    (Family.C_ThreeTerm, TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 15),
+     None),
+], ids=["condition", "alpha0-branch", "family"])
+def test_a_warm_spectrum_vouches_for_no_other_condition(family, cond, choice):
+    p = draw_on_condition(random.Random(25), KIND_DELTA_INT, 15)
+    held = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 15)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, held)
+    for root in spec.roots:
+        p_r = dataclasses.replace(p, q=root)
+        terminated_solution(p_r, Family.B3_ThreeTerm, held)  # warm
+        with pytest.raises(ConditionNotMetError):
+            terminated_solution(p_r, family, cond, choice)
+
+
+@pytest.mark.parametrize("family", [Family.A1_TwoTerm, Family.B4_FourTerm],
+                         ids=lambda f: f.value)
+def test_a1_and_b4_conditions_get_the_enumeration_error_at_every_q(family):
+    # a1's applicability reads q (QConstraintViolated at q = 0.5, not at
+    # q = -1.7), and gamma = -1 makes b4 inapplicable: enumeration refuses both first
+    cond = TerminationCondition(family, KIND_DELTA_INT, 0)
+    g = -1.0 if family is Family.B4_FourTerm else 2.5
+    for q in (0.5, -1.7):
+        p = params(g, 0.0, 1.0, -1.7, q)
+        for call in (q_spectrum, terminated_solution):
+            with pytest.raises(ValueError, match="no right-termination rules"):
+                call(p, family, cond)
+
+
+@pytest.mark.parametrize("p, choice, text", [
+    (params(2.0, -3.0, 1.0, 0.7), GAMMA_CHOICE, "takes alpha0_choice"),
+    (params(3.0, -100.0, 1.0, 0.7), None, "N = 100"),
+    (params(2.0, -3.0, 1e-320, 0.7), None, "AlphaOverEps value"),
+], ids=["alpha0-choice", "N-above-bound", "overflowed-kind-value"])
+def test_enumeration_errors_come_before_applicability(p, choice, text):
+    # gamma + delta is a non-positive integer, so the a2 family does not
+    # apply either; the check reports what enumeration finds first
+    assert applicability(p, Family.A2_ThreeTerm) == ["GammaDeltaNonPositiveInt"]
+    cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 3)
+    for call in (termination.check_condition, q_spectrum, terminated_solution):
+        with pytest.raises(ValueError, match=text):
+            call(p, Family.A2_ThreeTerm, cond, choice)
+
+
+@pytest.mark.parametrize("p, family, text", [
+    (params(2.3, -3.0, 1e-320, 0.7), Family.A2_ThreeTerm, "AlphaOverEps value"),
+    (params(2.3, -3.0, 1e-320, 0.7), Family.C_ThreeTerm, "GammaDeltaAlpha value"),
+], ids=["alpha-over-eps", "gamma-delta-alpha"])
+def test_an_overflowed_kind_value_is_a_value_error(p, family, text):
+    # alpha/eps overflows double: round(inf) raised OverflowError
+    with pytest.raises(ValueError, match=f"{text} .* is not finite"):
+        enumerate_termination_conditions(p, family)
 
 
 # ---------------------------------------------------------------------------
