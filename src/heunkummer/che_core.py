@@ -113,17 +113,14 @@ def frobenius_eval(series: LocalSeries, z):
     z = complex(z)
     c = series.coefficients
     u = u1 = u2 = 0j
-    zk = 1.0 + 0j  # z^k
+    # z^k, z^(k-1) and z^(k-2) as running powers, 0 below k = 1 and 2:
+    # nothing is divided by z, which may be 0 or square to 0
+    zk, zk1, zk2 = 1.0 + 0j, 0j, 0j
     for k, ck in enumerate(c):
         u += ck * zk
-        if k >= 1:
-            u1 += k * ck * zk / z if z != 0 else 0j
-        if k >= 2:
-            u2 += k * (k - 1) * ck * zk / (z * z) if z != 0 else 0j
-        zk *= z
-    if z == 0:
-        u1 = c[1] if len(c) > 1 else 0j
-        u2 = 2 * c[2] if len(c) > 2 else 0j
+        u1 += k * ck * zk1
+        u2 += k * (k - 1) * ck * zk2
+        zk, zk1, zk2 = zk * z, zk, zk1
     K = len(c) - 1
     try:
         tail = abs(c[K]) * abs(z) ** K / max(1e-300, abs(u))

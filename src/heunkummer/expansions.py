@@ -25,13 +25,12 @@ the series can give.
 Basis memo: the walk and s0 do not depend on q, so every root of one
 q-spectrum, and every repeated z, reads the same basis values. Evaluation
 at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
-points: 1F1(alpha_n + k; gamma_n + k; s0 z) at the n with a_n != 0, for
-k = 0, or 0, 1, 2 with the weights alpha_n/gamma_n and alpha_n(alpha_n+1),
-gamma_n(gamma_n+1). A miss sums each distinct (a, c), bit for bit, once: in
-a1 and a2, N+1 terms take N+3 sums, as k = 1, 2 mostly read the ladder one
-and two places on. Values are bit-identical to one eval_1f1 call per term.
+points: F_n = 1F1(alpha_n; gamma_n; s0 z) at the n with a_n != 0, and
+with derivatives also F_n' and F_n'' in x. A miss makes one eval_1f1 call
+per nonzero term in every family, which sums F_n, F_n' and F_n'' in one
+pass; then u' = sum (a_n s0) F_n' and u'' = sum ((a_n s0) s0) F_n''.
 Beyond LARGE_X, where eval_1f1 warns, nothing is memoized; an array of z
-bypasses the memo, with one eval_1f1 call per distinct basis function.
+bypasses the memo, with the same one eval_1f1 call per basis function.
 """
 
 from __future__ import annotations
@@ -40,10 +39,9 @@ import cmath
 import enum
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, truediv
+from operator import mul
 from typing import Optional
 
 from .che_core import CheParams
@@ -62,7 +60,6 @@ ZERO_TOL = 1e-9
 # Bound of the basis memo, in points: the roots of one spectrum evaluated
 # at P points share P entries of up to three columns each, whatever N.
 _LADDER_MEMO = 86
-_PAIR_BITS = struct.Struct("4d")  # (a, c) of a 1F1, signed zeros kept apart
 
 
 class Family(enum.Enum):
@@ -322,8 +319,8 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
 
 
 def eval_series_with_derivatives(sol: SeriesSolution, z):
-    """(u, u', u'', tail_estimate) at z, each 1F1 differentiated through its
-    parameter-shift rule. No tail gate is applied; callers inspect the tail."""
+    """(u, u', u'', tail_estimate) at z, each 1F1 summed with its first two
+    derivatives in one pass. No tail gate is applied; callers inspect the tail."""
     return _eval_series_impl(sol, z, derivatives=True)
 
 
@@ -341,10 +338,10 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     # a ladder that warns is not memoized, so every evaluation warns; an
     # array of points is summed afresh, one eval_1f1 call per basis function
     memo = not array and abs(x) <= LARGE_X
-    f0, *shifted = (_basis_ladder if memo else _basis_ladder.__wrapped__)(
+    f0, *derivs = (_basis_ladder if memo else _basis_ladder.__wrapped__)(
         sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
     # sum from 0j adds left to right, and the chains keep the per-term order
-    # a_n s0 w1 F1 and a_n s0 s0 n2 / d2 F2: bit-identical to a loop over n
+    # a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
     u = sum(map(mul, coeffs, f0), 0j)
     if sol.terminated or not nonzero:
         tail = 0.0
@@ -354,33 +351,18 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         tail = abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u))
     if not derivatives:
         return u, None, None, tail
-    f1, w1, f2, n2, d2 = shifted
+    f1, f2 = derivs
     as0 = list(map(mul, coeffs, repeat(s0)))
-    u1 = sum(map(mul, map(mul, as0, w1), f1), 0j)
-    u2 = sum(map(mul, map(truediv, map(mul, map(mul, as0, repeat(s0)), n2), d2), f2), 0j)
+    u1 = sum(map(mul, as0, f1), 0j)
+    u2 = sum(map(mul, map(mul, as0, repeat(s0)), f2), 0j)
     return u, u1, u2, tail
 
 
 @functools.lru_cache(maxsize=_LADDER_MEMO)
 def _basis_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
                   derivatives: bool) -> tuple:
-    """(f0,) or (f0, f1, w1, f2, n2, d2): fk = 1F1(alpha_n + k; gamma_n + k; x),
-    n in nonzero, and the weights of k = 1 and 2. Each (a, c) is summed once
-    per distinct bits, in the order k, then n, as by a per-term loop."""
-    walk = [_basis_parameters(family, alpha0, gamma0, n) for n in nonzero]
-    summed = {}
-
-    def f11(a, c):
-        bits = _PAIR_BITS.pack(a.real, a.imag, c.real, c.imag)
-        if bits not in summed:
-            summed[bits] = eval_1f1(a, c, x)
-        return summed[bits]
-
-    f0 = tuple([f11(an, cn) for an, cn in walk])
-    if not derivatives:
-        return (f0,)
-    return (f0, tuple([f11(an + 1, cn + 1) for an, cn in walk]),
-            tuple([an / cn for an, cn in walk]),
-            tuple([f11(an + 2, cn + 2) for an, cn in walk]),
-            tuple([an * (an + 1) for an, _ in walk]),
-            tuple([cn * (cn + 1) for _, cn in walk]))
+    """(f0,) or (f0, f1, f2): 1F1(alpha_n; gamma_n; x) and its first two
+    derivatives in x, n in nonzero, one eval_1f1 call per n."""
+    sums = [eval_1f1(an, cn, x, derivatives=derivatives)
+            for an, cn in (_basis_parameters(family, alpha0, gamma0, n) for n in nonzero)]
+    return (tuple(zip(*sums)) or ((), (), ())) if derivatives else (tuple(sums),)

@@ -1,8 +1,12 @@
 """Kummer confluent hypergeometric function 1F1 and its recurrence identities.
 
 Everything here is double-precision complex, computed by the direct power
-series; every scalar sum, 1F1 and its term-wise derivative alike, runs
-through the one loop _sum_scalar. Callers in this package do not all stay
+series; every scalar sum runs through the one loop _sum_scalar. One pass
+of it sums 1F1 and, on request, its first two derivatives from the same
+terms: t_k k/x and t_k k(k-1)/x^2 of the term t_k of 1F1, carried as
+running products so that nothing is divided by x. A basis function and
+both its derivatives thus cost one series where the parameter-shift rule
+(DLMF 13.3.15) sums three. Callers in this package do not all stay
 at small argument: the spectrum ladders evaluate at |x| of order 1, the
 two-state closed form reaches |x| of about 20, and a wide two-state window
 reaches 100. Accuracy degrades as |x| grows, most at Re x < 0 where the
@@ -16,7 +20,8 @@ last one stops, and one LargeArgumentWarning per call covers every point
 beyond LARGE_X. A point's value does not depend on the other points in its
 array, except that a one-point array may round differently in the last
 bits from the same point in a longer one. A scalar x never loads numpy.
-Both paths refuse the polynomial of a = -m where m exceeds max_terms.
+Both paths refuse the polynomial of a = -m where m exceeds max_terms, and
+both sum the derivatives in the same pass.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ def _check_lower_parameter(a, c) -> int | None:
     return m
 
 
-def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
+def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS,
+             derivatives: bool = False):
     """Sum 1F1(a; c; x) = sum_k (a)_k/(c)_k x^k/k!.
 
     Truncates when the relative tail estimate (two consecutive terms) falls
@@ -72,7 +78,13 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     LargeArgumentWarning beyond LARGE_X, after those checks and the pole
     rule.
 
-    x may be an ndarray (ndim >= 1): the result is then an array of its
+    With derivatives the result is (F, F', F''), 1F1 and its first two
+    derivatives in x, from one pass over the same terms (see _sum_scalar):
+    F is the same bits as without, and each derivative stops under the same
+    rule measured on its own scale. The checks and the one warning are the
+    same.
+
+    x may be an ndarray (ndim >= 1): each result is then an array of its
     shape, each point summed until its own two consecutive terms fall
     below tol and frozen there (see _sum_array). A call warns once,
     naming how many points lie beyond LARGE_X and the largest |x|.
@@ -102,8 +114,9 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
             stacklevel=2,
         )
     if array:
-        return _sum_array(a, c, x, m, tol, max_terms).reshape(shape)
-    return _sum_scalar(1 + 0j, 0, a, c, x, m, tol, max_terms)
+        out = _sum_array(a, c, x, m, tol, max_terms, derivatives)
+        return tuple(out.reshape((3, *shape))) if derivatives else out.reshape(shape)
+    return _sum_scalar(a, c, x, m, tol, max_terms, derivatives)
 
 
 def _check_budget(tol: float, max_terms: int) -> None:
@@ -113,26 +126,43 @@ def _check_budget(tol: float, max_terms: int) -> None:
         raise ValueError("max_terms must be at least 1")
 
 
-def _sum_scalar(first, k0: int, a, c, x, m, tol: float, max_terms: int) -> complex:
-    """The one scalar series loop: t_{k0} = first, t_{k+1} = t_k (a+k) x/((c+k)(k+1-k0)),
-    summed through k = m where a = -m (the exact polynomial), else until two
-    consecutive terms fall below tol max(1, |sum|); x = 0 gives first. k0 = 0,
-    first = 1 sums 1F1(a; c; x); k0 = 1, first = a/c its term-wise derivative.
-    NonConvergenceError where m exceeds max_terms, or the sum does not stop or
-    is not finite. t <= tol or t <= tol |sum| is t <= tol max(1, |sum|), NaN too."""
+def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = False):
+    """The one scalar series loop. Its terms t_0 = 1, t_{k+1} = t_k (a+k) x/((c+k)(k+1))
+    sum F = 1F1(a; c; x). With derivatives the same steps also sum
+    F' = sum_k t_k k/x and F'' = sum_k t_k k(k-1)/x^2 (DLMF 13.3.15 term by
+    term), whose terms are carried as the running products d_{k+1} = t_k r_k
+    and e_{k+1} = d_k r_k, r_k = (a+k)/(c+k): nothing is divided by x, so a
+    zero or subnormal x needs no branch. The result is then (F, F', F'').
+
+    Where a = -m each sum runs m steps, its exact polynomial (degrees m, m-1
+    and m-2). Else each sum stops, and is frozen, after two consecutive terms
+    below tol max(s, |sum|), its scale s being its first nonzero term: 1,
+    |a/c| and |a(a+1)/(c(c+1))|; the loop runs until all have stopped, and
+    F's term update and stop are those of the plain sum, so F is the same
+    bits with or without derivatives. Without derivatives x = 0 gives 1.
+    NonConvergenceError where m exceeds max_terms, or a sum does not stop or
+    is not finite. t <= tol or t <= tol |sum| is t <= tol max(1, |sum|), NaN
+    too; with derivatives a NaN term counts as small, so a sum that has
+    overflowed stops and is reported as such."""
     series = m is None
     if not series and m > max_terms:
-        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}): a = -{m} gives a "
-                                  f"polynomial of degree {m}, above max_terms={max_terms}")
-    if x == 0:
-        return first
-    d = 1 - k0
-    total = term = first
+        raise NonConvergenceError(f"1F1({a}; {c}; {x}): a = -{m:.15g} gives a polynomial "
+                                  f"of degree {m:.15g}, above max_terms={max_terms}")
+    if x == 0 and not derivatives:
+        return 1 + 0j
+    plain = series and not derivatives
+    total = term = 1 + 0j
     small = False
-    for k in range(k0, max_terms if series else m):
-        term *= (a + k) * x / ((c + k) * (k + d))
-        total += term
+    if derivatives:
+        last, term1, total1, total2 = term, 0j, 0j, 0j
+        run = run1 = run2 = 0  # each sum's count of consecutive small terms, to 2
+        names = ("1F1", "1F1'", "1F1''")  # in errors
         if series:
+            tol1, tol2 = tol * abs(a / c), tol * abs(a * (a + 1) / (c * (c + 1)))
+    for k in range(max_terms if series else m):
+        term *= (a + k) * x / ((c + k) * (k + 1))
+        total += term
+        if plain:
             t = abs(term)
             if t <= tol or t <= tol * abs(total):
                 if small:
@@ -140,13 +170,43 @@ def _sum_scalar(first, k0: int, a, c, x, m, tol: float, max_terms: int) -> compl
                 small = True
             else:
                 small = False
+        elif derivatives:
+            r = (a + k) / (c + k)
+            term2 = term1 * r
+            term1 = last * r
+            last = term
+            total1 += term1
+            total2 += term2
+            if series:
+                if run < 2:
+                    t = abs(term)
+                    run = 0 if t > tol and t > tol * abs(total) else run + 1
+                    value = total
+                if run1 < 2:
+                    t = abs(term1)
+                    run1 = 0 if t > tol1 and t > tol * abs(total1) else run1 + 1
+                    value1 = total1
+                if run2 < 2:
+                    t = abs(term2)
+                    run2 = 0 if t > tol2 and t > tol * abs(total2) else run2 + 1
+                    value2 = total2
+                if run == run1 == run2 == 2:
+                    break
     else:
         if series:
-            raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) did not reach "
+            # with derivatives, the sum furthest from its stop
+            name = names[(run, run1, run2).index(min(run, run1, run2))] if derivatives else "1F1"
+            raise NonConvergenceError(f"{name}({a}; {c}; {x}) did not reach "
                                       f"tol={tol} within {max_terms} terms")
-    if not cmath.isfinite(total):
-        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) overflows to {total}")
-    return total
+    if not derivatives:
+        if not cmath.isfinite(total):
+            raise NonConvergenceError(f"1F1({a}; {c}; {x}) overflows to {total}")
+        return total
+    sums = (value, value1, value2) if series else (total, total1, total2)
+    for name, value in zip(names, sums):
+        if not cmath.isfinite(value):
+            raise NonConvergenceError(f"{name}({a}; {c}; {x}) overflows to {value}")
+    return sums
 
 
 def _array_arguments(a, c, x):
@@ -165,45 +225,61 @@ def _array_arguments(a, c, x):
     return a, c, x, _check_lower_parameter(a, c)
 
 
-def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
-    """The scalar path's series at every point of the 1-D array x, in one
+def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int,
+               derivatives: bool = False):
+    """The scalar path's sums at every point of the 1-D array x, in one
     rectangular numpy pass: every point runs every step until the last one
-    stops.
+    stops. The result is F, or with derivatives a (3, x.size) array of F,
+    F' and F''; a column of the pass is one sum at one point.
 
-    Each step multiplies the terms by (a+k)/((c+k)(k+1)) x. A point stops,
-    and its sum is frozen, after two consecutive terms below tol max(1,
-    |sum|); x = 0 stops at exactly 1, after two zero terms. The stop is
-    tested once per block of _BLOCK steps; a = -m runs its m steps through
-    the same blocks with no stop test, and raises before the first step
-    where m is above max_terms. numpy rounds each point of two or more alike
-    wherever it sits, so a point's value does not depend on the others; a
-    one-point array takes numpy's one-element loop, without the fused
-    multiply-add.
+    Each step multiplies the terms of F by (a+k)/((c+k)(k+1)) x, and with
+    derivatives carries those of F' and F'' as _sum_scalar does. A sum
+    stops at a point, and is frozen there, after two consecutive terms below
+    tol max(s, |sum|), s as in _sum_scalar; x = 0 stops F at exactly 1,
+    after two zero terms. The stop is tested once per block of _BLOCK steps;
+    a = -m runs its m steps through the same blocks with no stop test, and
+    raises before the first step where m is above max_terms. numpy rounds
+    each point of two or more alike wherever it sits, so a point's value
+    does not depend on the others; a one-point array takes numpy's
+    one-element loop, without the fused multiply-add.
     """
     import numpy as np
 
     series = m is None
     if not series and m > max_terms:
-        raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m} gives a polynomial "
-                                  f"of degree {m}, above max_terms={max_terms}")
+        raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m:.15g} gives a polynomial "
+                                  f"of degree {m:.15g}, above max_terms={max_terms}")
     steps = max_terms if series else m
-    total, term = np.ones_like(x), np.ones_like(x)
-    out = np.empty_like(x)
-    running, was_small = np.ones(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
+    n = x.size
+    # the current terms: F at state[:n], then F' and F'' with derivatives
+    state = np.zeros(3 * n if derivatives else n, dtype=complex)
+    state[:n] = 1
+    term, total = state[:n], state.copy()
+    scale = 1.0  # each sum's first nonzero term, as in _sum_scalar
+    if derivatives and series:
+        scale = np.repeat([1.0, abs(a / c), abs(a * (a + 1) / (c * (c + 1)))], n)
+    out = np.empty_like(state)
+    running, was_small = np.ones(state.size, dtype=bool), np.zeros(state.size, dtype=bool)
     start = 0
     # an overflow is reported below as NonConvergenceError, not as numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
         while start < steps and running.any():
-            terms = np.empty((min(_BLOCK, steps - start), x.size), dtype=complex)
+            terms = np.empty((min(_BLOCK, steps - start), state.size), dtype=complex)
             totals = np.empty_like(terms)
             for row, k in enumerate(range(start, start + len(terms))):
+                if derivatives:
+                    r = (a + k) / (c + k)
+                    np.multiply(state[n:2 * n], r, out=state[2 * n:])
+                    np.multiply(term, r, out=state[n:2 * n])
                 term *= (a + k) / ((c + k) * (k + 1)) * x
-                terms[row] = term
-                total = np.add(total, term, out=totals[row])
+                terms[row] = state
+                total = np.add(total, state, out=totals[row])
             start += len(terms)
             if series:
-                small = np.abs(terms) <= tol * np.maximum(1.0, np.abs(totals))
-                # each point's first stopping row, len(terms) where it runs on
+                mag, bound = np.abs(terms), tol * np.maximum(scale, np.abs(totals))
+                # with derivatives a NaN term counts as small, as in _sum_scalar
+                small = ~(mag > bound) if derivatives else mag <= bound
+                # each column's first stopping row, len(terms) where it runs on
                 stops = np.vstack((small & np.vstack((was_small, small[:-1])),
                                    np.ones_like(was_small))).argmax(axis=0)
                 new = np.flatnonzero(running & (stops < len(terms)))
@@ -212,31 +288,31 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
     if not series:
         out = total
     elif running.any():
+        left = np.unique(np.flatnonzero(running) % n)
         raise NonConvergenceError(
             f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} terms at "
-            f"{np.count_nonzero(running)} of {x.size} points, first x={x[running][0]}")
+            f"{left.size} of {n} points, first x={x[left[0]]}")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
+        points = np.unique(bad % n)
         raise NonConvergenceError(
-            f"1F1({a}; {c}; x) overflows at {bad.size} of {x.size} points, "
-            f"first x={x[bad[0]]}: {out[bad[0]]}")
-    return out
+            f"1F1({a}; {c}; x) overflows at {points.size} of {n} points, "
+            f"first x={x[points[0]]}: {out[bad[bad % n == points[0]][0]]}")
+    return out.reshape(3, n) if derivatives else out
 
 
 def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """Term-wise derivative sum_{k>=1} (a)_k/(c)_k x^{k-1}/(k-1)!.
+    """Term-wise derivative sum_{k>=1} (a)_k/(c)_k x^{k-1}/(k-1)!, the F'
+    of _sum_scalar's pass with derivatives, unwarned.
 
-    Term k is a/c times term k-1 of 1F1(a+1; c+1; x), the series the
-    parameter-shift rule sums, so D6 checks only rounding order and the
-    stopping point: it is not an independent computation.
+    Its term k is t_{k-1} (a+k-1)/(c+k-1) of 1F1(a; c; x), where the
+    parameter-shift rule sums 1F1(a+1; c+1; x): the same terms rounded in
+    another order, so D6 checks only rounding and the stopping point: it is
+    not an independent computation.
     """
     _check_budget(tol, max_terms)
     a, c, x = complex(a), complex(c), complex(x)
-    m = _check_lower_parameter(a, c)
-    coeff = a / c  # (a)_1/(c)_1
-    if m == 0:
-        return complex(0.0)
-    return _sum_scalar(coeff, 1, a, c, x, m, tol, max_terms)
+    return _sum_scalar(a, c, x, _check_lower_parameter(a, c), tol, max_terms, True)[1]
 
 
 # Each identity as (lhs, rhs) at (a, c, x) from F(a', c') = 1F1(a'; c'; x) and

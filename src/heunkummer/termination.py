@@ -56,7 +56,7 @@ class TerminationCondition:
 
     def __post_init__(self):
         if not 0 <= self.N <= MAX_N:
-            raise ValueError(f"termination index N must be in 0..{MAX_N}, got N = {self.N}")
+            raise ValueError(f"termination index N must be in 0..{MAX_N}, got N = {self.N:.15g}")
 
 
 @dataclass(frozen=True)

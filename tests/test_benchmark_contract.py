@@ -76,12 +76,13 @@ def test_names_the_workloads_use_exist():
 def test_series_evaluation_calls_the_traced_1f1_name(monkeypatch):
     """The tracer counts 1F1 calls by rebinding `eval_1f1` in each package
     module: on a memo miss, a series evaluation with derivatives makes its
-    one call per distinct (a, c) through the name bound in `expansions`."""
+    one call per nonzero term, each summing the basis function and both its
+    derivatives, through the name bound in `expansions`."""
     calls = []
     real = expansions.eval_1f1
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(expansions, "eval_1f1", counted)
@@ -93,8 +94,8 @@ def test_series_evaluation_calls_the_traced_1f1_name(monkeypatch):
     expansions.eval_series_with_derivatives(sol, 0.3)
     assert expansions._basis_ladder.cache_info().misses == 1
     walk = [sol.basis_parameters(n) for n, a_n in enumerate(sol.coefficients) if a_n != 0]
-    pairs = {repr((an + k, cn + k) if k else (an, cn)) for k in range(3) for an, cn in walk}
-    assert len(calls) == len(pairs) < 3 * nonzero
+    assert calls == [((an, cn, 0.3 * sol.s0), {"derivatives": True}) for an, cn in walk]
+    assert len(calls) == nonzero
 
 
 def test_cli_import_loads_every_traced_home_module():

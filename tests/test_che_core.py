@@ -89,6 +89,18 @@ def test_series_satisfies_equation_complex_params():
     assert relative_residual(p, u, u1, u2, z) <= 1e-10
 
 
+@pytest.mark.parametrize("z", [1e-200, -1e-320j, 1e-320, 0.0])
+def test_derivatives_at_tiny_z_are_the_leading_coefficients(z):
+    # z*z underflows to 0 at |z| = 1e-200: dividing z^k by it raised
+    # ZeroDivisionError
+    series = frobenius_coefficients(params(2.3, 0.5, 1.0, 1.0, 0.7), 60)
+    c = series.coefficients
+    u, u1, u2 = frobenius_eval(series, z)
+    assert u == pytest.approx(1.0, abs=1e-15)
+    assert u1 == pytest.approx(c[1], rel=1e-15)
+    assert u2 == pytest.approx(2 * c[2], rel=1e-15)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])
 def test_nonpositive_integer_gamma_has_no_series(gamma):
     with pytest.raises(PoleAtGammaError):
@@ -108,10 +120,11 @@ def test_short_series_warns_about_truncation():
 
 @pytest.mark.parametrize("K", [192, 200])
 def test_overflowing_series_is_a_domain_error(K):
-    # at z = 40 the sum of u'' overflows from K = 192 on, and |z|^K from 193
+    # at z = 60 the largest term |c_k z^k| is 1e337 at K = 192 and 1e351 at
+    # K = 200, beyond the double range
     series = frobenius_coefficients(params(1.0, 1.0, 1.0, 1.0, 0.5), K)
     with pytest.raises(NonConvergenceError, match="overflows"):
-        frobenius_eval(series, 40.0)
+        frobenius_eval(series, 60.0)
 
 
 def test_eval_at_origin():

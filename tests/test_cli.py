@@ -174,6 +174,18 @@ def test_frobenius_record(capsys):
     assert record["diagnostics"]["ode_residual"] <= 1e-10
 
 
+def test_frobenius_at_a_tiny_z_is_a_finite_record(capsys):
+    # z*z underflowed to 0 in the u'' term: the record was a ZeroDivisionError
+    code, record = run_json(capsys, ["frobenius", "--gamma", "2.3", "--delta", "0.5",
+                                     "--eps", "1", "--alpha", "1", "--z", "1e-200"])
+    assert code == 0
+    res = record["results"]
+    assert res["u"] == {"re": 1.0, "im": 0.0}
+    # q = 0: u' = 2 c_2 z and u'' = 2 c_2 = alpha/(1 + gamma)
+    assert res["du"]["re"] == pytest.approx(2e-200 / 6.6, rel=1e-15)
+    assert res["d2u"]["re"] == pytest.approx(1 / 3.3, rel=1e-15)
+
+
 def test_two_state_record(capsys):
     u0 = repr(math.sqrt(3.0))
     code, record = run_json(capsys, ["two-state", "--u0", u0, "--delta0", "2",
@@ -403,8 +415,10 @@ def test_sweep_holds_tolerance_and_rejects_jobs(capsys):
     assert code == 0
     assert record["results"]["max_residual"] <= 1e-10
     # summing each distinct 1F1 value once per draw leaves every residual
-    # bit for bit as it was when each identity summed its own
-    assert record["results"]["max_residual"] == 9.060102920137001e-12
+    # bit for bit as it was when each identity summed its own; the
+    # derivative is the F' of the one pass that also sums 1F1 (R29's
+    # residual moved from 9.060102920137001e-12 when it became so)
+    assert record["results"]["max_residual"] == 1.026644095909878e-11
     # --jobs is not an option, so a saved record that still carries it fails
     code = main(base + ["--jobs", "2"])
     capsys.readouterr()
@@ -658,6 +672,21 @@ def test_eval_1f1_polynomial_beyond_max_terms_is_a_domain_error(capsys, a, max_t
     assert record["error"]["type"] == "NonConvergenceError"
     assert f"degree {degree}, above max_terms={max_terms}" in record["error"]["message"]
     assert "results" not in record
+
+
+@pytest.mark.parametrize("argv, error, text", [
+    (["q-spectrum", "--family", "a2", "--gamma", "2.3", "--delta=-1e308", "--eps", "1",
+      "--alpha", "0.7"], "ValueError", "got N = 1e+308"),
+    (["eval-1f1", "--a=-1e300", "--c=1", "--x=0.5"], "NonConvergenceError",
+     "degree 1e+300, above max_terms=10000"),
+], ids=["termination-index", "polynomial-degree"])
+def test_huge_integers_in_error_messages_are_short(capsys, argv, error, text):
+    # a 309-digit N and a 300-digit degree used to be printed in full
+    code, record = run_json(capsys, argv)
+    assert code == 1
+    assert record["error"]["type"] == error
+    assert text in record["error"]["message"]
+    assert len(record["error"]["message"]) < 300
 
 
 @pytest.mark.parametrize("argv, error, text", [

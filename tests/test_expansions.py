@@ -413,8 +413,8 @@ def test_basis_parameter_walks():
 
 def reference_eval(sol: SeriesSolution, z):
     """(u, u', u'', tail) from the per-term loop the basis memo replaced: one
-    eval_1f1 per basis function and shift, for every nonzero coefficient,
-    on every call."""
+    eval_1f1 with derivatives per basis function, for every nonzero
+    coefficient, on every call."""
     z = complex(z)
     s0 = sol.s0
     x = s0 * z
@@ -423,13 +423,12 @@ def reference_eval(sol: SeriesSolution, z):
     for n, a_n in enumerate(sol.coefficients):
         if a_n == 0:
             continue
-        an, cn = sol.basis_parameters(n)
-        term = a_n * eval_1f1(an, cn, x)
+        f0, f1, f2 = eval_1f1(*sol.basis_parameters(n), x, derivatives=True)
+        term = a_n * f0
         u += term
         last_nonzero = term
-        u1 += a_n * s0 * (an / cn) * eval_1f1(an + 1, cn + 1, x)
-        u2 += a_n * s0 * s0 * (an * (an + 1)) / (cn * (cn + 1)) \
-            * eval_1f1(an + 2, cn + 2, x)
+        u1 += a_n * s0 * f1
+        u2 += a_n * s0 * s0 * f2
     if sol.terminated or last_nonzero is None:
         tail = 0.0
     else:
@@ -448,28 +447,15 @@ def spectrum_solutions(rng: random.Random, family, kind, choice, N: int) -> list
                     terminated=True, terminal_index=N) for r in roots]
 
 
-def distinct_pairs(sol: SeriesSolution) -> list:
-    """The (a, c) of 1F1(alpha_n + k; gamma_n + k; x) over k = 0, 1, 2 and
-    then the nonzero n, each distinct one bit for bit (repr keeps signed
-    zeros) once: the sums a cold evaluation with derivatives makes."""
-    walk = [sol.basis_parameters(n) for n, a_n in enumerate(sol.coefficients) if a_n != 0]
-    pairs = [(an + k, cn + k) if k else (an, cn) for k in range(3) for an, cn in walk]
-    return list(dict.fromkeys(map(repr, pairs)))
-
-
 def memo_cases() -> list:
     rng = random.Random(808)
     cases = [pytest.param(spectrum_solutions(rng, fam, kind, choice, N),
                           id=f"{fam.value}-{kind}-N{N}")
              for fam, kind, choice in SPECTRUM_COMBOS for N in (0, 5, 15)]
-    # alpha0 = 1/3: (alpha0 + n) + 1 and alpha0 + (n + 1) differ in the last
-    # bit at n = 1, 3, 7, ..., so a shifted ladder may not stand in for k > 0;
-    # alone, the n = 1 basis function shows that in the sum
+    # alpha0 = 1/3, whose walk alpha0 + n rounds in the last bit at n = 1,
+    # 3, 7, ...; alone, the n = 1 basis function shows that in the sum
     a1 = build_series(params(2.6, 0, 1.5, 0.5, 0.5), Family.A1_TwoTerm, 60)
-    # a2 at alpha/eps = 1/3 too: (alpha0 + n) + 2 and alpha0 + (n + 2) differ
-    # at n = 1, 2, 3, 6, 7, where a cold evaluation sums both
     a2 = build_series(params(2.6, 0.5, 1.5, 0.5, 0.5), Family.A2_ThreeTerm, 12)
-    assert len(distinct_pairs(a2)) > 12 + 3
     cases.append(pytest.param([a2], id="a2-third"))
     # alpha0 with a -0.0 component shares the memo key of alpha0 itself
     cases.append(pytest.param([a1, replace(a1, coefficients=(0j, 1 + 0j)),
@@ -479,7 +465,7 @@ def memo_cases() -> list:
     cases.append(pytest.param([build_series(p, Family.B4_FourTerm, 12, s0=s0)
                                for s0 in (-0.7 + 0.2j, 0.4 - 0.1j)], id="b4-free-s0"))
     # alpha_n = alpha0 for c and gamma_n = gamma0 for b3 carry a -0.0 part
-    # into the memoized weights alpha_n/gamma_n, under a key equal to +0.0's
+    # into the 1F1 parameters, under a memo key equal to +0.0's
     for fam, kind, choice in (SPECTRUM_COMBOS[5], SPECTRUM_COMBOS[2]):
         sol = spectrum_solutions(rng, fam, kind, choice, 5)[0]
         cases.append(pytest.param(
@@ -525,8 +511,9 @@ def test_large_argument_warns_on_every_call(evaluate):
         with pytest.warns(LargeArgumentWarning) as caught:
             evaluate(sol, z)
         assert {str(w.message) for w in caught} == {str(direct[0].message)}
-        # one warning per 1F1 call: a_0 alone, with and without derivatives
-        assert len(caught) == (3 if evaluate is eval_series_with_derivatives else 1)
+        # one warning per 1F1 call: a_0 alone, whose one call with
+        # derivatives sums all three
+        assert len(caught) == 1
 
 
 def test_nothing_beyond_large_x_is_memoized():
@@ -556,15 +543,14 @@ def test_basis_memo_stays_within_its_bound():
 
 @pytest.mark.parametrize("family", THREE_TERM, ids=[f.value for f in THREE_TERM])
 def test_a_cold_evaluation_sums_each_distinct_1f1_once(monkeypatch, family):
-    """In a2, alpha_n + k and gamma_n + k are basis function n+k's own
-    parameters (alpha0 = 0.5 and gamma0 = 1.75 shift exactly), so N+1
-    terms need N+3 sums; b3 and c shift onto other ladders, three a term."""
+    """One eval_1f1 call per term sums the basis function and both its
+    derivatives, in every family: N+1 calls, in the order of n."""
     calls = []
     real = expansions.eval_1f1
 
-    def counted(a, c, x):
-        calls.append(repr((a, c)))
-        return real(a, c, x)
+    def counted(a, c, x, derivatives):
+        calls.append(repr((a, c, derivatives)))
+        return real(a, c, x, derivatives=derivatives)
 
     monkeypatch.setattr(expansions, "eval_1f1", counted)
     N = 12
@@ -572,21 +558,20 @@ def test_a_cold_evaluation_sums_each_distinct_1f1_once(monkeypatch, family):
     assert all(a_n != 0 for a_n in sol.coefficients)
     expansions._basis_ladder.cache_clear()
     eval_series_with_derivatives(sol, 0.3)
-    assert calls == distinct_pairs(sol)
-    assert len(calls) == (N + 3 if family is Family.A2_ThreeTerm else 3 * (N + 1))
+    assert calls == [repr((*sol.basis_parameters(n), True)) for n in range(N + 1)]
 
 
 def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
-    """A hit reads the 1F1 values and the derivative weights from the memo:
-    no eval_1f1 call and no walk through _basis_parameters."""
+    """A hit reads the 1F1 values and their derivatives from the memo: no
+    eval_1f1 call and no walk through _basis_parameters."""
     calls = []
 
     def counting(name):
         real = getattr(expansions, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(name)
-            return real(*args)
+            return real(*args, **kwargs)
         return counted
 
     for name in ("eval_1f1", "_basis_parameters"):
@@ -595,8 +580,7 @@ def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
     expansions._basis_ladder.cache_clear()
     miss = eval_series_with_derivatives(sol, 0.3)
     nonzero = sum(1 for a_n in sol.coefficients if a_n != 0)
-    assert sorted(calls) == ["_basis_parameters"] * nonzero + \
-        ["eval_1f1"] * len(distinct_pairs(sol))
+    assert sorted(calls) == ["_basis_parameters"] * nonzero + ["eval_1f1"] * nonzero
     calls.clear()
     assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(miss)
     assert calls == []

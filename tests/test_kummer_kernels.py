@@ -3,9 +3,11 @@
 `kummer._sum_scalar` tests its stop as t <= tol or t <= tol |sum|, with no
 max() call, and `kummer._sum_array` tests it once per block of steps. The
 loops below test it at every step with max(), and are the reference; the
-array one runs every point at full width until the last one stops. Every
-value must agree bit for bit, and every error in type and message, including
-the count of points left and the first x.
+array one runs every point at full width until the last one stops, and the
+scalar pass with derivatives keeps its three sums in lists. Every value
+must agree bit for bit, and every error in type and message, including the
+count of points left and the first x. 1F1 summed with its derivatives is
+the same bits as 1F1 summed alone.
 Inputs with a polynomial beyond max_terms are left out: the kernels refuse
 those (tests/test_kummer.py), where the frozen loops summed them.
 """
@@ -24,14 +26,16 @@ from heunkummer.kummer import _check_lower_parameter, _sum_array, _sum_scalar
 from conftest import complex_box
 
 
-def frozen_sum_scalar(first, k0, a, c, x, m, tol, max_terms):
+NAMES = ("1F1", "1F1'", "1F1''")
+
+
+def frozen_sum_scalar(a, c, x, m, tol, max_terms):
     if x == 0:
-        return first
-    d = 1 - k0
-    total = term = first
+        return 1 + 0j
+    total = term = 1 + 0j
     small_streak = 0
-    for k in range(k0, max_terms if m is None else m):
-        term *= (a + k) * x / ((c + k) * (k + d))
+    for k in range(max_terms if m is None else m):
+        term *= (a + k) * x / ((c + k) * (k + 1))
         total += term
         if m is None and abs(term) <= tol * max(1.0, abs(total)):
             small_streak += 1
@@ -40,11 +44,42 @@ def frozen_sum_scalar(first, k0, a, c, x, m, tol, max_terms):
         else:
             small_streak = 0
     if m is None and small_streak < 2:
-        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) did not reach "
+        raise NonConvergenceError(f"1F1({a}; {c}; {x}) did not reach "
                                   f"tol={tol} within {max_terms} terms")
     if not cmath.isfinite(total):
-        raise NonConvergenceError("1F1" + "'" * k0 + f"({a}; {c}; {x}) overflows to {total}")
+        raise NonConvergenceError(f"1F1({a}; {c}; {x}) overflows to {total}")
     return total
+
+
+def frozen_sum_with_derivatives(a, c, x, m, tol, max_terms):
+    """1F1 and its terms times k/x and k(k-1)/x^2, each a running product
+    of the one before; each sum frozen after two consecutive terms below tol
+    max(its first nonzero term, |sum|), a NaN term counting as small."""
+    terms, sums = [1 + 0j, 0j, 0j], [1 + 0j, 0j, 0j]
+    if m is None:
+        scales = [1.0, abs(a / c), abs(a * (a + 1) / (c * (c + 1)))]
+    streaks, frozen = [0, 0, 0], [None, None, None]
+    for k in range(max_terms if m is None else m):
+        r = (a + k) / (c + k)
+        terms = [terms[0] * ((a + k) * x / ((c + k) * (k + 1))), terms[0] * r, terms[1] * r]
+        for i in range(3):
+            sums[i] += terms[i]
+            if m is None and frozen[i] is None:
+                t = abs(terms[i])
+                big = t > tol * scales[i] and t > tol * abs(sums[i])
+                streaks[i] = 0 if big else streaks[i] + 1
+                if streaks[i] == 2:
+                    frozen[i] = sums[i]
+        if m is None and None not in frozen:
+            break
+    else:
+        if m is None:
+            raise NonConvergenceError(f"{NAMES[streaks.index(min(streaks))]}({a}; {c}; {x}) "
+                                      f"did not reach tol={tol} within {max_terms} terms")
+    for name, value in zip(NAMES, sums if m is not None else frozen):
+        if not cmath.isfinite(value):
+            raise NonConvergenceError(f"{name}({a}; {c}; {x}) overflows to {value}")
+    return tuple(sums if m is not None else frozen)
 
 
 def frozen_pass(a, c, x, m, tol, steps):
@@ -92,17 +127,22 @@ def outcome(kernel, *args):
         return type(e).__name__, str(e)
     if isinstance(value, np.ndarray):
         return "array", value.shape, value.view(np.uint64).tobytes()
+    if isinstance(value, tuple):
+        return "sums", *[(v.real.hex(), v.imag.hex()) for v in value]
     return "scalar", value.real.hex(), value.imag.hex()
 
 
 def assert_scalar_kernels_agree(a, c, x, tol=kummer.DEFAULT_TOL,
                                 max_terms=kummer.DEFAULT_MAX_TERMS):
-    """1F1 (k0 = 0) and its term-wise derivative (k0 = 1) at one point."""
+    """1F1 alone, and with its two derivatives, at one point; 1F1 is the
+    same bits both ways wherever both return."""
     a, c, x = complex(a), complex(c), complex(x)
-    m = _check_lower_parameter(a, c)
-    for first, k0 in ((1 + 0j, 0), (a / c, 1)):
-        args = (first, k0, a, c, x, m, tol, max_terms)
-        assert outcome(_sum_scalar, *args) == outcome(frozen_sum_scalar, *args), args
+    args = (a, c, x, _check_lower_parameter(a, c), tol, max_terms)
+    alone, fused = outcome(_sum_scalar, *args), outcome(_sum_scalar, *args, True)
+    assert alone == outcome(frozen_sum_scalar, *args), args
+    assert fused == outcome(frozen_sum_with_derivatives, *args), args
+    if alone[0] == "scalar" and fused[0] == "sums":
+        assert fused[1] == alone[1:], args
 
 
 def assert_array_kernels_agree(a, c, x, tol=kummer.DEFAULT_TOL,

@@ -324,10 +324,11 @@ def test_condition_rejects_negative_index(N):
 def test_condition_rejects_an_index_above_the_bound():
     # a huge N would ask the ladder for that many steps
     TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, MAX_N)
-    for N in (MAX_N + 1, 10 ** 20):
-        with pytest.raises(ValueError, match=f"N = {N}"):
+    # a huge N is printed in exponent form, not in its 21 digits
+    for N, text in ((MAX_N + 1, "N = 81"), (10 ** 20, r"N = 1e\+20")):
+        with pytest.raises(ValueError, match=text):
             TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
-    with pytest.raises(ValueError, match=f"N = {10 ** 20}"):
+    with pytest.raises(ValueError, match=r"N = 1e\+20"):
         enumerate_termination_conditions(params(2.3, -1e20, 1.0, 1.0),
                                          Family.B3_ThreeTerm)
 
