@@ -48,6 +48,7 @@ from .che_core import CheParams
 from .errors import (
     ApplicabilityError,
     LeadingCoefficientVanishesError,
+    NonConvergenceError,
     TailTooLargeError,
 )
 from .kummer import INT_TOL, LARGE_X, eval_1f1, nonpositive_int
@@ -159,47 +160,49 @@ def recurrence_coeffs(params: CheParams, family: Family, alpha0, s0, n: int):
     S_n is None for the three-term (and two-term) families. For A1 the
     encoding is R_n = 1, Q_n = -alpha_n/gamma_n, P = 0, so relation n pairs
     R_n with Q_{n-1} = -alpha_{n-1}/gamma_{n-1} and the same relation shape
-    drives the two-term build.
+    drives the two-term build. ValueError naming the family and n where a
+    coefficient overflows.
     """
     g, d, e, al, q = params.gamma, params.delta, params.epsilon, params.alpha, params.q
+    S = None
     if family is Family.A1_TwoTerm:
         a_n = alpha0 + n
         c_n = (1 + g + d) + n  # gamma0 = 1+alpha0+gamma+delta-alpha/eps at alpha0=alpha/eps
         if c_n == 0:
             raise ZeroDivisionError(f"two-term ratio undefined: gamma_{n} = 0")
-        return 1.0 + 0j, -a_n / c_n, 0j, None
-    if family is Family.A2_ThreeTerm:
+        R, Q, P = 1.0 + 0j, -a_n / c_n, 0j
+    elif family is Family.A2_ThreeTerm:
         gd = g + d
         if gd + n == 0:
             raise ZeroDivisionError(f"P_{n} denominator gamma+delta+{n} = 0")
         R = -n * (gd + n - 1)
         Q = n * (gd + n - 1) + (e * n + al) - q
         P = -(d + n) * (e * n + al) / (gd + n)
-        return R, Q, P, None
-    if family is Family.C_ThreeTerm:
+    elif family is Family.C_ThreeTerm:
         gd = g + d
         if gd + n == 0:
             raise ZeroDivisionError(f"P_{n} denominator gamma+delta+{n} = 0")
         R = -n * (gd + n - 1)
         Q = n * (gd + n - 1) - e * (d + n) + al - q
         P = (d + n) * (e - al / (gd + n))
-        return R, Q, P, None
-    an = alpha0 + n
-    if family is Family.B3_ThreeTerm:
-        ae = al / e
+    elif family is Family.B3_ThreeTerm:
+        an, ae = alpha0 + n, al / e
         R = (an - g) * (an - ae)
         Q = (an - ae) * (g - 2 * an) + an * (e - d) - q
         P = an * (an + d - ae)
-        return R, Q, P, None
-    if family is Family.B4_FourTerm:
+    elif family is Family.B4_FourTerm:
+        an, es = alpha0 + n, e + s0
         R = (an - g) * (an * e - al)
-        Q = (an * e - al) * (g - 2 * an) - s0 * (an * (e - d) - q) \
-            + an * (g - 1 - an) * (s0 + e)
-        P = an * ((an + d) * e - al
-                  + (2 * an + 2 - g - d - e) * (e + s0) + (e + s0) ** 2)
-        S = -an * (1 + an) * (s0 + e)
-        return R, Q, P, S
-    raise ValueError(f"unknown family {family}")
+        Q = (an * e - al) * (g - 2 * an) - s0 * (an * (e - d) - q) + an * (g - 1 - an) * es
+        P = an * ((an + d) * e - al + (2 * an + 2 - g - d - e) * es + es * es)
+        S = -an * (1 + an) * es
+    else:
+        raise ValueError(f"unknown family {family}")
+    if not (cmath.isfinite(R) and cmath.isfinite(Q) and cmath.isfinite(P)
+            and (S is None or cmath.isfinite(S))):
+        raise ValueError(f"recurrence coefficients of family {family.name} overflow "
+                         f"at n = {n}: (R, Q, P, S) = {(R, Q, P, S)}")
+    return R, Q, P, S
 
 
 def ladder(params: CheParams, family: Family, alpha0, s0, upto: int) -> list:
@@ -257,7 +260,8 @@ def solve_ladder(params: CheParams, family: Family, alpha0, gamma0, s0,
                  steps: list, N: int, q) -> SeriesSolution:
     """build_series's a_0..a_N from steps[0..N], each Q_n less q. The
     three-term families subtract q last in Q_n and read it nowhere else, so
-    steps at q = 0 less params.q give the same series bit for bit."""
+    steps at q = 0 less params.q give the same series bit for bit.
+    NonConvergenceError naming n where a coefficient a_n is not finite."""
     coeffs = [1.0 + 0j]
     scale = 1.0
     for n in range(1, N + 1):
@@ -278,7 +282,13 @@ def solve_ladder(params: CheParams, family: Family, alpha0, gamma0, s0,
                 f"|{abs(num):.3e}| for family {family.name}")
         a_n = -num / R
         coeffs.append(a_n)
-        scale = max(scale, abs(a_n))
+        # abs(a_n) first: max() then keeps a NaN, and a NaN a_n makes every
+        # later one NaN, so scale ends non-finite if any a_n is
+        scale = max(abs(a_n), scale)
+    if not scale < math.inf:
+        n = next(n for n, a_n in enumerate(coeffs) if not cmath.isfinite(a_n))
+        raise NonConvergenceError(f"the {family.name} recurrence overflows: "
+                                  f"a_{n} = {coeffs[n]} is not finite")
 
     # A trailing run of exact zeros one shorter than the recurrence order
     # forces every later coefficient to vanish identically, so the sum is a

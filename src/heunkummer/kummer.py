@@ -139,7 +139,8 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
     below tol max(s, |sum|), its scale s being its first nonzero term: 1,
     |a/c| and |a(a+1)/(c(c+1))|; the loop runs until all have stopped, and
     F's term update and stop are those of the plain sum, so F is the same
-    bits with or without derivatives. Without derivatives x = 0 gives 1.
+    bits with or without derivatives. x = 0 gives 1, or with derivatives
+    _at_zero's sums for a series, before the loop: for any max_terms.
     NonConvergenceError where m exceeds max_terms, or a sum does not stop or
     is not finite. t <= tol or t <= tol |sum| is t <= tol max(1, |sum|), NaN
     too; with derivatives a NaN term counts as small, so a sum that has
@@ -148,8 +149,8 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
     if not series and m > max_terms:
         raise NonConvergenceError(f"1F1({a}; {c}; {x}): a = -{m:.15g} gives a polynomial "
                                   f"of degree {m:.15g}, above max_terms={max_terms}")
-    if x == 0 and not derivatives:
-        return 1 + 0j
+    if x == 0 and (series or not derivatives):
+        return _at_zero(a, c) if derivatives else 1 + 0j
     plain = series and not derivatives
     total = term = 1 + 0j
     small = False
@@ -209,6 +210,14 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
     return sums
 
 
+def _at_zero(a, c):
+    """(F, F', F'') of a series (c no pole) at x = 0: 1, a/c and
+    a(a+1)/(c(c+1)), rounded as the terms of _sum_scalar's loop give them,
+    which needs four steps to stop there."""
+    r = a / c
+    return 1 + 0j, 0j + r, 0j + r * ((a + 1) / (c + 1))
+
+
 def _array_arguments(a, c, x):
     """(a, c, x, m) for the array path: complex a and c, x as a flat
     complex array, the scalar path's finiteness checks (a point by its flat
@@ -235,13 +244,13 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int,
     Each step multiplies the terms of F by (a+k)/((c+k)(k+1)) x, and with
     derivatives carries those of F' and F'' as _sum_scalar does. A sum
     stops at a point, and is frozen there, after two consecutive terms below
-    tol max(s, |sum|), s as in _sum_scalar; x = 0 stops F at exactly 1,
-    after two zero terms. The stop is tested once per block of _BLOCK steps;
-    a = -m runs its m steps through the same blocks with no stop test, and
-    raises before the first step where m is above max_terms. numpy rounds
-    each point of two or more alike wherever it sits, so a point's value
-    does not depend on the others; a one-point array takes numpy's
-    one-element loop, without the fused multiply-add.
+    tol max(s, |sum|), s as in _sum_scalar; a series at a point x = 0 is
+    settled before the loop, to _at_zero's sums. The stop is tested once
+    per block of _BLOCK steps; a = -m runs its m steps through the same
+    blocks with no stop test, and raises before the first step where m is
+    above max_terms. numpy rounds each point of two or more alike wherever
+    it sits, so a point's value does not depend on the others; a one-point
+    array takes numpy's one-element loop, without the fused multiply-add.
     """
     import numpy as np
 
@@ -260,6 +269,10 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int,
         scale = np.repeat([1.0, abs(a / c), abs(a * (a + 1) / (c * (c + 1)))], n)
     out = np.empty_like(state)
     running, was_small = np.ones(state.size, dtype=bool), np.zeros(state.size, dtype=bool)
+    if series:
+        zero = np.flatnonzero(x == 0)
+        for i, value in enumerate(_at_zero(a, c)[:3 if derivatives else 1]):
+            out[i * n + zero], running[i * n + zero] = value, False
     start = 0
     # an overflow is reported below as NonConvergenceError, not as numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,12 +16,14 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .che_core import CheParams, transform_1_minus_z
-from .errors import ConditionNotMetError, LeadingCoefficientVanishesError
+from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
+                     NonConvergenceError)
 from .expansions import (
     GAMMA_CHOICE,
     Family,
@@ -68,7 +70,7 @@ class QSpectrum:
     imaginary part; verified[i] is the memoized rebuild's verdict at roots[i],
     the one terminated_solution reads, so it is False where the rebuild cannot
     reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from the rebuilt
-    recurrence.
+    recurrence, inf where a coefficient up to a_{N+1} overflows.
     """
 
     condition: TerminationCondition
@@ -166,7 +168,8 @@ def q_spectrum(params: CheParams, family: Family,
     residual |a_{N+1}| and verdict; where that build fails, an N+1 build
     gives the residual and the root is unverified, and where that fails too
     (an R_n = 0 step up to N+1), its LeadingCoefficientVanishesError stops
-    the spectrum.
+    the spectrum; an overflow up to a_{N+1} leaves the root unverified, its
+    residual inf.
     """
     import numpy as np
 
@@ -179,7 +182,11 @@ def q_spectrum(params: CheParams, family: Family,
         p = dataclasses.replace(params, q=r)
         sol, terminates = _rebuild_memo(_bits(p), p, family, condition, alpha0_choice)
         if sol is None:  # no steps up to N+5 to check: unverified
-            sol = solve_ladder(p, family, *q_free, N + 1, p.q)
+            try:
+                sol = solve_ladder(p, family, *q_free, N + 1, p.q)
+            except NonConvergenceError:  # a coefficient up to a_{N+1} overflows
+                found.append((r, False, math.inf))
+                continue
         found.append((r, terminates, abs(sol.coefficients[N + 1])))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
     return QSpectrum(condition=condition,
@@ -214,14 +221,15 @@ def _rebuild_memo(key: bytes, params: CheParams, family: Family,
                   condition: TerminationCondition, alpha0_choice):
     """The one termination verdict, memoized: (the series at params.q built to
     N+5, whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|),
-    or (None, False) where an R_n = 0 with a non-negligible numerator stops it.
+    or (None, False) where an R_n = 0 with a non-negligible numerator, or an
+    overflowing coefficient, stops it.
     key = _bits(params). A miss solves the checked q-free ladder at params.q
     (build_series's series bit for bit); errors are not memoized: a hit is checked."""
     N = condition.N
     steps = _q_free_ladder(key[:-16], family, condition, alpha0_choice)
     try:
         sol = solve_ladder(params, family, *steps, N + 5, params.q)
-    except LeadingCoefficientVanishesError:
+    except (LeadingCoefficientVanishesError, NonConvergenceError):
         return None, False
     a = sol.coefficients
     bound = VERIFY_TOL * max(abs(a[n]) for n in range(N + 1))

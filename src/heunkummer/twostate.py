@@ -45,7 +45,7 @@ DEFAULT_STEPS = 8000
 HALVING_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
 RELATION_TOL = 1e-8   # a located return point meets its relation this well
-_CHUNK = 2048         # RK steps per chunk of the one pass: bounds the temporaries
+_CHUNK = 4096         # RK steps per chunk of the one pass: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,45 @@ def _matmul(a, b):
     return a00 * b00 - a01 * b01.conjugate(), a00 * b01 + a01 * b00.conjugate()
 
 
+def _pairs(m):
+    """Top rows of m[2i+1] @ m[2i], one matrix per pair of neighbours; an
+    odd last matrix is carried alone, so the pairs multiply to m's product.
+    Repeated, it is the pairwise tree of the halving run; once per level,
+    it is the first half of _prefix."""
+    import numpy as np
+
+    pairs = _matmul([e[1::2] for e in m], [e[:-1:2] for e in m])
+    return [np.append(v, e[-1:]) for v, e in zip(pairs, m)] if len(m[0]) % 2 else pairs
+
+
+def _prefix(m):
+    """Top rows of the prefix products m[i] @ ... @ m[0], i = 0..n-1, in
+    O(n) products (Blelloch's work-efficient scan): the pairs of _pairs are
+    scanned at half the length, which gives every odd entry, and each even
+    entry past the first is one more product, m[2i] times the entry before.
+    About 2n products in 2 log2(n) passes, where a log-depth Hillis-Steele
+    scan takes n log2(n)."""
+    import numpy as np
+
+    n = len(m[0])
+    if n == 1:
+        return m
+    s = _prefix(_pairs(m))  # s[j] ends at m[2j+1], or at a carried last m
+    fill = _matmul([e[2::2] for e in m], [v[:(n - 1) // 2] for v in s])
+    out = [np.empty_like(e) for e in m]
+    for o, e, v, f in zip(out, m, s, fill):
+        o[0], o[1::2], o[2::2] = e[0], v[:n // 2], f
+    return out
+
+
+def _after(m, carry):
+    """m with its first matrix right-multiplied by carry, in place, so that
+    a product over m starts from carry."""
+    for e, v in zip(m, _matmul([e[:1] for e in m], carry)):
+        e[:1] = v
+    return m
+
+
 def _propagators(model: LorentzianModel, t_start, h, steps):
     """Yield (start, stop, P, F) for each chunk of at most _CHUNK steps.
 
@@ -166,16 +205,17 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
 
     A(t) is evaluated once per chunk, as arrays on its share of the
     quarter-step grid t_start + k h/4. The run reads every other point,
-    which is its half-step grid exactly (2k h/4 = k h/2), and its P is a
-    log-depth (Hillis-Steele) prefix product of the chunk's step matrices
-    times P_start, carried over from the chunk before. The halving run
-    reads every point; only its endpoint is checked, so its chunk's step
-    matrices are multiplied by a pairwise tree into one matrix, which goes
-    into F. Memory stays O(_CHUNK).
+    which is its half-step grid exactly (2k h/4 = k h/2); its first step
+    matrix is taken times P_start, carried over from the chunk before, and
+    P is the work-efficient prefix product of the chunk (_prefix). The
+    halving run reads every point; only its endpoint is checked, so its
+    chunk's step matrices, the first taken times the F before, are reduced
+    by _pairs, the pairing step of that scan, into the one matrix F.
+    Memory stays O(_CHUNK).
     """
     import numpy as np
 
-    carry = fine = np.array([1, 0], dtype=complex)[:, None]  # I
+    run = fine = np.array([1, 0], dtype=complex)[:, None]  # I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         t = t_start + np.arange(4 * start, 4 * stop + 1) * (h / 4)
@@ -183,22 +223,14 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
         for name, v in (("coupling", u), ("phase", phase)):
             if np.iscomplexobj(v):
                 raise ValueError(f"the pulse's {name} must be real, got complex values")
-        # a model may return scalars, as for a flat pulse
-        p = np.broadcast_to(-1j * u * np.conj(np.exp(1j * phase)), t.shape)
-        m = list(_step_matrices(p[::2], h))
-        d = 1
-        while d < stop - start:  # m[i] <- m[i] @ m[i - d]
-            for e, v in zip(m, _matmul([e[d:] for e in m], [e[:-d] for e in m])):
-                e[d:] = v
-            d *= 2
-        P = _matmul(m, carry)
-        carry = [e[-1:] for e in P]
-        f = _step_matrices(p, h / 2)
-        while (n := len(f[0])) > 1:  # f[i] <- f[2i+1] @ f[2i]
-            pairs = _matmul([e[1::2] for e in f], [e[:-1:2] for e in f])
-            # an odd last matrix waits for the next level
-            f = [np.append(v, e[-1:]) for v, e in zip(pairs, f)] if n % 2 else pairs
-        fine = _matmul(f, fine)
+        # p = -i u e^{-i phase}; a model may return scalars, as for a flat pulse
+        p = np.empty(t.shape, dtype=complex)
+        p.real, p.imag = 0 - u * np.sin(phase), -(u * np.cos(phase))
+        P = _prefix(_after(_step_matrices(p[::2], h), run))
+        run = [e[-1:] for e in P]
+        fine = _after(_step_matrices(p, h / 2), fine)
+        while len(fine[0]) > 1:
+            fine = _pairs(fine)
         yield start, stop, P, fine
 
 
@@ -241,11 +273,10 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     if not np.all(np.isfinite(y0)):
         raise ValueError("init must be finite")
     h = (t_end - t_start) / steps
-    P = np.empty((2, steps + 1), dtype=complex)
-    P[:, 0] = (1, 0)
-    for start, stop, chunk, fine in _propagators(model, t_start, h, steps):
-        P[:, start + 1:stop + 1] = chunk
-    a1, a2 = _apply(P, y0)
+    a1, a2 = np.empty((2, *y0.shape[:-1], steps + 1), dtype=complex)
+    a1[..., 0], a2[..., 0] = y0[..., 0], y0[..., 1]  # P_0 = I
+    for start, stop, P, fine in _propagators(model, t_start, h, steps):
+        a1[..., start + 1:stop + 1], a2[..., start + 1:stop + 1] = _apply(P, y0)
     f1, f2 = _apply(fine, y0)
     diff = float(np.max(np.abs([a1[..., -1:] - f1, a2[..., -1:] - f2])))
     if not diff <= HALVING_TOL:  # a NaN endpoint fails too
@@ -283,8 +314,10 @@ class ClosedForm:
 
         t = np.asarray(t, dtype=float)
         u, _ = eval_series(self.sol, 0.5 + 0.5j * t)  # z_of_t at every t, exactly
-        pref = [cmath.exp(self._prefactor_log(s)) for s in t.tolist()]
-        return np.array(pref, dtype=complex) * u
+        red = self.reduction
+        log_r, th = np.log(np.sqrt(1 + t * t) / 2), np.arctan(t)  # as in _prefactor_log
+        return np.exp(red.exp_alpha1 * (log_r + 1j * th)
+                      + red.exp_alpha2 * (log_r - 1j * (np.pi + th))) * u
 
     def value_and_derivatives(self, t: float):
         """(a2, da2/dt, d2a2/dt2) by the chain rule through z(t)."""

@@ -711,26 +711,30 @@ TWO_STATE_NAN = ["two-state", "--u0=1e-320", "--delta0=1e-320",
                  "--t-start=-1", "--t-end=1"]
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["detect-termination", *ALPHA_OVER_EPS_OVERFLOWS], "the AlphaOverEps value (inf+0j) "),
-    (["q-spectrum", *ALPHA_OVER_EPS_OVERFLOWS, "--kind", "DeltaInt", "--n", "3"],
+@pytest.mark.parametrize("argv, error, text", [
+    (["detect-termination", *ALPHA_OVER_EPS_OVERFLOWS], "ValueError",
+     "the AlphaOverEps value (inf+0j) "),
+    (["q-spectrum", *ALPHA_OVER_EPS_OVERFLOWS, "--kind", "DeltaInt", "--n", "3"], "ValueError",
      "the AlphaOverEps value (inf+0j) "),
     (["che-series", "--family", "a2", "--gamma", "1e308", "--delta", "1e308", "--eps", "1",
-      "--alpha", "0.7", "--z", "0.3"], "gamma + delta = (inf+0j) "),
+      "--alpha", "0.7", "--z", "0.3"], "ValueError", "gamma + delta = (inf+0j) "),
+    # the library refuses the overflowed coefficient (the CLI's own check
+    # caught this as "results.value = (nan+nanj)")
     (["che-series", "--family", "a2", "--gamma=-3", "--delta=0.5", "--eps=1e154",
-      "--alpha=3e200", "--q=-1e308", "--z", "1e-320"], "results.value = (nan+nanj) "),
-    (["verify-identities", "--a=1e-320", "--c=1e308", "--x=0.5"],
+      "--alpha=3e200", "--q=-1e308", "--z", "1e-320"], "NonConvergenceError",
+     "the A2_ThreeTerm recurrence overflows: a_2 = (inf+nanj) "),
+    (["verify-identities", "--a=1e-320", "--c=1e308", "--x=0.5"], "ValueError",
      "results.residuals.R29 = nan "),
-    (TWO_STATE_NAN, "results.max_deviation = nan "),
-    (TWO_STATE_NAN + ["--format", "csv"], "results.max_deviation = nan "),
+    (TWO_STATE_NAN, "ValueError", "results.max_deviation = nan "),
+    (TWO_STATE_NAN + ["--format", "csv"], "ValueError", "results.max_deviation = nan "),
 ], ids=["detect-overflow", "spectrum-overflow", "applicability-overflow", "che-series-nan",
         "identity-nan", "two-state-nan", "two-state-nan-csv"])
-def test_overflowed_and_non_finite_values_are_domain_errors(capsys, argv, text):
+def test_overflowed_and_non_finite_values_are_domain_errors(capsys, argv, error, text):
     # these raised OverflowError from round(inf), or exited 0 with a NaN token
     code, out = run(capsys, argv)
     assert code == 1
     record = json.loads(out, parse_constant=refuse_constant)
-    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["type"] == error
     assert record["error"]["message"].startswith(text)
     assert record["error"]["message"].endswith("is not finite")
     assert "results" not in record

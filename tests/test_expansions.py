@@ -15,6 +15,7 @@ from heunkummer import (
     Family,
     LargeArgumentWarning,
     LeadingCoefficientVanishesError,
+    NonConvergenceError,
     PoleAtLowerParameterError,
     SeriesSolution,
     TailTooLargeError,
@@ -286,6 +287,27 @@ def test_vanishing_leading_coefficient_tolerated_past_termination():
     assert sol.terminated and sol.terminal_index == 1
     assert sol.coefficients[1] == pytest.approx(-1.5)
     assert all(c == 0 for c in sol.coefficients[2:])
+
+
+def test_a_coefficient_that_overflows_is_refused():
+    # alpha = 1e200: every ladder step is finite, but a_2 is about 1e400; the
+    # build returned (1, 3.6e199, inf+nanj, nan+nanj, ...) without an error
+    with pytest.raises(NonConvergenceError,
+                       match=r"A2_ThreeTerm recurrence overflows: a_2 = .* is not finite"):
+        build_series(params(2.3, 0.5, 1.0, 1e200, 0.7), Family.A2_ThreeTerm, 5)
+
+
+@pytest.mark.parametrize("p, family, s0, n", [
+    # built (1, 3.6e307, inf+nanj, nan+nanj, ...) without an error
+    (params(2.3, 0.5, 1.0, 1e308, 0.7), Family.A2_ThreeTerm, None, 2),
+    # built (1, 0.31, nan+nanj, ...) without an error
+    (params(2.3, 0.5, 1e308, 0.7, 0.3), Family.B4_FourTerm, -1e308, 1),
+    # raised OverflowError("complex exponentiation")
+    (params(2.3, 0.5, 1e308, 0.7, 0.3), Family.B4_FourTerm, 1.0, 0),
+], ids=["a2", "b4-nan", "b4-power"])
+def test_recurrence_coefficients_that_overflow_are_refused(p, family, s0, n):
+    with pytest.raises(ValueError, match=rf"family {family.name} overflow at n = {n}:"):
+        build_series(p, family, 4, s0=s0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,22 @@ def test_at_origin_is_one():
     assert eval_1f1(2.3, 1.7, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("max_terms", [1, 2, 3, 4, 50])
+def test_the_origin_is_settled_whatever_max_terms(max_terms):
+    # F'' takes four steps to stop at x = 0 (its terms run 0, a(a+1)/(c(c+1)),
+    # 0, 0): with derivatives, and on an array, max_terms <= 3 raised
+    # NonConvergenceError where the plain scalar call returned 1
+    for a, c in ((1.0, 2.0), (1.3 - 0.2j, 2.1 + 0.4j)):
+        want = (1, a / c, a * (a + 1) / (c * (c + 1)))
+        values = eval_1f1(a, c, 0.0, max_terms=max_terms, derivatives=True)
+        assert values == pytest.approx(want, rel=1e-15, abs=0)
+        x = np.zeros(2)
+        assert np.array_equal(eval_1f1(a, c, x, max_terms=max_terms), [1, 1])
+        # the array path settles a point at 0 to the scalar path's bits
+        arrays = eval_1f1(a, c, x, max_terms=max_terms, derivatives=True)
+        assert np.array_equal(arrays, np.array(values)[:, None].repeat(2, axis=1))
+
+
 def test_exponential_special_case():
     # a = c collapses the ratio (a)_k/(c)_k, leaving exp
     assert eval_1f1(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)

@@ -54,10 +54,14 @@ def frozen_sum_scalar(a, c, x, m, tol, max_terms):
 def frozen_sum_with_derivatives(a, c, x, m, tol, max_terms):
     """1F1 and its terms times k/x and k(k-1)/x^2, each a running product
     of the one before; each sum frozen after two consecutive terms below tol
-    max(its first nonzero term, |sum|), a NaN term counting as small."""
+    max(its first nonzero term, |sum|), a NaN term counting as small. A
+    series at x = 0, which stops after four steps, takes them whatever
+    max_terms says."""
     terms, sums = [1 + 0j, 0j, 0j], [1 + 0j, 0j, 0j]
     if m is None:
         scales = [1.0, abs(a / c), abs(a * (a + 1) / (c * (c + 1)))]
+        if x == 0:
+            max_terms = max(max_terms, 4)
     streaks, frozen = [0, 0, 0], [None, None, None]
     for k in range(max_terms if m is None else m):
         r = (a + k) / (c + k)
@@ -85,10 +89,13 @@ def frozen_sum_with_derivatives(a, c, x, m, tol, max_terms):
 def frozen_pass(a, c, x, m, tol, steps):
     """A step-by-step pass that never drops a point: each point's sum, frozen
     at its stopping step where m is None, and that step (steps where it has
-    not stopped). a = -m sums the polynomial through m steps."""
+    not stopped). a = -m sums the polynomial through m steps. A series at
+    x = 0 is settled to 1 before the first step (its stopping step -1)."""
     total, term = np.ones_like(x), np.ones_like(x)
     out = np.empty_like(x)
     stop = np.full(x.size, steps)
+    if m is None:
+        out[x == 0], stop[x == 0] = 1, -1
     was_small = np.zeros(x.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps if m is None else m):
