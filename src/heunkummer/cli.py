@@ -347,8 +347,8 @@ def run_q_spectrum(ns):
 def run_two_state(ns):
     import numpy as np
 
-    if ns.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {ns.samples}")
+    if ns.samples < 2:  # a lone sample is the anchor, matched by construction
+        raise ValueError(f"--samples must be at least 2, got {ns.samples}")
     if ns.t_start == ns.t_end:
         raise ValueError(f"--t-start and --t-end must differ, both are "
                          f"{ns.t_start}")

@@ -312,7 +312,8 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
 
     tail_estimate is |last included nonzero term| / |partial sum|, or exactly
     0 for a terminated solution. Raises TailTooLargeError when the estimate
-    exceeds tol on a non-terminated solution, and ValueError at a NaN tol.
+    exceeds tol on a non-terminated solution, ValueError at a NaN tol, and
+    NonConvergenceError where the value is not finite.
 
     z may be an ndarray: value is then an array of its shape, each basis
     function summed over every point by one eval_1f1 call (no memo), and
@@ -329,8 +330,10 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
 
 
 def eval_series_with_derivatives(sol: SeriesSolution, z):
-    """(u, u', u'', tail_estimate) at z, each 1F1 summed with its first two
-    derivatives in one pass. No tail gate is applied; callers inspect the tail."""
+    """(u, u', u'', tail_estimate) at one point z, each 1F1 summed with its
+    first two derivatives in one pass (eval_1f1 sums derivatives for a
+    scalar x only). No tail gate is applied; callers inspect the tail.
+    NonConvergenceError naming the first of u, u', u'' that is not finite."""
     return _eval_series_impl(sol, z, derivatives=True)
 
 
@@ -359,12 +362,23 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         tail = float((abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
     else:
         tail = abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u))
-    if not derivatives:
-        return u, None, None, tail
-    f1, f2 = derivs
-    as0 = list(map(mul, coeffs, repeat(s0)))
-    u1 = sum(map(mul, as0, f1), 0j)
-    u2 = sum(map(mul, map(mul, as0, repeat(s0)), f2), 0j)
+    u1 = u2 = None
+    if derivatives:
+        f1, f2 = derivs
+        as0 = list(map(mul, coeffs, repeat(s0)))
+        u1 = sum(map(mul, as0, f1), 0j)
+        u2 = sum(map(mul, map(mul, as0, repeat(s0)), f2), 0j)
+    # finite basis values can still overflow in a_n s0 F_n, and inf times 0 is NaN
+    for name, value in zip(("u", "u'", "u''"), (u, u1, u2)[:3 if derivatives else 1]):
+        at = z
+        if array:  # its first point that is not finite, else its first point
+            import numpy as np
+
+            i = np.isfinite(value).argmin()
+            value, at = value.flat[i], z.flat[i]
+        if not cmath.isfinite(value):
+            raise NonConvergenceError(f"{name} of the {sol.family.name} series is not "
+                                      f"finite at z={at}: {value}")
     return u, u1, u2, tail
 
 

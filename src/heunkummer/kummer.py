@@ -1,27 +1,20 @@
 """Kummer confluent hypergeometric function 1F1 and its recurrence identities.
 
 Everything here is double-precision complex, computed by the direct power
-series; every scalar sum runs through the one loop _sum_scalar. One pass
-of it sums 1F1 and, on request, its first two derivatives from the same
-terms: t_k k/x and t_k k(k-1)/x^2 of the term t_k of 1F1, carried as
-running products so that nothing is divided by x. A basis function and
-both its derivatives thus cost one series where the parameter-shift rule
-(DLMF 13.3.15) sums three. Callers in this package do not all stay
-at small argument: the spectrum ladders evaluate at |x| of order 1, the
+series. eval_1f1 is the one door: it runs every check once and hands the
+sum to the scalar loop _sum_scalar or, for an ndarray of x, to the array
+pass _sum_array, which the two-state closed form uses for its sample times
+and which sums values only. One pass of the scalar loop sums 1F1 and, on
+request, its first two derivatives from the same terms: t_k k/x and
+t_k k(k-1)/x^2 of the term t_k of 1F1, carried as running products so that
+nothing is divided by x. A basis function and both its derivatives thus
+cost one series where the parameter-shift rule (DLMF 13.3.15) sums three.
+A scalar x never loads numpy. Callers in this package do not all stay at
+small argument: the spectrum ladders evaluate at |x| of order 1, the
 two-state closed form reaches |x| of about 20, and a wide two-state window
 reaches 100. Accuracy degrades as |x| grows, most at Re x < 0 where the
 terms cancel; a LargeArgumentWarning is issued beyond LARGE_X, though
 digits are already lost below it. No asymptotic branch is provided.
-
-eval_1f1 also takes an ndarray of x, as the two-state closed form does for
-its sample times: numpy sums the same series over every point, with the
-same checks and the same per-point stop, every point running until the
-last one stops, and one LargeArgumentWarning per call covers every point
-beyond LARGE_X. A point's value does not depend on the other points in its
-array, except that a one-point array may round differently in the last
-bits from the same point in a longer one. A scalar x never loads numpy.
-Both paths refuse the polynomial of a = -m where m exceeds max_terms, and
-both sum the derivatives in the same pass.
 """
 
 from __future__ import annotations
@@ -76,7 +69,7 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     ValueError where tol is not positive (or NaN), max_terms is below 1, and
     naming the argument where a, c or x is not finite.
     LargeArgumentWarning beyond LARGE_X, after those checks and the pole
-    rule.
+    rule, and before the degree cap.
 
     With derivatives the result is (F, F', F''), 1F1 and its first two
     derivatives in x, from one pass over the same terms (see _sum_scalar):
@@ -84,16 +77,19 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
     rule measured on its own scale. The checks and the one warning are the
     same.
 
-    x may be an ndarray (ndim >= 1): each result is then an array of its
-    shape, each point summed until its own two consecutive terms fall
-    below tol and frozen there (see _sum_array). A call warns once,
+    x may be an ndarray (ndim >= 1): the result is then an array of its
+    shape, each point summed and frozen at its own stop (see _sum_array);
+    derivatives are refused there with a ValueError. A call warns once,
     naming how many points lie beyond LARGE_X and the largest |x|.
-    A point's value is the same in any array of two or more points; a
-    one-point array is the exception, rounded by numpy's one-element loop.
     """
-    _check_budget(tol, max_terms)
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     array = getattr(x, "ndim", 0) != 0  # numpy scalars and 0-d arrays are scalars
     if array:
+        if derivatives:
+            raise ValueError("1F1 derivatives are summed for a scalar x only")
         shape = x.shape
         a, c, x, m = _array_arguments(a, c, x)
         size = abs(x)
@@ -113,17 +109,12 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
             LargeArgumentWarning,
             stacklevel=2,
         )
+    if m is not None and m > max_terms:
+        raise NonConvergenceError(f"1F1({a}; {c}; {'x' if array else x}): a = -{m:.15g} gives "
+                                  f"a polynomial of degree {m:.15g}, above max_terms={max_terms}")
     if array:
-        out = _sum_array(a, c, x, m, tol, max_terms, derivatives)
-        return tuple(out.reshape((3, *shape))) if derivatives else out.reshape(shape)
+        return _sum_array(a, c, x, m, tol, max_terms).reshape(shape)
     return _sum_scalar(a, c, x, m, tol, max_terms, derivatives)
-
-
-def _check_budget(tol: float, max_terms: int) -> None:
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be positive")
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
 
 
 def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = False):
@@ -135,20 +126,17 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
     zero or subnormal x needs no branch. The result is then (F, F', F'').
 
     Where a = -m each sum runs m steps, its exact polynomial (degrees m, m-1
-    and m-2). Else each sum stops, and is frozen, after two consecutive terms
-    below tol max(s, |sum|), its scale s being its first nonzero term: 1,
-    |a/c| and |a(a+1)/(c(c+1))|; the loop runs until all have stopped, and
-    F's term update and stop are those of the plain sum, so F is the same
-    bits with or without derivatives. x = 0 gives 1, or with derivatives
-    _at_zero's sums for a series, before the loop: for any max_terms.
-    NonConvergenceError where m exceeds max_terms, or a sum does not stop or
-    is not finite. t <= tol or t <= tol |sum| is t <= tol max(1, |sum|), NaN
-    too; with derivatives a NaN term counts as small, so a sum that has
-    overflowed stops and is reported as such."""
+    and m-2); eval_1f1 has refused m above max_terms. Else each sum stops,
+    and is frozen, after two consecutive terms below tol max(s, |sum|), its
+    scale s being its first nonzero term: 1, |a/c| and |a(a+1)/(c(c+1))|;
+    the loop runs until all have stopped, and F's term update and stop are
+    those of the plain sum, so F is the same bits with or without
+    derivatives. x = 0 gives 1, or with derivatives _at_zero's sums for a
+    series, before the loop: for any max_terms. NonConvergenceError where a
+    sum does not stop or is not finite. t <= tol or t <= tol |sum| is
+    t <= tol max(1, |sum|), NaN too; with derivatives a NaN term counts as
+    small, so a sum that has overflowed stops and is reported as such."""
     series = m is None
-    if not series and m > max_terms:
-        raise NonConvergenceError(f"1F1({a}; {c}; {x}): a = -{m:.15g} gives a polynomial "
-                                  f"of degree {m:.15g}, above max_terms={max_terms}")
     if x == 0 and (series or not derivatives):
         return _at_zero(a, c) if derivatives else 1 + 0j
     plain = series and not derivatives
@@ -234,65 +222,43 @@ def _array_arguments(a, c, x):
     return a, c, x, _check_lower_parameter(a, c)
 
 
-def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int,
-               derivatives: bool = False):
-    """The scalar path's sums at every point of the 1-D array x, in one
-    rectangular numpy pass: every point runs every step until the last one
-    stops. The result is F, or with derivatives a (3, x.size) array of F,
-    F' and F''; a column of the pass is one sum at one point.
-
-    Each step multiplies the terms of F by (a+k)/((c+k)(k+1)) x, and with
-    derivatives carries those of F' and F'' as _sum_scalar does. A sum
-    stops at a point, and is frozen there, after two consecutive terms below
-    tol max(s, |sum|), s as in _sum_scalar; a series at a point x = 0 is
-    settled before the loop, to _at_zero's sums. The stop is tested once
-    per block of _BLOCK steps; a = -m runs its m steps through the same
-    blocks with no stop test, and raises before the first step where m is
-    above max_terms. numpy rounds each point of two or more alike wherever
-    it sits, so a point's value does not depend on the others; a one-point
-    array takes numpy's one-element loop, without the fused multiply-add.
+def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
+    """The scalar path's plain sum at every point of the 1-D array x, in
+    one rectangular numpy pass: every point runs every step until the last
+    one stops. Each step multiplies the terms by (a+k)/((c+k)(k+1)) x. A
+    point stops, and is frozen there, after two consecutive terms below
+    tol max(1, |sum|); a series at a point x = 0 is settled to 1 before the
+    loop. The stop is tested once per block of _BLOCK steps; a = -m runs
+    its m steps through the same blocks with no stop test (eval_1f1 has
+    refused m above max_terms). numpy rounds each point of two or more
+    alike wherever it sits, so a point's value does not depend on the
+    others; a one-point array takes numpy's one-element loop, without the
+    fused multiply-add.
     """
     import numpy as np
 
     series = m is None
-    if not series and m > max_terms:
-        raise NonConvergenceError(f"1F1({a}; {c}; x): a = -{m:.15g} gives a polynomial "
-                                  f"of degree {m:.15g}, above max_terms={max_terms}")
     steps = max_terms if series else m
-    n = x.size
-    # the current terms: F at state[:n], then F' and F'' with derivatives
-    state = np.zeros(3 * n if derivatives else n, dtype=complex)
-    state[:n] = 1
-    term, total = state[:n], state.copy()
-    scale = 1.0  # each sum's first nonzero term, as in _sum_scalar
-    if derivatives and series:
-        scale = np.repeat([1.0, abs(a / c), abs(a * (a + 1) / (c * (c + 1)))], n)
-    out = np.empty_like(state)
-    running, was_small = np.ones(state.size, dtype=bool), np.zeros(state.size, dtype=bool)
+    term, total = np.ones_like(x), np.ones_like(x)
+    out = np.empty_like(x)
+    running, was_small = np.ones(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
     if series:
-        zero = np.flatnonzero(x == 0)
-        for i, value in enumerate(_at_zero(a, c)[:3 if derivatives else 1]):
-            out[i * n + zero], running[i * n + zero] = value, False
+        zero = x == 0
+        out[zero], running[zero] = 1, False
     start = 0
     # an overflow is reported below as NonConvergenceError, not as numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
         while start < steps and running.any():
-            terms = np.empty((min(_BLOCK, steps - start), state.size), dtype=complex)
+            terms = np.empty((min(_BLOCK, steps - start), x.size), dtype=complex)
             totals = np.empty_like(terms)
             for row, k in enumerate(range(start, start + len(terms))):
-                if derivatives:
-                    r = (a + k) / (c + k)
-                    np.multiply(state[n:2 * n], r, out=state[2 * n:])
-                    np.multiply(term, r, out=state[n:2 * n])
                 term *= (a + k) / ((c + k) * (k + 1)) * x
-                terms[row] = state
-                total = np.add(total, state, out=totals[row])
+                terms[row] = term
+                total = np.add(total, term, out=totals[row])
             start += len(terms)
             if series:
-                mag, bound = np.abs(terms), tol * np.maximum(scale, np.abs(totals))
-                # with derivatives a NaN term counts as small, as in _sum_scalar
-                small = ~(mag > bound) if derivatives else mag <= bound
-                # each column's first stopping row, len(terms) where it runs on
+                small = np.abs(terms) <= tol * np.maximum(1.0, np.abs(totals))
+                # each point's first stopping row, len(terms) where it runs on
                 stops = np.vstack((small & np.vstack((was_small, small[:-1])),
                                    np.ones_like(was_small))).argmax(axis=0)
                 new = np.flatnonzero(running & (stops < len(terms)))
@@ -301,31 +267,16 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int,
     if not series:
         out = total
     elif running.any():
-        left = np.unique(np.flatnonzero(running) % n)
+        left = np.flatnonzero(running)
         raise NonConvergenceError(
             f"1F1({a}; {c}; x) did not reach tol={tol} within {max_terms} terms at "
-            f"{left.size} of {n} points, first x={x[left[0]]}")
+            f"{left.size} of {x.size} points, first x={x[left[0]]}")
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        points = np.unique(bad % n)
         raise NonConvergenceError(
-            f"1F1({a}; {c}; x) overflows at {points.size} of {n} points, "
-            f"first x={x[points[0]]}: {out[bad[bad % n == points[0]][0]]}")
-    return out.reshape(3, n) if derivatives else out
-
-
-def _series_derivative(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TERMS):
-    """Term-wise derivative sum_{k>=1} (a)_k/(c)_k x^{k-1}/(k-1)!, the F'
-    of _sum_scalar's pass with derivatives, unwarned.
-
-    Its term k is t_{k-1} (a+k-1)/(c+k-1) of 1F1(a; c; x), where the
-    parameter-shift rule sums 1F1(a+1; c+1; x): the same terms rounded in
-    another order, so D6 checks only rounding and the stopping point: it is
-    not an independent computation.
-    """
-    _check_budget(tol, max_terms)
-    a, c, x = complex(a), complex(c), complex(x)
-    return _sum_scalar(a, c, x, _check_lower_parameter(a, c), tol, max_terms, True)[1]
+            f"1F1({a}; {c}; x) overflows at {bad.size} of {x.size} points, "
+            f"first x={x[bad[0]]}: {out[bad[0]]}")
+    return out
 
 
 # Each identity as (lhs, rhs) at (a, c, x) from F(a', c') = 1F1(a'; c'; x) and
@@ -355,7 +306,7 @@ def identity_residuals(a, c, x, ids=IDENTITY_IDS) -> dict[str, float]:
         raise ValueError(f"unknown identity id {unknown[0]!r}; expected one of {IDENTITY_IDS}")
     a, c, x = complex(a), complex(c), complex(x)
     F = functools.cache(lambda ap, cp: eval_1f1(ap, cp, x))
-    dF = functools.cache(lambda: _series_derivative(a, c, x))
+    dF = functools.cache(lambda: eval_1f1(a, c, x, derivatives=True)[1])
     F(a, c)
     residuals = {}
     for i in ids:
@@ -366,6 +317,9 @@ def identity_residuals(a, c, x, ids=IDENTITY_IDS) -> dict[str, float]:
 
 def identity_residual(identity_id: str, a, c, x) -> float:
     """Relative residual |LHS - RHS| / max(1, |LHS|, |RHS|) of one recurrence
-    identity at (a, c, x). D6 sums the same terms on both sides (see
-    _series_derivative): it is no independent check."""
+    identity at (a, c, x). D6 is no independent check: the derivative's
+    term k is t_{k-1} (a+k-1)/(c+k-1) of 1F1(a; c; x) (see _sum_scalar),
+    where the parameter-shift rule sums 1F1(a+1; c+1; x), the same terms
+    rounded in another order, so it checks only rounding and the stopping
+    point."""
     return identity_residuals(a, c, x, (identity_id,))[identity_id]

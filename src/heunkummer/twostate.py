@@ -307,9 +307,7 @@ class ClosedForm:
         """a2 at t, or at every time of a 1-D array t: the series is then
         summed at all of them in one array pass per basis function."""
         if getattr(t, "ndim", 0) == 0:
-            z = self.reduction.z_of_t(t)
-            u, _ = eval_series(self.sol, z)  # terminated: no tail gate applies
-            return cmath.exp(self._prefactor_log(t)) * u
+            return self.value_and_derivatives(t)[0]
         import numpy as np
 
         t = np.asarray(t, dtype=float)
@@ -392,12 +390,13 @@ def match_against_rk(model: LorentzianModel,
     as starting states the value fixes mu and the derivative fixes lam.
     Off the termination lines there is no closed form to match, and
     ConditionNotMetError is raised before any integration, and ValueError
-    where samples is below 1.
+    where samples is below 2: a lone sample is the anchor, where the fit
+    matches by construction.
     """
     import numpy as np
 
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     cf = closed_form_solution(model, family)
     traj = integrate_rk(model, t_start, t_end, steps, init=np.eye(2))
     c0, c0dot, _ = cf.value_and_derivatives(t_start)

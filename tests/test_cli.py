@@ -429,17 +429,19 @@ def test_sweep_holds_tolerance_and_rejects_jobs(capsys):
     ["--draws", "1"], ["--a", "1.3", "--c", "0.7", "--x", "0.4"]],
     ids=["sweep", "point"])
 def test_verify_identities_sums_each_value_once_per_point(capsys, monkeypatch, argv):
-    # eight distinct 1F1 values and one derivative serve all seven identities
+    # eight distinct 1F1 values and one derivative pass serve all seven
+    # identities, each summed by its own eval_1f1 call
     from heunkummer import kummer
-    calls = {"eval_1f1": 0, "_series_derivative": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(kummer, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(kummer, name, counted)
+    calls = []
+
+    def counted(a, c, x, *args, _real=kummer.eval_1f1, **kwargs):
+        calls.append((a, c, kwargs.get("derivatives", False)))
+        return _real(a, c, x, *args, **kwargs)
+    monkeypatch.setattr(kummer, "eval_1f1", counted)
     code, _ = run_json(capsys, ["verify-identities", *argv])
     assert code == 0
-    assert calls == {"eval_1f1": 8, "_series_derivative": 1}
+    assert len(calls) == len(set(calls)) == 9
+    assert [derivatives for *_, derivatives in calls].count(True) == 1
 
 
 def test_replay_reproduces_the_record(capsys, tmp_path):
@@ -616,6 +618,16 @@ def test_size_below_one_is_a_domain_error(capsys, argv, option):
     assert code == 1
     assert record["error"]["type"] == "ValueError"
     assert option in record["error"]["message"]
+
+
+def test_two_state_one_sample_is_a_domain_error(capsys):
+    # the one sample is the anchor t_start, where the fit matches by
+    # construction: it exited 0 with max_deviation 3.27e-15
+    code, record = run_json(capsys, ["two-state", "--u0", "1.7320508075688772",
+                                     "--delta0", "2", "--delta1=-2", "--samples", "1"])
+    assert code == 1
+    assert record["error"]["type"] == "ValueError"
+    assert "--samples must be at least 2" in record["error"]["message"]
 
 
 @pytest.mark.parametrize("delta0", ["2", "0.7"],

@@ -377,6 +377,21 @@ def test_a_nan_tol_is_refused():
             eval_series(s, 0.3, tol=float("nan"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_sum_that_is_not_finite_is_refused():
+    # every basis value is finite, but (a_0 s0) s0 overflows to inf at
+    # eps = 3e200, and inf times F'' is NaN: u'' came back as nan+nanj
+    sol = build_series(params(3e200, -1, 3e200, -1, 0.5), Family.C_ThreeTerm, 1)
+    with pytest.warns(LargeArgumentWarning), pytest.raises(
+            NonConvergenceError, match=r"^u'' of the C_ThreeTerm series is not finite at z="):
+        eval_series_with_derivatives(sol, 0.47)
+    # on an array of z, the first point where u is not finite
+    sol = build_series(params(0.5, -2.0, 1e154, 2.3, 1.0), Family.C_ThreeTerm, 3)
+    with pytest.warns(LargeArgumentWarning), pytest.raises(
+            NonConvergenceError, match=r"^u of the C_ThreeTerm series is not finite at z=0\.3: "):
+        eval_series(sol, np.array([0.3, 0.47]), tol=math.inf)
+
+
 def test_untermininated_build_is_a_formal_object():
     # the partial sum is NOT proportional to the actual solution: the ratio
     # drifts at the percent level between nearby points

@@ -3,7 +3,8 @@ a leading underscore means "this module only". No library module changes
 the process-wide warning filters: only the CLI, which owns its process,
 records warnings. One function, kummer.eval_1f1, issues the
 LargeArgumentWarning, and one loop, kummer._sum_scalar, sums every scalar
-1F1 series."""
+1F1 series. eval_1f1 is also the one door into both 1F1 kernels: no other
+function names _sum_scalar or _sum_array, so no caller skips its checks."""
 
 import ast
 from pathlib import Path
@@ -136,20 +137,27 @@ def test_eval_1f1_is_the_one_large_argument_warning_site():
     assert sites == [("kummer.py", "eval_1f1")]
 
 
-def term_update_sites(tree: ast.Module) -> list[str]:
-    """The enclosing function of each `term *= ...` in tree."""
+def enclosing_functions(tree: ast.Module, matches) -> list[str]:
+    """The enclosing function of each node of tree that matches; "<module>"
+    outside any function."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Mult)
-                    and isinstance(child.target, ast.Name) and child.target.id == "term"):
+            if matches(child):
                 found.append(function)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else function)
 
     visit(tree, "<module>")
     return found
+
+
+def term_update_sites(tree: ast.Module) -> list[str]:
+    """The enclosing function of each `term *= ...` in tree."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+        and isinstance(node.target, ast.Name) and node.target.id == "term"))
 
 
 def test_the_term_update_check_sees_nested_loops():
@@ -165,3 +173,30 @@ def test_every_scalar_1f1_sum_runs_through_one_loop():
     path = SRC / "kummer.py"
     sites = term_update_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert sites == ["_sum_scalar", "_sum_array"]
+
+
+KERNELS = {"_sum_scalar", "_sum_array"}
+
+
+def kernel_references(tree: ast.Module) -> list[str]:
+    """The enclosing function of each name or attribute in tree that reads
+    a 1F1 kernel: a call, or the kernel passed on as a value."""
+    return enclosing_functions(tree, lambda node: (
+        (isinstance(node, ast.Name) and node.id in KERNELS)
+        or (isinstance(node, ast.Attribute) and node.attr in KERNELS)))
+
+
+def test_the_kernel_check_sees_both_forms():
+    tree = ast.parse("def eval_1f1():\n    return _sum_array(x)\n"
+                     "def f():\n    g = kummer._sum_scalar\n    _sum_scalar(1)\n"
+                     "def _sum_scalar():\n    pass\n")
+    assert kernel_references(tree) == ["eval_1f1", "f", "f"]
+
+
+def test_eval_1f1_is_the_one_door_into_the_kernels():
+    # a second door would let a caller skip eval_1f1's checks, pole rule,
+    # degree cap or warning, and a per-sum change would have two callers
+    sites = [(path.name, function) for path in MODULES
+             for function in kernel_references(
+                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert sites == [("kummer.py", "eval_1f1")] * 2

@@ -442,9 +442,10 @@ def test_closed_form_matches_the_integrator():
     assert match.closed_form.sol.terminal_index == 1
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [1, 0, -3])
 def test_match_refuses_fewer_than_one_sample(samples):
-    with pytest.raises(ValueError, match="samples must be at least 1"):
+    # a lone sample is the anchor, where the fit matches by construction
+    with pytest.raises(ValueError, match="samples must be at least 2"):
         match_against_rk(TERMINATING, samples=samples)
 
 
