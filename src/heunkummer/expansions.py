@@ -355,13 +355,18 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
         sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
     # sum from 0j adds left to right, and the chains keep the per-term order
     # a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
-    u = sum(map(mul, coeffs, f0), 0j)
-    if sol.terminated or not nonzero:
-        tail = 0.0
-    elif array:
-        tail = float((abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
+    if array:  # no derivatives: eval_1f1 sums those at a scalar x only
+        import numpy as np
+
+        # an overflow is reported below as NonConvergenceError, not as numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = sum(map(mul, coeffs, f0), 0j)
+            tail = 0.0 if sol.terminated or not nonzero else float(
+                (abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
     else:
-        tail = abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u))
+        u = sum(map(mul, coeffs, f0), 0j)
+        tail = 0.0 if sol.terminated or not nonzero else (
+            abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u)))
     u1 = u2 = None
     if derivatives:
         f1, f2 = derivs
@@ -372,8 +377,6 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     for name, value in zip(("u", "u'", "u''"), (u, u1, u2)[:3 if derivatives else 1]):
         at = z
         if array:  # its first point that is not finite, else its first point
-            import numpy as np
-
             i = np.isfinite(value).argmin()
             value, at = value.flat[i], z.flat[i]
         if not cmath.isfinite(value):

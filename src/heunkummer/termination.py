@@ -169,15 +169,20 @@ def q_spectrum(params: CheParams, family: Family,
     gives the residual and the root is unverified, and where that fails too
     (an R_n = 0 step up to N+1), its LeadingCoefficientVanishesError stops
     the spectrum; an overflow up to a_{N+1} leaves the root unverified, its
-    residual inf.
+    residual inf. A tridiagonal that overflows raises ValueError.
     """
     import numpy as np
 
     q_free = _q_free_ladder(_bits(params)[:-16], family, condition, alpha0_choice)
     N = condition.N
     p_eig, shift = _eigenproblem(dataclasses.replace(params, q=0), condition.kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        T = recurrence_tridiagonal(p_eig, N)
+    if not np.isfinite(T).all():
+        raise ValueError(f"the {family.name} {condition.kind} N = {N} spectrum overflows: "
+                         f"its recurrence tridiagonal is not finite")
     found = []  # (root, the rebuild's verdict, |a_{N+1}| there)
-    for lam in np.linalg.eigvals(recurrence_tridiagonal(p_eig, N)):
+    for lam in np.linalg.eigvals(T):
         r = complex(lam + shift)
         p = dataclasses.replace(params, q=r)
         sol, terminates = _rebuild_memo(_bits(p), p, family, condition, alpha0_choice)

@@ -46,6 +46,7 @@ HALVING_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
 RELATION_TOL = 1e-8   # a located return point meets its relation this well
 _CHUNK = 4096         # RK steps per chunk of the one pass: bounds the temporaries
+_TAIL = 32            # a scan level this short is one Python loop (_running)
 
 
 @dataclass(frozen=True)
@@ -138,17 +139,31 @@ def _step_matrices(p, h):
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of y' = A y, A = [[0, p], [-p*, 0]].
 
     p holds A's entry on the half-step grid t_0, t_0 + h/2, ..., so step n
-    reads A at t_n, t_n + h/2 and t_n + h: K1 = A(t_n),
-    K2 = A(t_n + h/2)(I + h/2 K1), K3 = A(t_n + h/2)(I + h/2 K2) and
-    K4 = A(t_n + h)(I + h K3). For a real pulse each is [[a, b], [-b*, a*]],
-    so a lower entry is read exactly as -b* or a*.
+    reads p1 = p(t_n), p2 = p(t_n + h/2) and p3 = p(t_n + h). Every A(t)
+    squares to -|p|^2 I, so with s = |p2|^2, w = p2 p1* and v = p3 p2* the
+    four stages collapse to
+
+        m01 = h/6 [(p1 + p3)(1 - h^2 s/2) + 4 p2]
+        m00 = 1 - h^2/6 [w + v + s - (h^2/4) v w]
+
+    For a real pulse M is [[m00, m01], [-m01*, m00*]], so its lower row is
+    read from the top one.
     """
-    k = (0.0, p[:-1:2])
-    total = k
-    for pa, c, w in ((p[1::2], h / 2, 2), (p[1::2], h / 2, 2), (p[2::2], h, 1)):
-        k = (pa * (c * -k[1].conjugate()), pa * (1 + c * k[0].conjugate()))
-        total = tuple(t + w * kk for t, kk in zip(total, k))
-    return tuple(e + h / 6 * t for e, t in zip((1, 0), total))
+    p1, p2, p3 = p[:-1:2], p[1::2], p[2::2]
+    s = p2.real ** 2 + p2.imag ** 2
+    w, v = p2 * p1.conjugate(), p3 * p2.conjugate()
+    # in place from here, which holds fewer full-width temporaries at once
+    m01 = p1 + p3
+    m01 *= (h / 6) * (1 - h * h / 2 * s)
+    m01 += (4 * h / 6) * p2
+    m00 = v * w
+    m00 *= h * h / 4
+    m00 -= w
+    m00 -= v
+    m00 -= s
+    m00 *= h * h / 6
+    m00 += 1
+    return m00, m01
 
 
 def _matmul(a, b):
@@ -168,18 +183,34 @@ def _pairs(m):
     return [np.append(v, e[-1:]) for v, e in zip(pairs, m)] if len(m[0]) % 2 else pairs
 
 
+def _running(m):
+    """Top rows of the products m[i] @ ... @ m[0], i = 0..n-1, one matrix
+    at a time in a Python loop over complex scalars: below _TAIL matrices
+    this is faster than the numpy calls of one more level of the scan."""
+    import numpy as np
+
+    xs, ys = (e.tolist() for e in m)
+    a, b = xs[0], ys[0]
+    out = [(a, b)]
+    for x, y in zip(xs[1:], ys[1:]):
+        a, b = x * a - y * b.conjugate(), x * b + y * a.conjugate()
+        out.append((a, b))
+    return list(np.array(out).T)
+
+
 def _prefix(m):
     """Top rows of the prefix products m[i] @ ... @ m[0], i = 0..n-1, in
     O(n) products (Blelloch's work-efficient scan): the pairs of _pairs are
     scanned at half the length, which gives every odd entry, and each even
     entry past the first is one more product, m[2i] times the entry before.
     About 2n products in 2 log2(n) passes, where a log-depth Hillis-Steele
-    scan takes n log2(n)."""
+    scan takes n log2(n). A level of at most _TAIL matrices is finished by
+    _running."""
     import numpy as np
 
     n = len(m[0])
-    if n == 1:
-        return m
+    if n <= _TAIL:
+        return _running(m)
     s = _prefix(_pairs(m))  # s[j] ends at m[2j+1], or at a carried last m
     fill = _matmul([e[2::2] for e in m], [v[:(n - 1) // 2] for v in s])
     out = [np.empty_like(e) for e in m]
@@ -210,7 +241,8 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
     P is the work-efficient prefix product of the chunk (_prefix). The
     halving run reads every point; only its endpoint is checked, so its
     chunk's step matrices, the first taken times the F before, are reduced
-    by _pairs, the pairing step of that scan, into the one matrix F.
+    by _pairs, the pairing step of that scan, to at most _TAIL matrices,
+    and _running multiplies those into the one matrix F.
     Memory stays O(_CHUNK).
     """
     import numpy as np
@@ -229,8 +261,9 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
         P = _prefix(_after(_step_matrices(p[::2], h), run))
         run = [e[-1:] for e in P]
         fine = _after(_step_matrices(p, h / 2), fine)
-        while len(fine[0]) > 1:
+        while len(fine[0]) > _TAIL:
             fine = _pairs(fine)
+        fine = [e[-1:] for e in _running(fine)]
         yield start, stop, P, fine
 
 

@@ -377,7 +377,7 @@ def test_a_nan_tol_is_refused():
             eval_series(s, 0.3, tol=float("nan"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning too
 def test_a_sum_that_is_not_finite_is_refused():
     # every basis value is finite, but (a_0 s0) s0 overflows to inf at
     # eps = 3e200, and inf times F'' is NaN: u'' came back as nan+nanj

@@ -673,6 +673,20 @@ def test_an_overflowed_kind_value_is_a_value_error(p, family, text):
         enumerate_termination_conditions(p, family)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_spectrum_whose_tridiagonal_overflows_names_its_condition():
+    # gamma = 1e308 overflows the tridiagonal's entries: numpy's eigvals
+    # raised LinAlgError "Array must not contain infs or NaNs", naming no
+    # family, kind or N
+    p = params(1e308, -2.0, 2.3, 3e200)
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 2)
+    assert cond in enumerate_termination_conditions(p, Family.B3_ThreeTerm)
+    with pytest.raises(ValueError, match=r"^the B3_ThreeTerm DeltaInt N = 2 spectrum "
+                                         r"overflows") as info:
+        q_spectrum(p, Family.B3_ThreeTerm, cond)
+    assert len(str(info.value)) < 300
+
+
 # ---------------------------------------------------------------------------
 # the finite-sum lookup
 

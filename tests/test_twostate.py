@@ -260,14 +260,19 @@ def test_halving_delta_is_the_difference_of_two_runs(init):
 
 
 @pytest.mark.parametrize("steps", [101, twostate._CHUNK + 1,
+                                   twostate._CHUNK + twostate._TAIL - 1,
+                                   twostate._CHUNK + twostate._TAIL,
+                                   twostate._CHUNK + twostate._TAIL + 1,
                                    3 * twostate._CHUNK - 1],
-                         ids=["101", "chunk+1", "3chunks-1"])
+                         ids=["101", "chunk+1", "chunk+tail-1", "chunk+tail",
+                              "chunk+tail+1", "3chunks-1"])
 @pytest.mark.parametrize("model, t_start, t_end", [(GENERIC, -0.5, 0.5),
                                                    (FLAT, 0.0, 1.0)],
                          ids=["lorentzian", "flat"])
 def test_rk_runs_that_end_inside_a_chunk(model, t_start, t_end, steps):
-    # step counts that leave a part-filled last chunk, and halving runs
-    # whose pairwise products meet an odd count of matrices
+    # step counts that leave a part-filled last chunk, halving runs whose
+    # pairwise products meet an odd count of matrices, and last chunks on
+    # both sides of the scan's one-loop tail (_TAIL)
     init = np.eye(2)
     traj = integrate_rk(model, t_start, t_end, steps, init=init)
     _, a = reference_rk4(model, t_start, t_end, steps, init)
@@ -277,37 +282,73 @@ def test_rk_runs_that_end_inside_a_chunk(model, t_start, t_end, steps):
                - two_run_delta(model, t_start, t_end, steps, init)) <= 1e-14
 
 
-def sequential_propagators(model, t_start, t_end, steps):
-    """Top rows of P_n = M_{n-1} ... M_0, n = 1..steps, multiplied one step
-    at a time from the left: the reference for the run's scan. The step
-    matrices are integrate_rk's own, from a pulse p = -i U e^{-i delta}
-    evaluated here on the whole quarter-step grid."""
+def quarter_step_pulse(model, t_start, t_end, steps):
+    """(h, p): the step and the pulse p = -i U e^{-i delta} on the whole
+    quarter-step grid t_start + k h/4, the grid integrate_rk reads: the run
+    takes p[::2] at h, the halving run p at h/2."""
     h = (t_end - t_start) / steps
     t = t_start + np.arange(4 * steps + 1) * (h / 4)
-    p = np.broadcast_to(-1j * model.coupling(t) * np.exp(-1j * model.phase(t)), t.shape)
+    return h, np.broadcast_to(-1j * model.coupling(t) * np.exp(-1j * model.phase(t)), t.shape)
+
+
+def k_stage_step_matrices(p, h):
+    """Top rows of M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), A = [[0, p], [-p*, 0]],
+    from the four stages as RK4 states them: K1 = A(t_n),
+    K2 = A(t_n + h/2)(I + h/2 K1), K3 = A(t_n + h/2)(I + h/2 K2) and
+    K4 = A(t_n + h)(I + h K3), each kept as its top row (a lower entry of
+    [[a, b], [-b*, a*]] is -b* or a*). The reference for the closed form of
+    twostate._step_matrices."""
+    k = (0.0, p[:-1:2])
+    total = k
+    for pa, c, w in ((p[1::2], h / 2, 2), (p[1::2], h / 2, 2), (p[2::2], h, 1)):
+        k = (pa * (c * -k[1].conjugate()), pa * (1 + c * k[0].conjugate()))
+        total = tuple(t + w * kk for t, kk in zip(total, k))
+    return tuple(e + h / 6 * t for e, t in zip((1, 0), total))
+
+
+def sequential_product(m):
+    """Top rows of m[i] @ ... @ m[0], i = 0..n-1, multiplied one matrix at
+    a time from the left."""
     a, b = 1 + 0j, 0j
     out = []
-    for x, y in zip(*(e.tolist() for e in twostate._step_matrices(p[::2], h))):
+    for x, y in zip(*(e.tolist() for e in m)):
         a, b = x * a - y * b.conjugate(), x * b + y * a.conjugate()
         out.append((a, b))
     return np.array(out).T
 
 
-@pytest.mark.parametrize("steps", [100, 101, 127, 128, twostate._CHUNK - 1, twostate._CHUNK,
-                                   twostate._CHUNK + 1, 2 * twostate._CHUNK + 1,
-                                   3 * twostate._CHUNK - 1])
+def sequential_propagators(model, t_start, t_end, steps):
+    """(P, F): the top rows of the run's P_n = M_{n-1} ... M_0, n = 1..steps,
+    and of the halving run's propagator over the window, one step at a time
+    from step matrices of the four stages: the reference for the scan."""
+    h, p = quarter_step_pulse(model, t_start, t_end, steps)
+    run = sequential_product(k_stage_step_matrices(p[::2], h))
+    return run, sequential_product(k_stage_step_matrices(p, h / 2))[:, -1:]
+
+
+@pytest.mark.parametrize("steps", [twostate._TAIL - 1, twostate._TAIL, twostate._TAIL + 1,
+                                   100, 101, 127, 128, twostate._CHUNK - 1, twostate._CHUNK,
+                                   twostate._CHUNK + 1, twostate._CHUNK + twostate._TAIL - 1,
+                                   twostate._CHUNK + twostate._TAIL,
+                                   twostate._CHUNK + twostate._TAIL + 1,
+                                   2 * twostate._CHUNK + 1, 3 * twostate._CHUNK - 1])
 @pytest.mark.parametrize("model, tol", [(GENERIC, None), (TERMINATING, None), (FLAT, 2.0 ** -53)],
                          ids=["generic", "terminating", "flat"])
 def test_the_scan_matches_a_sequential_product(model, tol, steps):
     # the prefix product pairs neighbours, scans the pairs and fills the
     # even entries: odd lengths at every level, part-filled and several
     # chunks, each started from the last propagator of the chunk before.
+    # A level of at most _TAIL matrices is one loop: _TAIL +- 1 steps, alone
+    # or in a last chunk, put the run's levels and the halving run's
+    # (2 _TAIL +- 2 matrices) on both sides of that edge.
     # A flat pulse repeats one step matrix, so a product formed by pairing
     # repeats the rounding of each pair in every factor: at 8193 steps the
     # run is 3.8e-13 off an extended-precision product, one step at a time
     # 6e-15. It gets the worst-case bound, steps x 2^-53; the Lorentzian
-    # pulses stay within 2.5e-14.
-    tol = 1e-13 if tol is None else steps * tol
+    # pulses stay within 2.5e-14. The halving run's endpoint, a product of
+    # twice the steps, gets twice the bound (at 12287 steps it is 7.6e-14
+    # off for a Lorentzian pulse, 3.1e-13 at 8193 for the flat one).
+    run_tol = 1e-13 if tol is None else steps * tol
     for t_start, t_end in ((-5.0, 5.0), (5.0, -5.0)):
         h = (t_end - t_start) / steps
         chunks = list(twostate._propagators(model, t_start, h, steps))
@@ -315,8 +356,9 @@ def test_the_scan_matches_a_sequential_product(model, tol, steps):
             (start, min(start + twostate._CHUNK, steps))
             for start in range(0, steps, twostate._CHUNK)]
         run = np.concatenate([np.array(P) for _, _, P, _ in chunks], axis=1)
-        reference = sequential_propagators(model, t_start, t_end, steps)
-        assert np.max(np.abs(run - reference)) <= tol
+        reference, fine = sequential_propagators(model, t_start, t_end, steps)
+        assert np.max(np.abs(run - reference)) <= run_tol
+        assert np.max(np.abs(np.array(chunks[-1][3]) - fine)) <= 2 * run_tol
 
 
 def test_rk_memory_stays_within_a_chunk():
@@ -365,6 +407,27 @@ def test_rk_matches_the_reference_on_random_pulses(model, t_start, t_end, steps,
     _, a = reference_rk4(model, t_start, t_end, steps, init)
     assert np.max(np.abs(traj.a1 - a[..., 0])) <= 1e-12
     assert np.max(np.abs(traj.a2 - a[..., 1])) <= 1e-12
+
+
+STEP_MATRIX_RUNS = [(GENERIC, -5.0, 5.0, 8000), (GENERIC, 5.0, -5.0, 2000),
+                    (TERMINATING, -5.0, 5.0, 8000), (FLAT, 0.0, 4.0, 4000)]
+
+
+@pytest.mark.parametrize("model, t_start, t_end, steps",
+                         STEP_MATRIX_RUNS + [run[:4] for run in random_pulse_runs()],
+                         ids=["generic", "generic-reversed", "terminating", "flat"]
+                         + [f"pulse{k}" for k in range(6)])
+def test_step_matrices_match_the_four_stages(model, t_start, t_end, steps):
+    # the closed form collapses the stages through A(t)^2 = -|p|^2 I; it
+    # rounds differently, by a few ulps of |M| = sqrt(|m00|^2 + |m01|^2)
+    h, p = quarter_step_pulse(model, t_start, t_end, steps)
+    for grid, step in ((p[::2], h), (p, h / 2)):
+        m00, m01 = twostate._step_matrices(grid, step)
+        r00, r01 = k_stage_step_matrices(grid, step)
+        assert m00.shape == m01.shape == (len(grid) // 2,)
+        tol = 4 * np.finfo(float).eps * np.hypot(abs(r00), abs(r01))
+        assert np.all(abs(m00 - r00) <= tol)
+        assert np.all(abs(m01 - r01) <= tol)
 
 
 @pytest.mark.parametrize("steps", [twostate.DEFAULT_STEPS, twostate._CHUNK + 1],
