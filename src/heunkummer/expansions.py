@@ -26,11 +26,16 @@ Basis memo: the walk and s0 do not depend on q, so every root of one
 q-spectrum, and every repeated z, reads the same basis values. Evaluation
 at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
 points: F_n = 1F1(alpha_n; gamma_n; s0 z) at the n with a_n != 0, and
-with derivatives also F_n' and F_n'' in x. A miss makes one eval_1f1 call
-per nonzero term in every family, which sums F_n, F_n' and F_n'' in one
-pass; then u' = sum (a_n s0) F_n' and u'' = sum ((a_n s0) s0) F_n''.
-Beyond LARGE_X, where eval_1f1 warns, nothing is memoized; an array of z
-bypasses the memo, with the same one eval_1f1 call per basis function.
+with derivatives also F_n' and F_n'' in x; then u' = sum (a_n s0) F_n'
+and u'' = sum ((a_n s0) s0) F_n''. A miss on more than three terms sums
+two seed basis functions and fills the rest of the ladder by the walk's
+three-term contiguous relation, checked against a direct sum at its far
+end (_contiguous_ladder): three eval_1f1 calls whatever N. On three terms
+or fewer, and where the walk meets a pole or an eval_1f1 error or the
+check fails, a miss makes one eval_1f1 call per nonzero term, which sums
+F_n, F_n' and F_n'' in one pass (_basis_sums). Beyond LARGE_X, where
+eval_1f1 warns, nothing is memoized; an array of z bypasses the memo;
+both take _basis_sums's one call per basis function.
 """
 
 from __future__ import annotations
@@ -59,8 +64,15 @@ from .kummer import INT_TOL, LARGE_X, eval_1f1, nonpositive_int
 ZERO_TOL = 1e-9
 
 # Bound of the basis memo, in points: the roots of one spectrum evaluated
-# at P points share P entries of up to three columns each, whatever N.
+# at P points share P entries of up to three columns each, whatever N; a
+# miss on a contiguous ladder sums three 1F1 series, whatever N.
 _LADDER_MEMO = 86
+
+# A contiguous ladder stands where its far-end rung, summed directly, agrees
+# with the recurrence to within this relative error in every column. Over
+# the 1940 ladders of the first 434 seed-1 spectrum_solve ops the check's
+# largest disagreement is 9.7e-12 (b3), 1.1e-12 (c) and 1.8e-13 (a2).
+_LADDER_CHECK = 1e-11
 
 
 class Family(enum.Enum):
@@ -102,15 +114,16 @@ class SeriesSolution:
 
     def basis_parameters(self, n: int):
         """(alpha_n, gamma_n) of the n-th basis function."""
-        return _basis_parameters(self.family, self.alpha0, self.gamma0, n)
+        return _basis_walk(self.family, self.alpha0, self.gamma0, (n,))[0]
 
 
-def _basis_parameters(family: Family, alpha0, gamma0, n: int):
+def _basis_walk(family: Family, alpha0, gamma0, ns) -> list:
+    """[(alpha_n, gamma_n) for n in ns]: the family's parameter walk."""
     if family in (Family.B4_FourTerm, Family.B3_ThreeTerm):
-        return alpha0 + n, gamma0
+        return [(alpha0 + n, gamma0) for n in ns]
     if family is Family.C_ThreeTerm:
-        return alpha0, gamma0 + n
-    return alpha0 + n, gamma0 + n
+        return [(alpha0, gamma0 + n) for n in ns]
+    return [(alpha0 + n, gamma0 + n) for n in ns]
 
 
 def applicability(params: CheParams, family: Family) -> list[str]:
@@ -351,7 +364,7 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     # a ladder that warns is not memoized, so every evaluation warns; an
     # array of points is summed afresh, one eval_1f1 call per basis function
     memo = not array and abs(x) <= LARGE_X
-    f0, *derivs = (_basis_ladder if memo else _basis_ladder.__wrapped__)(
+    f0, *derivs = (_basis_ladder if memo else _basis_sums)(
         sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
     # sum from 0j adds left to right, and the chains keep the per-term order
     # a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
@@ -388,8 +401,116 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
 @functools.lru_cache(maxsize=_LADDER_MEMO)
 def _basis_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
                   derivatives: bool) -> tuple:
+    """_basis_sums's columns at n in nonzero, by the walk's contiguous
+    relation (_contiguous_ladder) where that passes its check, else by
+    _basis_sums itself; two seeds and a check save nothing on three."""
+    if len(nonzero) > 3:
+        columns = _contiguous_ladder(family, alpha0, gamma0, x, nonzero, derivatives)
+        if columns is not None:
+            return columns
+    return _basis_sums(family, alpha0, gamma0, x, nonzero, derivatives)
+
+
+def _basis_sums(family: Family, alpha0, gamma0, x, nonzero: tuple, derivatives: bool) -> tuple:
     """(f0,) or (f0, f1, f2): 1F1(alpha_n; gamma_n; x) and its first two
     derivatives in x, n in nonzero, one eval_1f1 call per n."""
     sums = [eval_1f1(an, cn, x, derivatives=derivatives)
-            for an, cn in (_basis_parameters(family, alpha0, gamma0, n) for n in nonzero)]
+            for an, cn in _basis_walk(family, alpha0, gamma0, nonzero)]
     return (tuple(zip(*sums)) or ((), (), ())) if derivatives else (tuple(sums),)
+
+
+def _relations(family: Family, walk: list, x, forward: bool) -> list:
+    """(D, K1, K2) at each rung i of walk: the family's contiguous relation
+    D F_{i-1} + K1 F_i + K2 F_{i+1} = 0 between 1F1(alpha; gamma; x) at
+    walk[i-1], walk[i] and walk[i+1], the walk taken in reverse where
+    forward. On the alpha walk only K1 depends on x, as K1' = 1: the
+    relation differentiated once holds for F' with F_i added, twice for F''
+    with 2 F_i' added."""
+    if family is Family.C_ThreeTerm:  # DLMF 13.3.2
+        return [(c * (c - 1), c * (1 - c - x), x * (c - a)) for a, c in walk]
+    if family in (Family.B4_FourTerm, Family.B3_ThreeTerm):  # DLMF 13.3.1
+        if forward:
+            return [(-a, 2 * a - c + x, c - a) for a, c in walk]
+        return [(c - a, 2 * a - c + x, -a) for a, c in walk]
+    # alpha and gamma both step (DLMF 13.3(i))
+    return [(c * (c - 1), c * (1 - c + x), -a * x) for a, c in walk]
+
+
+def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
+                       derivatives: bool):
+    """_basis_sums's columns from two seed sums and the walk's contiguous
+    relation, or None where the per-n sums must decide: a non-finite
+    parameter, a pole on the walk, an eval_1f1 error, or a check that fails.
+
+    Each walk runs where 1F1 is the stable solution of its relation. Where
+    gamma_n steps (a1 and a2, where alpha_n steps too, and c), 1F1 is
+    minimal as gamma_n grows: backward from the top. Where alpha_n alone
+    steps (b3, b4): forward from lo, or backward from the top where
+    alpha_top is a non-positive integer and every rung is a polynomial.
+    The gamma walks read both derivatives off two more rungs of plain sums:
+    F_n' is (alpha_n/gamma_n) F_{n+1} where alpha_n steps too (DLMF
+    13.3.15) and F_n - (1 - alpha/gamma_n) F_{n+1} on the c walk (kummer's
+    identity R47), and F_n'' is the same rule applied to F'. The alpha walk
+    sums its seeds with derivatives and runs the relation differentiated,
+    which divides nothing by x. The far-end rung is also summed directly:
+    it must agree with the recurrence to within _LADDER_CHECK relative, in
+    every column, and then replaces it.
+    """
+    if not (cmath.isfinite(alpha0) and cmath.isfinite(gamma0)):
+        return None
+    lo, top = nonzero[0], nonzero[-1]
+    gamma_walk = family not in (Family.B4_FourTerm, Family.B3_ThreeTerm)
+    if gamma_walk and derivatives:
+        top += 2
+    walk = _basis_walk(family, alpha0, gamma0, range(lo, top + 1))
+    # gamma_n is lowest at lo, so one test finds any pole on the walk
+    if nonpositive_int(walk[0][1]) is not None:
+        return None
+    forward = not gamma_walk and nonpositive_int(walk[-1][0]) is None
+    if forward:
+        # the recurrence divides by alpha_n, lo < n < top, which vanishes
+        # only if alpha_{lo+1} is a non-positive integer
+        if nonpositive_int(walk[1][0]) is not None:
+            return None
+        walk.reverse()
+    # from here the seeds are the last two rungs and the far end is rung 0
+    columns = 3 if derivatives and not gamma_walk else 1
+    rungs = [[0j] * len(walk) for _ in range(columns)]
+    F = rungs[0]
+    try:
+        for i in (-1, -2):
+            sums = eval_1f1(*walk[i], x, derivatives=columns == 3)
+            for col, v in zip(rungs, sums if columns == 3 else (sums,)):
+                col[i] = v
+        relations = _relations(family, walk, x, forward)
+        G, H = rungs[1:] if columns == 3 else (None, None)
+        for i in range(len(walk) - 2, 0, -1):
+            D, K1, K2 = relations[i]
+            F[i - 1] = -(K1 * F[i] + K2 * F[i + 1]) / D
+            if G:
+                G[i - 1] = -(K1 * G[i] + K2 * G[i + 1] + F[i]) / D
+                H[i - 1] = -(K1 * H[i] + K2 * H[i + 1] + 2 * G[i]) / D
+        check = eval_1f1(*walk[0], x, derivatives=columns == 3)
+    except NonConvergenceError:  # a polynomial above max_terms, or an overflow
+        return None
+    for col, v in zip(rungs, check if columns == 3 else (check,)):
+        if not abs(col[0] - v) < _LADDER_CHECK * abs(v):  # NaN too
+            return None
+        col[0] = v
+    if forward:
+        for col in rungs:
+            col.reverse()
+    pick = [n - lo for n in nonzero]
+    f0 = tuple([F[i] for i in pick])
+    if not derivatives:
+        return (f0,)
+    if not gamma_walk:
+        return (f0, *(tuple([col[i] for i in pick]) for col in rungs[1:]))
+    if family is Family.C_ThreeTerm:
+        s = [1 - a / c for a, c in walk]
+        F1 = [F[i] - s[i] * F[i + 1] for i in range(len(walk) - 1)]
+        return (f0, tuple([F1[i] for i in pick]),
+                tuple([F1[i] - s[i] * F1[i + 1] for i in pick]))
+    r = [a / c for a, c in walk]
+    return (f0, tuple([r[i] * F[i + 1] for i in pick]),
+            tuple([r[i] * r[i + 1] * F[i + 2] for i in pick]))

@@ -7,8 +7,10 @@ pass _sum_array, which the two-state closed form uses for its sample times
 and which sums values only. One pass of the scalar loop sums 1F1 and, on
 request, its first two derivatives from the same terms: t_k k/x and
 t_k k(k-1)/x^2 of the term t_k of 1F1, carried as running products so that
-nothing is divided by x. A basis function and both its derivatives thus
-cost one series where the parameter-shift rule (DLMF 13.3.15) sums three.
+nothing is divided by x. One call thus gives 1F1 and both its derivatives
+from one series, where the parameter-shift rule (DLMF 13.3.15) sums three;
+the basis ladders of expansions sum only two seeds and a check per walk
+and reach the other basis functions through contiguous relations.
 A scalar x never loads numpy. Callers in this package do not all stay at
 small argument: the spectrum ladders evaluate at |x| of order 1, the
 two-state closed form reaches |x| of about 20, and a wide two-state window

@@ -166,21 +166,35 @@ def _step_matrices(p, h):
     return m00, m01
 
 
-def _matmul(a, b):
-    """Top row of a @ b, each matrix [[x, y], [-y*, x*]] given as (x, y)."""
+def _matmul(a, b, out=(None, None)):
+    """Top row of a @ b, each matrix [[x, y], [-y*, x*]] given as (x, y),
+    written into the arrays of out where given."""
+    import numpy as np
+
     (a00, a01), (b00, b01) = a, b
-    return a00 * b00 - a01 * b01.conjugate(), a00 * b01 + a01 * b00.conjugate()
+    x, y = np.multiply(a00, b00, out=out[0]), np.multiply(a00, b01, out=out[1])
+    x -= a01 * b01.conjugate()
+    y += a01 * b00.conjugate()
+    return x, y
 
 
 def _pairs(m):
     """Top rows of m[2i+1] @ m[2i], one matrix per pair of neighbours; an
     odd last matrix is carried alone, so the pairs multiply to m's product.
     Repeated, it is the pairwise tree of the halving run; once per level,
-    it is the first half of _prefix."""
+    it is the first half of _prefix. The pairs are written into arrays
+    that already hold the carried matrix's place, so nothing is copied."""
     import numpy as np
 
-    pairs = _matmul([e[1::2] for e in m], [e[:-1:2] for e in m])
-    return [np.append(v, e[-1:]) for v, e in zip(pairs, m)] if len(m[0]) % 2 else pairs
+    n = len(m[0])
+    a, b = [e[1::2] for e in m], [e[:-1:2] for e in m]
+    if n % 2 == 0:
+        return _matmul(a, b)
+    out = [np.empty(n // 2 + 1, dtype=complex) for _ in m]
+    _matmul(a, b, [o[:-1] for o in out])
+    for o, e in zip(out, m):
+        o[-1] = e[-1]
+    return out
 
 
 def _running(m):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from dataclasses import replace
@@ -29,7 +30,7 @@ from heunkummer import (
     ladder,
     recurrence_coeffs,
 )
-from heunkummer.kummer import LARGE_X
+from heunkummer.kummer import LARGE_X, nonpositive_int
 from heunkummer.termination import TerminationCondition, q_spectrum
 
 from conftest import SPECTRUM_COMBOS, complex_box, draw_on_condition, series_residual
@@ -446,12 +447,13 @@ def test_basis_parameter_walks():
 
 
 # ---------------------------------------------------------------------------
-# the basis memo: bit-identical to the per-term loop, same warnings and errors
+# the basis memo: the per-term loop where it still sums, a 30-digit bound on
+# the contiguous ladders, the same warnings and errors
 
 def reference_eval(sol: SeriesSolution, z):
-    """(u, u', u'', tail) from the per-term loop the basis memo replaced: one
-    eval_1f1 with derivatives per basis function, for every nonzero
-    coefficient, on every call."""
+    """(u, u', u'', tail) from the per-term loop: one eval_1f1 with
+    derivatives per basis function, for every nonzero coefficient, on every
+    call."""
     z = complex(z)
     s0 = sol.s0
     x = s0 * z
@@ -471,6 +473,42 @@ def reference_eval(sol: SeriesSolution, z):
     else:
         tail = abs(last_nonzero) / max(1e-300, abs(u))
     return u, u1, u2, tail
+
+
+@functools.cache
+def mp_basis(a, c, x):
+    """1F1(a; c; x) and its first two x-derivatives at 30 digits, as mpc;
+    a within INT_TOL of a non-positive integer is taken as that integer,
+    as eval_1f1 takes it."""
+    m = nonpositive_int(a)
+    with mpmath.workdps(30):
+        a = mpmath.mpc(-m if m is not None else a)
+        c, x = mpmath.mpc(c), mpmath.mpc(x)
+        return (mpmath.hyp1f1(a, c, x), a / c * mpmath.hyp1f1(a + 1, c + 1, x),
+                a * (a + 1) / (c * (c + 1)) * mpmath.hyp1f1(a + 2, c + 2, x))
+
+
+# a contiguous ladder's u, u' and u'' against the 30-digit sum, relative to
+# sum_n |a_n s0^k F_n^(k)|: on the memo cases the ladders reach 1.1e-13 of
+# it, the per-term sums 1.3e-14
+LADDER_TOL = 1e-12
+
+
+def assert_within_ladder_bound(sol: SeriesSolution, z, got):
+    """Each of got = (u, u', u'')[:k] within LADDER_TOL of the 30-digit sum."""
+    x = sol.s0 * complex(z)
+    exact = [0] * 3
+    scale = [0.0] * 3
+    for n, a_n in enumerate(sol.coefficients):
+        if a_n == 0:
+            continue
+        with mpmath.workdps(30):
+            for k, f in enumerate(mp_basis(*sol.basis_parameters(n), x)):
+                term = mpmath.mpc(a_n) * mpmath.mpc(sol.s0) ** k * f
+                exact[k] += term
+                scale[k] += float(abs(term))
+    for k, v in enumerate(got):
+        assert abs(v - complex(exact[k])) <= LADDER_TOL * scale[k], (k, v, complex(exact[k]))
 
 
 def spectrum_solutions(rng: random.Random, family, kind, choice, N: int) -> list:
@@ -524,16 +562,25 @@ def beyond_large_x(sol: SeriesSolution) -> complex:
 @pytest.mark.filterwarnings("ignore::heunkummer.LargeArgumentWarning")
 @pytest.mark.parametrize("sols", memo_cases())
 def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
+    """Bit for bit where the per-term sums remain: three or fewer terms, or
+    a point beyond LARGE_X (None below). A longer ladder at small |x| runs
+    its contiguous relation, within LADDER_TOL of 30-digit mpmath."""
     # 0.3+0j and 0.3-0j give memo keys that compare equal; back to back,
-    # each must still give its uncached result. None stands for a point
-    # beyond LARGE_X.
+    # each must still give its uncached result
     for z0 in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47, None):
         for sol in sols:
             z = beyond_large_x(sol) if z0 is None else z0
             expect = reference_eval(sol, z)
-            assert repr(eval_series_with_derivatives(sol, z)) == repr(expect)
+            got = eval_series_with_derivatives(sol, z)
             value, tail = eval_series(sol, z, tol=math.inf)
-            assert repr((value, tail)) == repr((expect[0], expect[3]))
+            if z0 is None or sum(1 for a_n in sol.coefficients if a_n != 0) <= 3:
+                assert repr(got) == repr(expect)
+                assert repr((value, tail)) == repr((expect[0], expect[3]))
+            else:
+                assert_within_ladder_bound(sol, z, got[:3])
+                assert_within_ladder_bound(sol, z, (value,))
+                assert got[3] == pytest.approx(expect[3], rel=1e-9)
+                assert tail == pytest.approx(expect[3], rel=1e-9)
 
 
 @pytest.mark.parametrize("evaluate", [eval_series, eval_series_with_derivatives])
@@ -580,8 +627,10 @@ def test_basis_memo_stays_within_its_bound():
 
 @pytest.mark.parametrize("family", THREE_TERM, ids=[f.value for f in THREE_TERM])
 def test_a_cold_evaluation_sums_each_distinct_1f1_once(monkeypatch, family):
-    """One eval_1f1 call per term sums the basis function and both its
-    derivatives, in every family: N+1 calls, in the order of n."""
+    """A miss on a ladder of N+1 terms makes three eval_1f1 calls, two seeds
+    and the far-end check: plain sums at N+2, N+1 and 0 on the a2 and c
+    walks, which read both derivatives off the two extra rungs; sums with
+    derivatives at 0, 1 and N on the b3 walk, which runs forward."""
     calls = []
     real = expansions.eval_1f1
 
@@ -595,12 +644,15 @@ def test_a_cold_evaluation_sums_each_distinct_1f1_once(monkeypatch, family):
     assert all(a_n != 0 for a_n in sol.coefficients)
     expansions._basis_ladder.cache_clear()
     eval_series_with_derivatives(sol, 0.3)
-    assert calls == [repr((*sol.basis_parameters(n), True)) for n in range(N + 1)]
+    b3 = family is Family.B3_ThreeTerm
+    rungs = (0, 1, N) if b3 else (N + 2, N + 1, 0)
+    assert calls == [repr((*sol.basis_parameters(n), b3)) for n in rungs]
 
 
 def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
     """A hit reads the 1F1 values and their derivatives from the memo: no
-    eval_1f1 call and no walk through _basis_parameters."""
+    eval_1f1 call and no walk through _basis_walk. The miss takes one walk
+    and three sums."""
     calls = []
 
     def counting(name):
@@ -611,13 +663,12 @@ def test_a_memo_hit_makes_no_per_term_calls(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    for name in ("eval_1f1", "_basis_parameters"):
+    for name in ("eval_1f1", "_basis_walk"):
         monkeypatch.setattr(expansions, name, counting(name))
     sol = build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)
     expansions._basis_ladder.cache_clear()
     miss = eval_series_with_derivatives(sol, 0.3)
-    nonzero = sum(1 for a_n in sol.coefficients if a_n != 0)
-    assert sorted(calls) == ["_basis_parameters"] * nonzero + ["eval_1f1"] * nonzero
+    assert sorted(calls) == ["_basis_walk"] + ["eval_1f1"] * 3
     calls.clear()
     assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(miss)
     assert calls == []
@@ -637,3 +688,136 @@ def test_an_array_of_points_is_one_1f1_call_per_term_and_skips_the_memo():
     assert tail == pytest.approx(max(t for _, t in scalar), rel=1e-12)
     with pytest.raises(TailTooLargeError):
         eval_series(sol, zs, tol=0.5 * tail)
+
+
+# ---------------------------------------------------------------------------
+# contiguous ladders: each walk against 30-digit mpmath, and the per-term
+# sums bit for bit wherever the ladder does not run
+
+# one basis value of a ladder against 30-digit mpmath, relative
+WALK_TOL = 1e-11
+
+
+def walk_draws(family, kind, choice, gapped=False):
+    """(alpha0, gamma0, x, nonzero) of the family's walk on draws from the
+    spectrum box at N = 4, 12 and 25, at real and complex z; gapped drops
+    n = 1 from nonzero, as a_1 = 0 does."""
+    rng = random.Random(f"ladder:{family.value}:{kind}")
+    for N in (4, 12, 25):
+        p = draw_on_condition(rng, kind, N)
+        alpha0, gamma0 = expansions.resolve_alpha0_gamma0(p, family, choice)
+        nonzero = tuple(n for n in range(N + 1) if not (gapped and n == 1))
+        for z in (0.12, 0.47, 0.3 + 0.2j):
+            yield alpha0, gamma0, -p.epsilon * z, nonzero
+
+
+WALKS = [pytest.param(fam, kind, choice, False, id=f"{fam.value}-{kind}")
+         for fam, kind, choice in SPECTRUM_COMBOS]
+WALKS.append(pytest.param(*SPECTRUM_COMBOS[1], True, id="a2-DeltaInt-gapped"))
+
+
+@pytest.mark.parametrize("family, kind, choice, gapped", WALKS)
+def test_each_walk_matches_mpmath(family, kind, choice, gapped):
+    """F, F' and F'' of every rung, and F alone without derivatives, within
+    WALK_TOL of 30-digit mpmath; each ladder passes its check."""
+    for alpha0, gamma0, x, nonzero in walk_draws(family, kind, choice, gapped):
+        walk = expansions._basis_walk(family, alpha0, gamma0, nonzero)
+        for derivatives in (True, False):
+            columns = expansions._contiguous_ladder(family, alpha0, gamma0, x, nonzero,
+                                                    derivatives)
+            assert columns is not None and len(columns) == (3 if derivatives else 1)
+            for i, (a, c) in enumerate(walk):
+                for got, exact in zip(columns, mp_basis(a, c, x)):
+                    exact = complex(exact)
+                    assert abs(got[i] - exact) <= WALK_TOL * abs(exact), (a, c, x, got[i], exact)
+
+
+EVAL_SERIES_UNGATED = functools.partial(eval_series, tol=math.inf)
+
+
+def ladder_solutions() -> list:
+    """One spectrum root's solution of each spectrum combination at N = 12,
+    and the a2 series whose a_1 is 0: every one runs a ladder."""
+    rng = random.Random(909)
+    sols = [spectrum_solutions(rng, fam, kind, choice, 12)[0]
+            for fam, kind, choice in SPECTRUM_COMBOS]
+    return sols + [build_series(params(2.3, 0.4, 1.1, 0.7, 0.7), Family.A2_ThreeTerm, 8)]
+
+
+def test_a_memo_hit_is_bit_identical_to_its_miss():
+    for sol in ladder_solutions():
+        for evaluate in (eval_series_with_derivatives, EVAL_SERIES_UNGATED):
+            expansions._basis_ladder.cache_clear()
+            miss = evaluate(sol, 0.3)
+            hit = evaluate(sol, 0.3)
+            assert expansions._basis_ladder.cache_info()[:2] == (1, 1)
+            assert repr(hit) == repr(miss)
+
+
+def test_a_failed_check_falls_back_to_the_per_term_sums(monkeypatch):
+    monkeypatch.setattr(expansions, "_LADDER_CHECK", 0.0)
+    for sol in ladder_solutions():
+        expansions._basis_ladder.cache_clear()
+        assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(reference_eval(sol, 0.3))
+        nonzero = tuple(n for n, a_n in enumerate(sol.coefficients) if a_n != 0)
+        key = (sol.family, sol.alpha0, sol.gamma0, sol.s0 * 0.47, nonzero)
+        for derivatives in (True, False):
+            assert expansions._contiguous_ladder(*key, derivatives) is None
+            assert (repr(expansions._basis_ladder(*key, derivatives))
+                    == repr(expansions._basis_sums(*key, derivatives)))
+
+
+def test_an_array_of_points_keeps_the_per_term_sums():
+    for sol in ladder_solutions():
+        zs = np.array([0.12, 0.3 - 0.2j, 0.47])
+        x = sol.s0 * zs
+        expect = 0j
+        for n, a_n in enumerate(sol.coefficients):
+            if a_n != 0:
+                expect = expect + a_n * eval_1f1(*sol.basis_parameters(n), x)
+        assert eval_series(sol, zs, tol=math.inf)[0].tobytes() == expect.tobytes()
+
+
+def test_every_term_beyond_large_x_still_warns():
+    sol = ladder_solutions()[-1]
+    with pytest.warns(LargeArgumentWarning) as caught:
+        eval_series_with_derivatives(sol, beyond_large_x(sol))
+    assert len(caught) == sum(1 for a_n in sol.coefficients if a_n != 0)
+
+
+def test_three_terms_keep_the_per_term_sums():
+    rng = random.Random(910)
+    for fam, kind, choice in SPECTRUM_COMBOS:
+        for sol in spectrum_solutions(rng, fam, kind, choice, 2):
+            expansions._basis_ladder.cache_clear()
+            assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(reference_eval(sol, 0.3))
+            assert expansions._basis_ladder.cache_info().misses == 1
+
+
+def outcome(evaluate, *args):
+    """repr of what evaluate returns, or the type and message of its error."""
+    try:
+        return repr(evaluate(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("change", [
+    # gamma0 = -2: the c walk meets poles at n = 0, 1 and 2
+    pytest.param((6, {"gamma0": -2.0 + 0j}), id="c-pole"),
+    # alpha_2 = 0 inside a forward b3 walk, whose relation divides by it
+    pytest.param((3, {"alpha0": -2.0 + 0j}), id="b3-alpha-zero"),
+    # the b3 walk as polynomials of degree about 20000, above max_terms
+    pytest.param((3, {"alpha0": -20000.0 + 0j}), id="b3-degree-cap"),
+    pytest.param((1, {"alpha0": complex(math.inf, 0)}), id="a2-alpha0-not-finite"),
+])
+def test_a_walk_that_meets_a_pole_a_zero_or_an_error_keeps_the_per_term_result(change):
+    which, fields = change
+    sol = replace(ladder_solutions()[which], **fields)
+    expansions._basis_ladder.cache_clear()
+    expect = outcome(reference_eval, sol, 0.3)
+    assert outcome(eval_series_with_derivatives, sol, 0.3) == expect
+    if isinstance(expect, str):
+        u, _, _, tail = reference_eval(sol, 0.3)
+        expect = repr((u, tail))
+    assert outcome(EVAL_SERIES_UNGATED, sol, 0.3) == expect

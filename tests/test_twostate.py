@@ -361,6 +361,28 @@ def test_the_scan_matches_a_sequential_product(model, tol, steps):
         assert np.max(np.abs(np.array(chunks[-1][3]) - fine)) <= 2 * run_tol
 
 
+@pytest.mark.parametrize("k", [5, 10, 13])
+def test_pairing_2k_plus_1_matrices_matches_the_running_product(k):
+    # 2^k + 1 matrices are odd at every level down to 3: each level carries
+    # its last matrix bit for bit, and the pairwise tree and the prefix scan
+    # end at the product that _running takes one matrix at a time, within
+    # the worst-case rounding n x 2^-53
+    n = 2 ** k + 1
+    rng = np.random.default_rng(k)
+    th, ph, ps = rng.uniform(0.0, 2 * np.pi, (3, n))
+    m = [np.cos(th) * np.exp(1j * ph), np.sin(th) * np.exp(1j * ps)]  # unitary
+    level = m
+    while len(level[0]) > 1:
+        paired = twostate._pairs(level)
+        assert len(paired[0]) == (len(level[0]) + 1) // 2
+        if len(level[0]) % 2:
+            assert all(v[-1:].tobytes() == e[-1:].tobytes() for v, e in zip(paired, level))
+        level = paired
+    running = np.array(twostate._running(m))
+    assert np.max(np.abs(np.array(level)[:, 0] - running[:, -1])) <= n * 2.0 ** -53
+    assert np.max(np.abs(np.array(twostate._prefix(m)) - running)) <= n * 2.0 ** -53
+
+
 def test_rk_memory_stays_within_a_chunk():
     # past the arrays it returns, a run holds one chunk's temporaries: a
     # whole-window pass, or a propagator kept for every step, holds
@@ -556,8 +578,11 @@ def test_closed_form_value_takes_an_array_of_times(model):
 
 def test_match_sums_each_basis_function_once_over_the_samples(monkeypatch):
     """The tracer counts 1F1 calls through the name bound in `expansions`:
-    per nonzero term, one array call over all samples and one scalar call
-    at the anchor, which sums the value and both derivatives."""
+    per nonzero term, one array call over all samples; at the anchor, one
+    scalar call per term, which sums the value and both derivatives. More
+    than three terms first try a contiguous ladder, two seeds and a check:
+    at the N = 3 anchor |x| is about 17, where the direct sums lose up to
+    3e-9 to cancellation, so the check fails and the per-term sums follow."""
     calls = []
     real = expansions.eval_1f1
 
@@ -566,12 +591,12 @@ def test_match_sums_each_basis_function_once_over_the_samples(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(expansions, "eval_1f1", counted)
-    for model in (TERMINATING, wide_terminating_model()):
+    for model, scalar in ((TERMINATING, 2), (wide_terminating_model(), 3 + 4)):
         calls.clear()
         expansions._basis_ladder.cache_clear()
         match = match_against_rk(model, samples=101)
         nonzero = sum(1 for a_n in match.closed_form.sol.coefficients if a_n != 0)
-        assert sorted(calls) == [0] * nonzero + [1] * nonzero
+        assert sorted(calls) == [0] * scalar + [1] * nonzero
         assert match.max_deviation <= 1e-9
 
 
