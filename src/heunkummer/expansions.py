@@ -45,7 +45,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 from typing import Optional
 
@@ -115,6 +114,18 @@ class SeriesSolution:
     def basis_parameters(self, n: int):
         """(alpha_n, gamma_n) of the n-th basis function."""
         return _basis_walk(self.family, self.alpha0, self.gamma0, (n,))[0]
+
+    @functools.cached_property
+    def _terms(self) -> tuple:
+        """(the n with a_n != 0, and over them a_n, a_n s0 and (a_n s0) s0):
+        what every evaluation reads, formed once per solution."""
+        # from a list, not a generator: CPython builds a tuple from a generator
+        # by resizing it, and each resized tuple joins the free list of its new
+        # size (up to 2000 a size), so those free lists grew on every call
+        nonzero = tuple([n for n, a_n in enumerate(self.coefficients) if a_n != 0])
+        coeffs = [self.coefficients[n] for n in nonzero]
+        as0 = [a_n * self.s0 for a_n in coeffs]
+        return nonzero, coeffs, as0, [a_s * self.s0 for a_s in as0]
 
 
 def _basis_walk(family: Family, alpha0, gamma0, ns) -> list:
@@ -266,47 +277,14 @@ def build_series(params: CheParams, family: Family, N: int,
 
     # a_0 alone reads no step (an A1 pole at gamma_0 = 0 must not raise)
     steps = ladder(params, family, alpha0, s0, N) if N else []
-    return solve_ladder(params, family, alpha0, gamma0, s0, steps, N, 0)
-
-
-def solve_ladder(params: CheParams, family: Family, alpha0, gamma0, s0,
-                 steps: list, N: int, q) -> SeriesSolution:
-    """build_series's a_0..a_N from steps[0..N], each Q_n less q. The
-    three-term families subtract q last in Q_n and read it nowhere else, so
-    steps at q = 0 less params.q give the same series bit for bit.
-    NonConvergenceError naming n where a coefficient a_n is not finite."""
-    coeffs = [1.0 + 0j]
-    scale = 1.0
-    for n in range(1, N + 1):
-        R = steps[n][0]
-        num = 0j
-        num += (steps[n - 1][1] - q) * coeffs[n - 1]
-        if n >= 2:
-            num += steps[n - 2][2] * coeffs[n - 2]
-        if n >= 3 and family is Family.B4_FourTerm:
-            num += steps[n - 3][3] * coeffs[n - 3]
-        nsq = float((1 + n) ** 2)
-        if abs(R) <= ZERO_TOL * nsq:
-            if abs(num) <= ZERO_TOL * nsq * scale:
-                coeffs.append(0j)  # terminated resonance
-                continue
-            raise LeadingCoefficientVanishesError(
-                f"R_{n} = {R} vanishes with non-negligible numerator "
-                f"|{abs(num):.3e}| for family {family.name}")
-        a_n = -num / R
-        coeffs.append(a_n)
-        # abs(a_n) first: max() then keeps a NaN, and a NaN a_n makes every
-        # later one NaN, so scale ends non-finite if any a_n is
-        scale = max(abs(a_n), scale)
-    if not scale < math.inf:
-        n = next(n for n, a_n in enumerate(coeffs) if not cmath.isfinite(a_n))
-        raise NonConvergenceError(f"the {family.name} recurrence overflows: "
-                                  f"a_{n} = {coeffs[n]} is not finite")
+    [(coeffs, error)] = solve_ladder(family, steps, N, (0,))
+    if error is not None:
+        raise error
 
     # A trailing run of exact zeros one shorter than the recurrence order
     # forces every later coefficient to vanish identically, so the sum is a
     # finite one whatever produced the zeros (structural P_N = 0 with q on a
-    # spectrum root, or the resonance path above).
+    # spectrum root, or the resonance path of solve_ladder).
     need = {Family.A1_TwoTerm: 1, Family.B4_FourTerm: 3}.get(family, 2)
     run = 0
     for a_n in reversed(coeffs):
@@ -315,9 +293,68 @@ def solve_ladder(params: CheParams, family: Family, alpha0, gamma0, s0,
         run += 1
     terminated = run >= need
     return SeriesSolution(params=params, family=family, alpha0=complex(alpha0),
-                          gamma0=complex(gamma0), s0=s0,
-                          coefficients=tuple(coeffs), terminated=terminated,
+                          gamma0=complex(gamma0), s0=s0, coefficients=coeffs,
+                          terminated=terminated,
                           terminal_index=len(coeffs) - 1 - run if terminated else None)
+
+
+def solve_ladder(family: Family, steps: list, N: int, qs) -> list:
+    """The forward recurrence over steps[0..N], each Q_n less q, at every q
+    of the column qs: [(a_0..a_n, error)] in the order of qs, a_0 = 1.
+
+    At an R_n = 0 step (|R_n| <= ZERO_TOL (1+n)^2) a_n = 0 where the
+    numerator vanishes too; else the q's coefficients stop at a_{n-1} with
+    LeadingCoefficientVanishesError. An a_n that is not finite gives
+    NonConvergenceError. Errors are recorded, not raised. Each q keeps a
+    one-q build's arithmetic and order, so its series is that build's bit
+    for bit; three-term steps at q = 0 less q give build_series's at q.
+    """
+    col = list(qs)                # the q that still run
+    live = list(range(len(col)))  # their places in qs
+    rows = [None] * len(col)
+    rungs = [[1.0 + 0j] * len(col)]  # rungs[n][k]: a_n at col[k]
+    solved = []  # the n whose R_n does not vanish; the resonance zeros are not
+    four = family is Family.B4_FourTerm
+    for n in range(1, N + 1):
+        R, Q = steps[n][0], steps[n - 1][1]
+        if n == 1:
+            nums = [0j + (Q - q) * a1 for q, a1 in zip(col, rungs[0])]
+        elif n == 2 or not four:
+            P = steps[n - 2][2]
+            nums = [0j + (Q - q) * a1 + P * a2
+                    for q, a1, a2 in zip(col, rungs[n - 1], rungs[n - 2])]
+        else:
+            P, S = steps[n - 2][2], steps[n - 3][3]
+            nums = [0j + (Q - q) * a1 + P * a2 + S * a3
+                    for q, a1, a2, a3 in zip(col, rungs[n - 1], rungs[n - 2], rungs[n - 3])]
+        nsq = float((1 + n) ** 2)
+        if not abs(R) <= ZERO_TOL * nsq:
+            solved.append(n)
+            rungs.append([-num / R for num in nums])
+            continue
+        keep = []
+        for k, num in enumerate(nums):
+            scale = 1.0  # a one-q build's running max(abs(a_m), scale)
+            for m in solved:
+                scale = max(abs(rungs[m][k]), scale)
+            if abs(num) <= ZERO_TOL * nsq * scale:
+                keep.append(k)
+            else:
+                rows[live[k]] = (tuple([a[k] for a in rungs]), LeadingCoefficientVanishesError(
+                    f"R_{n} = {R} vanishes with non-negligible numerator "
+                    f"|{abs(num):.3e}| for family {family.name}"))
+        if len(keep) < len(col):
+            col, live = [col[k] for k in keep], [live[k] for k in keep]
+            rungs = [[a[k] for k in keep] for a in rungs]
+        rungs.append([0j] * len(col))
+    for i, coeffs in zip(live, zip(*rungs)):
+        error = None
+        if not all(map(cmath.isfinite, coeffs)):
+            n = next(n for n, a_n in enumerate(coeffs) if not cmath.isfinite(a_n))
+            error = NonConvergenceError(f"the {family.name} recurrence overflows: "
+                                        f"a_{n} = {coeffs[n]} is not finite")
+        rows[i] = (coeffs, error)
+    return rows
 
 
 def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
@@ -354,20 +391,15 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     array = getattr(z, "ndim", 0) > 0  # an ndarray of points
     if not array:
         z = complex(z)
-    s0 = sol.s0
-    x = s0 * z
-    # from a list, not a generator: CPython builds a tuple from a generator
-    # by resizing it, and each resized tuple joins the free list of its new
-    # size (up to 2000 a size), so those free lists grew on every call
-    nonzero = tuple([n for n, a_n in enumerate(sol.coefficients) if a_n != 0])
-    coeffs = [sol.coefficients[n] for n in nonzero]
+    x = sol.s0 * z
+    nonzero, coeffs, as0, as0s0 = sol._terms
     # a ladder that warns is not memoized, so every evaluation warns; an
     # array of points is summed afresh, one eval_1f1 call per basis function
     memo = not array and abs(x) <= LARGE_X
     f0, *derivs = (_basis_ladder if memo else _basis_sums)(
         sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
-    # sum from 0j adds left to right, and the chains keep the per-term order
-    # a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
+    # sum from 0j adds left to right, and the products keep the per-term
+    # order a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
     if array:  # no derivatives: eval_1f1 sums those at a scalar x only
         import numpy as np
 
@@ -383,9 +415,8 @@ def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
     u1 = u2 = None
     if derivatives:
         f1, f2 = derivs
-        as0 = list(map(mul, coeffs, repeat(s0)))
         u1 = sum(map(mul, as0, f1), 0j)
-        u2 = sum(map(mul, map(mul, as0, repeat(s0)), f2), 0j)
+        u2 = sum(map(mul, as0s0, f2), 0j)
     # finite basis values can still overflow in a_n s0 F_n, and inf times 0 is NaN
     for name, value in zip(("u", "u'", "u''"), (u, u1, u2)[:3 if derivatives else 1]):
         at = z

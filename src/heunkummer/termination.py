@@ -5,10 +5,11 @@ detected here as an integer condition) together with a_{N+1} = 0, which is a
 polynomial equation of degree N+1 in q. Its roots are the q-spectrum; for
 each root the recurrence then keeps every later coefficient at zero. The
 roots are eigenvalues of the equation's own power-series tridiagonal
-(recurrence_tridiagonal), each checked by a memoized rebuild of its Kummer
-series, the very one terminated_solution and finite_solution read there.
-q enters the three-term ladders only as Q_n - q and no condition reads q, so a
-spectrum checks and builds its ladder once: a root's rebuild runs the recurrence.
+(recurrence_tridiagonal). q enters the three-term ladders only as Q_n - q and
+no condition reads q, so a spectrum checks and builds its ladder once, and one
+solve_ladder pass runs the recurrence over the column of its roots. Each
+root's row, its coefficients and verdict, goes into the spectrum's root
+table, which terminated_solution and finite_solution read there.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .che_core import CheParams, transform_1_minus_z
-from .errors import (ConditionNotMetError, LeadingCoefficientVanishesError,
-                     NonConvergenceError)
+from .errors import ConditionNotMetError
 from .expansions import (
     GAMMA_CHOICE,
     Family,
@@ -46,8 +46,8 @@ KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 MAX_N = 80                 # readers build N-step ladders and (N+1)x(N+1)
                            # eigenproblems (delta = -1e20 would never finish)
-_REBUILD_MEMO = 256        # rebuilds kept: every root of a spectrum, N <= MAX_N
 _PARTS = struct.Struct("10d")  # gamma, delta, eps, alpha, q: real, imag
+_Q = struct.Struct("2d")       # the root table's key: q.real, q.imag
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,13 @@ class TerminationCondition:
 
 @dataclass(frozen=True)
 class QSpectrum:
-    """Roots of a_{N+1}(q) = 0 with per-root rebuild verification.
+    """Roots of a_{N+1}(q) = 0, each verified by the recurrence run at it.
 
     roots are the N+1 eigenvalues (counted with multiplicity) of the
     condition's tridiagonal, shifted back to q, ascending by real then
-    imaginary part; verified[i] is the memoized rebuild's verdict at roots[i],
-    the one terminated_solution reads, so it is False where the rebuild cannot
-    reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from the rebuilt
+    imaginary part; verified[i] is the verdict at roots[i] that the root
+    table keeps for terminated_solution, so it is False where the recurrence
+    cannot reach a_{N+5}; root_residuals[i] is |a_{N+1}(root)| from that
     recurrence, inf where a coefficient up to a_{N+1} overflows.
     """
 
@@ -164,16 +164,17 @@ def q_spectrum(params: CheParams, family: Family,
 
     The q field of params is ignored; check_condition's errors unless the
     parameters meet condition. The roots are numpy's eigenvalues of the
-    condition's recurrence_tridiagonal. The rebuild at each root gives its
-    residual |a_{N+1}| and verdict; where that build fails, an N+1 build
-    gives the residual and the root is unverified, and where that fails too
-    (an R_n = 0 step up to N+1), its LeadingCoefficientVanishesError stops
-    the spectrum; an overflow up to a_{N+1} leaves the root unverified, its
-    residual inf. A tridiagonal that overflows raises ValueError.
+    condition's recurrence_tridiagonal. One solve_ladder pass over the
+    column of roots runs each to a_{N+5} and gives its residual |a_{N+1}|
+    and verdict, which the spectrum's root table keeps for
+    terminated_solution. An R_n = 0 step up to N+1 stops the spectrum with
+    its LeadingCoefficientVanishesError; a root whose pass stops later, or
+    overflows, is unverified, its residual inf where a coefficient up to
+    a_{N+1} overflows. A tridiagonal that overflows raises ValueError.
     """
     import numpy as np
 
-    q_free = _q_free_ladder(_bits(params)[:-16], family, condition, alpha0_choice)
+    *_, steps, table = _q_free_ladder(_bits(params)[:-16], family, condition, alpha0_choice)
     N = condition.N
     p_eig, shift = _eigenproblem(dataclasses.replace(params, q=0), condition.kind)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
@@ -181,18 +182,15 @@ def q_spectrum(params: CheParams, family: Family,
     if not np.isfinite(T).all():
         raise ValueError(f"the {family.name} {condition.kind} N = {N} spectrum overflows: "
                          f"its recurrence tridiagonal is not finite")
-    found = []  # (root, the rebuild's verdict, |a_{N+1}| there)
-    for lam in np.linalg.eigvals(T):
-        r = complex(lam + shift)
-        p = dataclasses.replace(params, q=r)
-        sol, terminates = _rebuild_memo(_bits(p), p, family, condition, alpha0_choice)
-        if sol is None:  # no steps up to N+5 to check: unverified
-            try:
-                sol = solve_ladder(p, family, *q_free, N + 1, p.q)
-            except NonConvergenceError:  # a coefficient up to a_{N+1} overflows
-                found.append((r, False, math.inf))
-                continue
-        found.append((r, terminates, abs(sol.coefficients[N + 1])))
+    roots = [complex(lam + shift) for lam in np.linalg.eigvals(T)]
+    found = []  # (root, its verdict, |a_{N+1}| there)
+    for r, (a, error) in zip(roots, solve_ladder(family, steps, N + 5, roots)):
+        if len(a) < N + 2:  # an R_n = 0 step up to a_{N+1}
+            raise error
+        terminates = error is None and _terminates(a, N)
+        table[_Q.pack(r.real, r.imag)] = (None if error else a, terminates)
+        finite = error is None or all(map(cmath.isfinite, a[:N + 2]))
+        found.append((r, terminates, abs(a[N + 1]) if finite else math.inf))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
     return QSpectrum(condition=condition,
                      roots=tuple(f[0] for f in found),
@@ -215,59 +213,58 @@ def check_condition(params: CheParams, family: Family,
 
 
 def _bits(params: CheParams) -> bytes:
-    """The ten real parts, q's last: r+0j and r-0j compare equal, their series do not."""
+    """The ten real parts, q's last: r+0j and r-0j compare equal, their series
+    do not. The last 16 bytes are _Q's pack of q."""
     g, d, e, al, q = params.gamma, params.delta, params.epsilon, params.alpha, params.q
     return _PARTS.pack(g.real, g.imag, d.real, d.imag, e.real, e.imag,
                        al.real, al.imag, q.real, q.imag)
 
 
-@functools.lru_cache(maxsize=_REBUILD_MEMO)
-def _rebuild_memo(key: bytes, params: CheParams, family: Family,
-                  condition: TerminationCondition, alpha0_choice):
-    """The one termination verdict, memoized: (the series at params.q built to
-    N+5, whether a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|),
-    or (None, False) where an R_n = 0 with a non-negligible numerator, or an
-    overflowing coefficient, stops it.
-    key = _bits(params). A miss solves the checked q-free ladder at params.q
-    (build_series's series bit for bit); errors are not memoized: a hit is checked."""
-    N = condition.N
-    steps = _q_free_ladder(key[:-16], family, condition, alpha0_choice)
-    try:
-        sol = solve_ladder(params, family, *steps, N + 5, params.q)
-    except (LeadingCoefficientVanishesError, NonConvergenceError):
-        return None, False
-    a = sol.coefficients
-    bound = VERIFY_TOL * max(abs(a[n]) for n in range(N + 1))
-    return sol, all(abs(a[n]) <= bound for n in range(N + 1, N + 6))
+def _terminates(a: tuple, N: int) -> bool:
+    """The one termination verdict on a series built to a_{N+5}: whether
+    a_{N+1}..a_{N+5} all stay within VERIFY_TOL of max|a_0..a_N|."""
+    return max(map(abs, a[N + 1:N + 6])) <= VERIFY_TOL * max(map(abs, a[:N + 1]))
 
 
 @functools.lru_cache(maxsize=8)  # one per spectrum, for the last few spectra
 def _q_free_ladder(parts: bytes, family: Family, cond: TerminationCondition, alpha0_choice):
-    """(alpha0, gamma0, s0, steps to N+5 at q = 0) at _bits(params)[:-16], once cond holds."""
+    """(alpha0, gamma0, s0, steps to N+5 at q = 0, root table) at
+    _bits(params)[:-16], once cond holds. q_spectrum fills the root table:
+    _Q's pack of each root -> (a_0..a_{N+5}, or None where the pass stopped
+    or overflowed; the verdict)."""
     re_im = struct.unpack("8d", parts)
     p0 = CheParams(*map(complex, re_im[0::2], re_im[1::2]), 0)
     check_condition(p0, family, cond, alpha0_choice)
     alpha0, gamma0 = resolve_alpha0_gamma0(p0, family, alpha0_choice)
-    return alpha0, gamma0, -p0.epsilon, ladder(p0, family, alpha0, -p0.epsilon, cond.N + 5)
+    steps = ladder(p0, family, alpha0, -p0.epsilon, cond.N + 5)
+    return complex(alpha0), complex(gamma0), -p0.epsilon, steps, {}
 
 
 def terminated_solution(params: CheParams, family: Family,
                         condition: TerminationCondition,
                         alpha0_choice=None) -> SeriesSolution:
-    """The series truncated to a_0..a_N, N = condition.N, where the memoized
-    rebuild finds that it terminates there.
+    """The series truncated to a_0..a_N, N = condition.N, where it terminates
+    there: the row of the spectrum's root table at a root, else the same
+    solve_ladder pass on the one-element column params.q.
 
     check_condition's errors unless the parameters meet condition; ValueError
-    where params.q is not a spectrum root or the rebuild cannot reach N+5.
+    where params.q is not a spectrum root or the pass cannot reach N+5.
     """
     N = condition.N
-    sol, terminates = _rebuild_memo(_bits(params), params, family, condition, alpha0_choice)
+    key = _bits(params)
+    alpha0, gamma0, s0, steps, table = _q_free_ladder(key[:-16], family, condition,
+                                                      alpha0_choice)
+    row = table.get(key[-16:])
+    if row is None:
+        [(a, error)] = solve_ladder(family, steps, N + 5, (params.q,))
+        row = (None, False) if error else (a, _terminates(a, N))
+    a, terminates = row
     if not terminates:
-        why = ("is q a spectrum root?" if sol is not None
+        why = ("is q a spectrum root?" if a is not None
                else f"the rebuild cannot reach a_{N + 5}")
         raise ValueError(f"series does not terminate at N={N} for q={params.q}; {why}")
-    return dataclasses.replace(sol, coefficients=sol.coefficients[:N + 1],
-                               terminated=True, terminal_index=N)
+    return SeriesSolution(params=params, family=family, alpha0=alpha0, gamma0=gamma0,
+                          s0=s0, coefficients=a[:N + 1], terminated=True, terminal_index=N)
 
 
 def finite_solution(params: CheParams, family: Family,

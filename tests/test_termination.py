@@ -23,6 +23,7 @@ from heunkummer import (
     terminated_solution,
 )
 from heunkummer import termination
+from heunkummer.expansions import ZERO_TOL
 from heunkummer.termination import (
     KIND_ALPHA_OVER_EPS,
     KIND_DELTA_INT,
@@ -376,7 +377,7 @@ def test_root_whose_rebuild_meets_a_vanishing_step_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# the rebuild memo
+# the column pass and the root table
 
 def outcome(call) -> str:
     """repr of call(), or the type and text of the error it raises."""
@@ -387,13 +388,20 @@ def outcome(call) -> str:
 
 
 def cold(call) -> str:
-    termination._rebuild_memo.cache_clear()
+    termination._q_free_ladder.cache_clear()
     return outcome(call)
 
 
 def rebuild(p, family, cond, choice):
-    """The memoized rebuild at p.q, keyed as its callers key it."""
-    return termination._rebuild_memo(termination._bits(p), p, family, cond, choice)
+    """(a_0..a_{N+5}, or None where the pass stops or overflows; the verdict)
+    at p.q, as terminated_solution reads it: the root table's row, else a
+    one-element pass."""
+    key = termination._bits(p)
+    *_, steps, table = termination._q_free_ladder(key[:-16], family, cond, choice)
+    if key[-16:] in table:
+        return table[key[-16:]]
+    [(a, error)] = termination.solve_ladder(family, steps, cond.N + 5, (p.q,))
+    return (None, False) if error else (a, termination._terminates(a, cond.N))
 
 
 @pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
@@ -415,18 +423,20 @@ def test_memoized_rebuilds_are_repr_identical_to_cold_ones(family, kind, choice)
             calls += [functools.partial(terminated_solution, p_r, family, cond, choice),
                       functools.partial(finite_solution, p_r, family, choice)]
         expect = [cold(call) for call in calls]
-        termination._rebuild_memo.cache_clear()
+        termination._q_free_ladder.cache_clear()
         assert [outcome(call) for call in calls] == expect
         for r, verified in signed:
             if not verified:
                 continue
-            termination._rebuild_memo.cache_clear()
+            spectrum()
             for q in (r.conjugate(), r):  # +0.0 first, then -0.0 on a warm memo
                 sol = terminated_solution(dataclasses.replace(p, q=q), family, cond, choice)
                 assert repr(sol.params.q) == repr(q)
 
 
 def test_terminated_solution_at_every_root_reuses_the_spectrum_builds(monkeypatch):
+    """q_spectrum runs one solve_ladder pass over its roots; terminated_solution
+    at every root reads the root table and runs none."""
     calls = []
     real = termination.solve_ladder
 
@@ -438,9 +448,11 @@ def test_terminated_solution_at_every_root_reuses_the_spectrum_builds(monkeypatc
     N = 5
     p = draw_on_condition(random.Random(11), KIND_DELTA_INT, N)
     cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, N)
-    termination._rebuild_memo.cache_clear()
+    termination._q_free_ladder.cache_clear()
     spec = q_spectrum(p, Family.A2_ThreeTerm, cond)
-    assert all(spec.verified) and len(calls) == N + 1
+    # one pass over the column of all N+1 roots, to N+5
+    [(_, steps, upto, roots)] = calls
+    assert all(spec.verified) and upto == N + 5 and len(roots) == N + 1
     calls.clear()
     for root in spec.roots:
         terminated_solution(dataclasses.replace(p, q=root), Family.A2_ThreeTerm, cond)
@@ -462,9 +474,9 @@ def count_recurrence_coeffs(monkeypatch) -> list:
     return calls
 
 
-# every combination at N = 5, and a b3 spectrum whose rebuilds stop at
-# R_25 = 0 (gamma - alpha/eps = N+4) on four roots, which take their
-# residual from the N+1 fallback
+# every combination at N = 5, and a b3 spectrum whose column pass stops at
+# R_25 = 0 (gamma - alpha/eps = N+4) on four roots, which keep their
+# residual |a_{N+1}| from the same pass
 LADDER_CASES = [pytest.param(f, k, c, draw_on_condition(random.Random(13), k, 5), 5,
                              id=f"{f.value}-{k}") for f, k, c in SPECTRUM_COMBOS] + [
     pytest.param(Family.B3_ThreeTerm, KIND_DELTA_INT, None, params(29.0, -21.0, 0.5, 2.0),
@@ -478,7 +490,6 @@ def test_a_spectrum_builds_its_ladder_once(monkeypatch, family, kind, choice, p,
     at every root after it builds none."""
     calls = count_recurrence_coeffs(monkeypatch)
     cond = TerminationCondition(family, kind, N)
-    termination._rebuild_memo.cache_clear()
     termination._q_free_ladder.cache_clear()
     spec = q_spectrum(p, family, cond, choice)
     assert sorted(calls) == list(range(N + 6))
@@ -513,47 +524,143 @@ def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, ki
             roots = q_spectrum(p, family, TerminationCondition(family, kind, N), choice).roots
         except LeadingCoefficientVanishesError:  # a fallback stopped too
             continue
-        termination._rebuild_memo.cache_clear()
         cond = TerminationCondition(family, kind, N)
         for r in (*roots, *(complex(r.real, -0.0) for r in roots if r.imag == 0)):
             p_r = dataclasses.replace(p, q=r)
-            steps = termination._q_free_ladder(termination._bits(p_r)[:-16], family, cond, choice)
+            *_, steps, _ = termination._q_free_ladder(termination._bits(p_r)[:-16],
+                                                      family, cond, choice)
             for upto in (N + 1, N + 5):
-                expect = solved(functools.partial(build_series, p_r, family, upto,
-                                                  alpha0_choice=choice))
-                assert solved(functools.partial(termination.solve_ladder, p_r, family,
-                                                *steps, upto, p_r.q)) == expect
+                build = functools.partial(build_series, p_r, family, upto, alpha0_choice=choice)
+                expect = solved(build)
+                [(a, error)] = termination.solve_ladder(family, steps, upto, (p_r.q,))
+                if expect.startswith("raises"):
+                    assert f"raises {error}" == expect
+                else:
+                    assert error is None and repr(a) == repr(build().coefficients)
+            # the root table's row at a root, a one-element pass at r-0j
             rebuilt = rebuild(p_r, family, cond, choice)[0]
-            assert repr(rebuilt) == ("None" if expect.startswith("raises") else expect)
+            assert (rebuilt is None) == expect.startswith("raises")
+            if rebuilt is not None:
+                assert repr(rebuilt) == repr(build().coefficients)
 
 
 def test_rebuild_memo_stays_within_its_bound():
-    p = params(2.5, -1.0, 1.0, 1.0)
+    """The root tables live in the q-free ladder memo of 8 spectra, and each
+    holds its spectrum's N+1 roots: a q off the table is not stored."""
     cond = TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1)
-    for i in range(termination._REBUILD_MEMO + 10):
-        rebuild(dataclasses.replace(p, q=1e-3 * i), Family.A2_ThreeTerm, cond, None)
-    info = termination._rebuild_memo.cache_info()
-    assert info.maxsize == termination._REBUILD_MEMO >= MAX_N + 1
-    assert info.currsize <= termination._REBUILD_MEMO
+    for i in range(12):
+        p = params(2.5 + 1e-3 * i, -1.0, 1.0, 1.0)
+        q_spectrum(p, Family.A2_ThreeTerm, cond)
+        for j in range(300):
+            rebuild(dataclasses.replace(p, q=1e-3 * j), Family.A2_ThreeTerm, cond, None)
+        *_, table = termination._q_free_ladder(termination._bits(p)[:-16],
+                                               Family.A2_ThreeTerm, cond, None)
+        assert len(table) == 2
+    info = termination._q_free_ladder.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
 
 
 def test_a_failing_rebuild_fails_on_every_call():
     # gamma + delta = 0 is no a2 series: raised, not memoized, every time
     bad = params(1.0, -1.0, 1.0, 1.0)
-    before = termination._rebuild_memo.cache_info().currsize
+    termination._q_free_ladder.cache_clear()
     for _ in range(3):
         with pytest.raises(ApplicabilityError):
             rebuild(bad, Family.A2_ThreeTerm,
                     TerminationCondition(Family.A2_ThreeTerm, KIND_DELTA_INT, 1), None)
-    assert termination._rebuild_memo.cache_info().currsize == before
-    # a build stopped by a vanishing step is a verdict, (None, False), and
-    # is memoized like any other
+    info = termination._q_free_ladder.cache_info()
+    assert info.misses == 3 and info.currsize == 0
+    # a build stopped by a vanishing step is the verdict "not a root",
+    # (None, False), on every call, off the table and on it
     p = params(19.8, -16.0, 1.0, 1.8, 187.5)
     cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, 16)
-    assert rebuild(p, Family.B3_ThreeTerm, cond, None) == (None, False)
-    hits = termination._rebuild_memo.cache_info().hits
-    assert rebuild(p, Family.B3_ThreeTerm, cond, None) == (None, False)
-    assert termination._rebuild_memo.cache_info().hits == hits + 1
+    for _ in range(2):
+        assert rebuild(p, Family.B3_ThreeTerm, cond, None) == (None, False)
+        with pytest.raises(ValueError, match="cannot reach a_21"):
+            terminated_solution(p, Family.B3_ThreeTerm, cond)
+    spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
+    *_, table = termination._q_free_ladder(termination._bits(p)[:-16],
+                                           Family.B3_ThreeTerm, cond, None)
+    assert len(table) == len(spec.roots) == 17
+
+
+def reference_ladder(family, steps, N, q):
+    """(a_0..a_N, error text or None) at one q: the per-root loop the column
+    pass replaced, three-term families only."""
+    coeffs, scale = [1.0 + 0j], 1.0
+    for n in range(1, N + 1):
+        R = steps[n][0]
+        num = 0j
+        num += (steps[n - 1][1] - q) * coeffs[n - 1]
+        if n >= 2:
+            num += steps[n - 2][2] * coeffs[n - 2]
+        nsq = float((1 + n) ** 2)
+        if abs(R) <= ZERO_TOL * nsq:
+            if abs(num) <= ZERO_TOL * nsq * scale:
+                coeffs.append(0j)
+                continue
+            return tuple(coeffs), (f"R_{n} = {R} vanishes with non-negligible numerator "
+                                   f"|{abs(num):.3e}| for family {family.name}")
+        a_n = -num / R
+        coeffs.append(a_n)
+        scale = max(abs(a_n), scale)
+    return tuple(coeffs), None if scale < math.inf else "overflows"
+
+
+DIFFERENTIAL_CASES = [
+    pytest.param(f, k, c, draw_on_condition(random.Random(3100 + N), k, N), N,
+                 id=f"{f.value}-{k}-N{N}")
+    for f, k, c in SPECTRUM_COMBOS for N in (0, 1, 5, 15, 30)] + [
+    pytest.param(Family.B3_ThreeTerm, KIND_DELTA_INT, None, params(29.0, -21.0, 0.5, 2.0),
+                 21, id="b3-R25-vanishes"),
+    pytest.param(Family.A2_ThreeTerm, KIND_DELTA_INT, None, params(2.3, -80.0, 1e6, 0.7),
+                 80, id="a2-N80-overflows")]
+
+
+@pytest.mark.parametrize("family, kind, choice, p, N", DIFFERENTIAL_CASES)
+def test_the_column_pass_is_the_per_root_loop_bit_for_bit(family, kind, choice, p, N):
+    """At every root: coefficients, verdict and residual equal (==, repr) a
+    per-root reference loop, and a one-element column off the table equals
+    the row the table holds for the same q."""
+    cond = TerminationCondition(family, kind, N)
+    termination._q_free_ladder.cache_clear()
+    try:
+        spec = q_spectrum(p, family, cond, choice)
+    except LeadingCoefficientVanishesError:
+        spec = None
+    *_, steps, table = termination._q_free_ladder(termination._bits(p)[:-16],
+                                                  family, cond, choice)
+    p_eig, shift = termination._eigenproblem(dataclasses.replace(p, q=0), kind)
+    import numpy as np
+    roots = [complex(lam + shift)
+             for lam in np.linalg.eigvals(termination.recurrence_tridiagonal(p_eig, N))]
+    columns = termination.solve_ladder(family, steps, N + 5, roots)
+    stops = []
+    for r, (a, error) in zip(roots, columns):
+        ref, why = reference_ladder(family, steps, N + 5, r)
+        assert repr(a) == repr(ref)
+        assert (error is None) == (why is None)
+        if why is not None and why != "overflows":
+            assert str(error) == why
+        if len(ref) < N + 2:
+            stops.append(why)
+            continue
+        verdict = why is None and termination._terminates(ref, N)
+        finite = all(cmath.isfinite(a_n) for a_n in ref[:N + 2])
+        residual = abs(ref[N + 1]) if finite else math.inf
+        [(one, one_error)] = termination.solve_ladder(family, steps, N + 5, (r,))
+        assert repr(one) == repr(a) and str(one_error) == str(error)
+        if spec is not None:
+            i = spec.roots.index(r)
+            assert (spec.verified[i], spec.root_residuals[i]) == (verdict, residual)
+            assert table[termination._Q.pack(r.real, r.imag)] == (
+                None if why else ref, verdict)
+    # the spectrum stops exactly where a root's pass stops by a_{N+1}
+    assert (spec is None) == bool(stops)
+    if N == 21:
+        assert spec.verified.count(False) == 4
+    if N == 80:
+        assert math.inf in spec.root_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +712,6 @@ def test_a_spectrum_and_its_roots_check_the_condition_once(monkeypatch):
     N = 15
     p = draw_on_condition(random.Random(25), KIND_DELTA_INT, N)
     cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
-    termination._rebuild_memo.cache_clear()
     termination._q_free_ladder.cache_clear()
     counts = count_checks(monkeypatch)
     spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
