@@ -46,8 +46,8 @@ KIND_GAMMA_DELTA_ALPHA = "GammaDeltaAlpha"
 VERIFY_TOL = 1e-9          # |a_{N+1}|..|a_{N+5}| relative to max|a_0..a_N|
 MAX_N = 80                 # readers build N-step ladders and (N+1)x(N+1)
                            # eigenproblems (delta = -1e20 would never finish)
-_PARTS = struct.Struct("10d")  # gamma, delta, eps, alpha, q: real, imag
-_Q = struct.Struct("2d")       # the root table's key: q.real, q.imag
+_PARTS = struct.Struct("8d")  # gamma, delta, eps, alpha: real, imag
+_Q = struct.Struct("2d")      # q: real, imag
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def q_spectrum(params: CheParams, family: Family,
     """
     import numpy as np
 
-    *_, steps, table = _q_free_ladder(_bits(params)[:-16], family, condition, alpha0_choice)
+    *_, steps, table = _q_free_ladder(_parts(params), family, condition, alpha0_choice)
     N = condition.N
     p_eig, shift = _eigenproblem(dataclasses.replace(params, q=0), condition.kind)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
@@ -188,7 +188,7 @@ def q_spectrum(params: CheParams, family: Family,
         if len(a) < N + 2:  # an R_n = 0 step up to a_{N+1}
             raise error
         terminates = error is None and _terminates(a, N)
-        table[_Q.pack(r.real, r.imag)] = (None if error else a, terminates)
+        table[_q_key(r)] = (None if error else a, terminates)
         finite = error is None or all(map(cmath.isfinite, a[:N + 2]))
         found.append((r, terminates, abs(a[N + 1]) if finite else math.inf))
     found.sort(key=lambda f: (f[0].real, f[0].imag))
@@ -212,12 +212,18 @@ def check_condition(params: CheParams, family: Family,
             f"meet {[(c.kind, c.N) for c in held]}")
 
 
-def _bits(params: CheParams) -> bytes:
-    """The ten real parts, q's last: r+0j and r-0j compare equal, their series
-    do not. The last 16 bytes are _Q's pack of q."""
-    g, d, e, al, q = params.gamma, params.delta, params.epsilon, params.alpha, params.q
-    return _PARTS.pack(g.real, g.imag, d.real, d.imag, e.real, e.imag,
-                       al.real, al.imag, q.real, q.imag)
+def _parts(params: CheParams) -> bytes:
+    """The eight real parts of gamma, delta, eps and alpha: the q-free
+    ladder's key. Bits, not values: +0.0 and -0.0 compare equal, their
+    series do not."""
+    g, d, e, al = params.gamma, params.delta, params.epsilon, params.alpha
+    return _PARTS.pack(g.real, g.imag, d.real, d.imag, e.real, e.imag, al.real, al.imag)
+
+
+def _q_key(q: complex) -> bytes:
+    """The root table's key: the bits of q, so a real root passed as r-0j
+    keeps its own row."""
+    return _Q.pack(q.real, q.imag)
 
 
 def _terminates(a: tuple, N: int) -> bool:
@@ -229,10 +235,10 @@ def _terminates(a: tuple, N: int) -> bool:
 @functools.lru_cache(maxsize=8)  # one per spectrum, for the last few spectra
 def _q_free_ladder(parts: bytes, family: Family, cond: TerminationCondition, alpha0_choice):
     """(alpha0, gamma0, s0, steps to N+5 at q = 0, root table) at
-    _bits(params)[:-16], once cond holds. q_spectrum fills the root table:
-    _Q's pack of each root -> (a_0..a_{N+5}, or None where the pass stopped
+    _parts(params), once cond holds. q_spectrum fills the root table:
+    _q_key of each root -> (a_0..a_{N+5}, or None where the pass stopped
     or overflowed; the verdict)."""
-    re_im = struct.unpack("8d", parts)
+    re_im = _PARTS.unpack(parts)
     p0 = CheParams(*map(complex, re_im[0::2], re_im[1::2]), 0)
     check_condition(p0, family, cond, alpha0_choice)
     alpha0, gamma0 = resolve_alpha0_gamma0(p0, family, alpha0_choice)
@@ -251,10 +257,9 @@ def terminated_solution(params: CheParams, family: Family,
     where params.q is not a spectrum root or the pass cannot reach N+5.
     """
     N = condition.N
-    key = _bits(params)
-    alpha0, gamma0, s0, steps, table = _q_free_ladder(key[:-16], family, condition,
+    alpha0, gamma0, s0, steps, table = _q_free_ladder(_parts(params), family, condition,
                                                       alpha0_choice)
-    row = table.get(key[-16:])
+    row = table.get(_q_key(params.q))
     if row is None:
         [(a, error)] = solve_ladder(family, steps, N + 5, (params.q,))
         row = (None, False) if error else (a, _terminates(a, N))

@@ -396,10 +396,9 @@ def rebuild(p, family, cond, choice):
     """(a_0..a_{N+5}, or None where the pass stops or overflows; the verdict)
     at p.q, as terminated_solution reads it: the root table's row, else a
     one-element pass."""
-    key = termination._bits(p)
-    *_, steps, table = termination._q_free_ladder(key[:-16], family, cond, choice)
-    if key[-16:] in table:
-        return table[key[-16:]]
+    *_, steps, table = termination._q_free_ladder(termination._parts(p), family, cond, choice)
+    if termination._q_key(p.q) in table:
+        return table[termination._q_key(p.q)]
     [(a, error)] = termination.solve_ladder(family, steps, cond.N + 5, (p.q,))
     return (None, False) if error else (a, termination._terminates(a, cond.N))
 
@@ -508,9 +507,10 @@ def test_a_spectrum_builds_its_ladder_once(monkeypatch, family, kind, choice, p,
 @pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
                          ids=[f"{f.value}-{k}" for f, k, _ in SPECTRUM_COMBOS])
 def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, kind, choice):
-    """The recurrence over the ladder at q = 0, less the root, to N+5 (the
-    rebuild) and to N+1 (the fallback) repr-equals a build at the root; a
-    real root is also passed back as r-0j."""
+    """The recurrence over the ladder at q = 0, less the root, to N+5 and to
+    N+1 repr-equals a build at the root, and terminated_solution there is
+    that build to N+5 cut to a_0..a_N, every field; a real root is also
+    passed back as r-0j."""
     def solved(build) -> str:
         try:
             return repr(build())
@@ -518,6 +518,7 @@ def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, ki
             return f"raises {err}"
 
     rng = random.Random(2121)
+    solved_at = []  # (root, q's imaginary part) where terminated_solution returned
     for N in (0, 1, 5, 15, 30):
         p = draw_on_condition(rng, kind, N)
         try:
@@ -527,7 +528,7 @@ def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, ki
         cond = TerminationCondition(family, kind, N)
         for r in (*roots, *(complex(r.real, -0.0) for r in roots if r.imag == 0)):
             p_r = dataclasses.replace(p, q=r)
-            *_, steps, _ = termination._q_free_ladder(termination._bits(p_r)[:-16],
+            *_, steps, _ = termination._q_free_ladder(termination._parts(p_r),
                                                       family, cond, choice)
             for upto in (N + 1, N + 5):
                 build = functools.partial(build_series, p_r, family, upto, alpha0_choice=choice)
@@ -538,10 +539,28 @@ def test_a_rebuild_from_the_q_free_ladder_is_build_series_bit_for_bit(family, ki
                 else:
                     assert error is None and repr(a) == repr(build().coefficients)
             # the root table's row at a root, a one-element pass at r-0j
-            rebuilt = rebuild(p_r, family, cond, choice)[0]
+            rebuilt, verdict = rebuild(p_r, family, cond, choice)
+            solution = functools.partial(terminated_solution, p_r, family, cond, choice)
             assert (rebuilt is None) == expect.startswith("raises")
-            if rebuilt is not None:
-                assert repr(rebuilt) == repr(build().coefficients)
+            if rebuilt is None:
+                with pytest.raises(ValueError, match=f"cannot reach a_{N + 5}"):
+                    solution()
+                continue
+            full = build_series(p_r, family, N + 5, alpha0_choice=choice)
+            assert repr(rebuilt) == repr(full.coefficients)
+            assert verdict == termination._terminates(full.coefficients, N)
+            if not verdict:
+                with pytest.raises(ValueError, match="is q a spectrum root"):
+                    solution()
+                continue
+            # params (the sign of q's zero imaginary part too), alpha0,
+            # gamma0, s0, coefficients, terminated and terminal_index
+            assert repr(solution()) == repr(dataclasses.replace(
+                full, coefficients=full.coefficients[:N + 1], terminated=True,
+                terminal_index=N))
+            solved_at.append((r, repr(r.imag)))
+    # the field check ran at roots and at a real root passed as r-0j
+    assert any(im == "-0.0" for _, im in solved_at) and len(solved_at) > 2
 
 
 def test_rebuild_memo_stays_within_its_bound():
@@ -553,7 +572,7 @@ def test_rebuild_memo_stays_within_its_bound():
         q_spectrum(p, Family.A2_ThreeTerm, cond)
         for j in range(300):
             rebuild(dataclasses.replace(p, q=1e-3 * j), Family.A2_ThreeTerm, cond, None)
-        *_, table = termination._q_free_ladder(termination._bits(p)[:-16],
+        *_, table = termination._q_free_ladder(termination._parts(p),
                                                Family.A2_ThreeTerm, cond, None)
         assert len(table) == 2
     info = termination._q_free_ladder.cache_info()
@@ -579,7 +598,7 @@ def test_a_failing_rebuild_fails_on_every_call():
         with pytest.raises(ValueError, match="cannot reach a_21"):
             terminated_solution(p, Family.B3_ThreeTerm, cond)
     spec = q_spectrum(p, Family.B3_ThreeTerm, cond)
-    *_, table = termination._q_free_ladder(termination._bits(p)[:-16],
+    *_, table = termination._q_free_ladder(termination._parts(p),
                                            Family.B3_ThreeTerm, cond, None)
     assert len(table) == len(spec.roots) == 17
 
@@ -628,7 +647,7 @@ def test_the_column_pass_is_the_per_root_loop_bit_for_bit(family, kind, choice, 
         spec = q_spectrum(p, family, cond, choice)
     except LeadingCoefficientVanishesError:
         spec = None
-    *_, steps, table = termination._q_free_ladder(termination._bits(p)[:-16],
+    *_, steps, table = termination._q_free_ladder(termination._parts(p),
                                                   family, cond, choice)
     p_eig, shift = termination._eigenproblem(dataclasses.replace(p, q=0), kind)
     import numpy as np
@@ -653,7 +672,7 @@ def test_the_column_pass_is_the_per_root_loop_bit_for_bit(family, kind, choice, 
         if spec is not None:
             i = spec.roots.index(r)
             assert (spec.verified[i], spec.root_residuals[i]) == (verdict, residual)
-            assert table[termination._Q.pack(r.real, r.imag)] == (
+            assert table[termination._q_key(r)] == (
                 None if why else ref, verdict)
     # the spectrum stops exactly where a root's pass stops by a_{N+1}
     assert (spec is None) == bool(stops)
