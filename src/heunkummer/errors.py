@@ -44,7 +44,8 @@ class LeadingCoefficientVanishesError(HeunKummerError):
 
 
 class StepTooCoarseError(HeunKummerError):
-    """Step-halving check of the integrator failed at the default resolution."""
+    """The integrator's step-doubling estimate of its endpoint error is
+    above twostate.STEP_ERROR_TOL (1e-8): the step is too coarse."""
 
 
 class ConditionNotMetError(HeunKummerError):

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
     import numpy as np
 
 DEFAULT_STEPS = 8000
-HALVING_TOL = 1e-8
+STEP_ERROR_TOL = 1e-8
 DELTA0_CLAMP = 1e-10  # located return points keep eps = -2*Delta0 nonzero
 RELATION_TOL = 1e-8   # a located return point meets its relation this well
 _CHUNK = 4096         # RK steps per chunk of the one pass: bounds the temporaries
@@ -97,14 +97,13 @@ class TwoStateReduction:
 @dataclass(frozen=True)
 class Trajectory:
     """Amplitudes along the time grid: a1 and a2 have the grid on their last
-    axis, after one leading axis per stacked initial state. halving_delta is
-    the largest change of an endpoint amplitude that the step-halving check
-    measured."""
+    axis, after one leading axis per stacked initial state. step_error is
+    the estimated error of the endpoint amplitudes, by step doubling."""
 
     times: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-    halving_delta: float
+    step_error: float
 
     def norm_drift(self) -> float:
         """Largest change of |a1|^2 + |a2|^2 from its start, over every
@@ -181,7 +180,7 @@ def _matmul(a, b, out=(None, None)):
 def _pairs(m):
     """Top rows of m[2i+1] @ m[2i], one matrix per pair of neighbours; an
     odd last matrix is carried alone, so the pairs multiply to m's product.
-    Repeated, it is the pairwise tree of the halving run; once per level,
+    Repeated, it is the pairwise tree of the coarse run; once per level,
     it is the first half of _prefix. The pairs are written into arrays
     that already hold the carried matrix's place, so nothing is copied."""
     import numpy as np
@@ -242,29 +241,29 @@ def _after(m, carry):
 
 
 def _propagators(model: LorentzianModel, t_start, h, steps):
-    """Yield (start, stop, P, F) for each chunk of at most _CHUNK steps.
+    """Yield (start, stop, P, C) for each chunk of at most _CHUNK steps.
 
     P holds the top rows of the RK4 propagators P_n = M_{n-1} ... M_0,
-    n = start+1..stop; F that of the one propagator of the halving run
-    (steps of h/2) from t_start to t_start + stop h.
+    n = start+1..stop; C that of the one propagator of the coarse run
+    (steps of 2h) from t_start to t_start + stop h.
 
-    A(t) is evaluated once per chunk, as arrays on its share of the
-    quarter-step grid t_start + k h/4. The run reads every other point,
-    which is its half-step grid exactly (2k h/4 = k h/2); its first step
-    matrix is taken times P_start, carried over from the chunk before, and
-    P is the work-efficient prefix product of the chunk (_prefix). The
-    halving run reads every point; only its endpoint is checked, so its
-    chunk's step matrices, the first taken times the F before, are reduced
-    by _pairs, the pairing step of that scan, to at most _TAIL matrices,
-    and _running multiplies those into the one matrix F.
-    Memory stays O(_CHUNK).
+    A(t) is evaluated once per chunk, as arrays on its share of the run's
+    half-step grid t_start + k h/2. The run's first step matrix is taken
+    times P_start, carried over from the chunk before, and P is the
+    work-efficient prefix product of the chunk (_prefix). The coarse run's
+    2h steps read every other point (t_n, t_n + h, t_n + 2h); _CHUNK is
+    even, and an odd last chunk's unpaired h-step enters it as the run's
+    own matrix. Only its endpoint is checked, so its chunk's step matrices,
+    the first taken times the C before, are reduced by _pairs, the pairing
+    step of that scan, to at most _TAIL matrices, and _running multiplies
+    those into the one matrix C. Memory stays O(_CHUNK).
     """
     import numpy as np
 
-    run = fine = np.array([1, 0], dtype=complex)[:, None]  # I
+    run = coarse = np.array([1, 0], dtype=complex)[:, None]  # I
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
-        t = t_start + np.arange(4 * start, 4 * stop + 1) * (h / 4)
+        t = t_start + np.arange(2 * start, 2 * stop + 1) * (h / 2)
         u, phase = model.coupling(t), model.phase(t)
         for name, v in (("coupling", u), ("phase", phase)):
             if np.iscomplexobj(v):
@@ -272,13 +271,18 @@ def _propagators(model: LorentzianModel, t_start, h, steps):
         # p = -i u e^{-i phase}; a model may return scalars, as for a flat pulse
         p = np.empty(t.shape, dtype=complex)
         p.real, p.imag = 0 - u * np.sin(phase), -(u * np.cos(phase))
-        P = _prefix(_after(_step_matrices(p[::2], h), run))
+        m = _step_matrices(p, h)
+        odd = (stop - start) % 2
+        doubled = _step_matrices(p[:len(p) - 2 * odd:2], 2 * h)
+        if odd:  # the unpaired last h-step, before _after may change m[0]
+            doubled = [np.append(d, e[-1]) for d, e in zip(doubled, m)]
+        P = _prefix(_after(m, run))
         run = [e[-1:] for e in P]
-        fine = _after(_step_matrices(p, h / 2), fine)
-        while len(fine[0]) > _TAIL:
-            fine = _pairs(fine)
-        fine = [e[-1:] for e in _running(fine)]
-        yield start, stop, P, fine
+        coarse = _after(doubled, coarse)
+        while len(coarse[0]) > _TAIL:
+            coarse = _pairs(coarse)
+        coarse = [e[-1:] for e in _running(coarse)]
+        yield start, stop, P, coarse
 
 
 def _apply(P, y0):
@@ -296,10 +300,10 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
 
     init is one state (a1, a2) or a stack of states along its first axis,
     each integrated exactly as it would be alone; a1 and a2 of the result
-    then carry one row per state. A step-halving check must move every
-    endpoint by no more than 1e-8, otherwise StepTooCoarseError is raised;
-    the change it measured is the result's halving_delta. The pulse must be
-    real: a coupling or phase of complex type raises ValueError.
+    then carry one row per state. Step doubling estimates the endpoint's
+    error as max |endpoint_h - endpoint_2h| / 15 (RK4 is of order 4), the
+    result's step_error; above 1e-8 StepTooCoarseError is raised. The pulse
+    must be real: a coupling or phase of complex type raises ValueError.
     """
     import numpy as np
 
@@ -322,15 +326,15 @@ def integrate_rk(model: LorentzianModel, t_start: float, t_end: float,
     h = (t_end - t_start) / steps
     a1, a2 = np.empty((2, *y0.shape[:-1], steps + 1), dtype=complex)
     a1[..., 0], a2[..., 0] = y0[..., 0], y0[..., 1]  # P_0 = I
-    for start, stop, P, fine in _propagators(model, t_start, h, steps):
+    for start, stop, P, coarse in _propagators(model, t_start, h, steps):
         a1[..., start + 1:stop + 1], a2[..., start + 1:stop + 1] = _apply(P, y0)
-    f1, f2 = _apply(fine, y0)
-    diff = float(np.max(np.abs([a1[..., -1:] - f1, a2[..., -1:] - f2])))
-    if not diff <= HALVING_TOL:  # a NaN endpoint fails too
+    c1, c2 = _apply(coarse, y0)
+    error = float(np.max(np.abs([a1[..., -1:] - c1, a2[..., -1:] - c2]))) / 15
+    if not error <= STEP_ERROR_TOL:  # a NaN endpoint fails too
         raise StepTooCoarseError(
-            f"halving the step moved the endpoint by {diff:.3e} > {HALVING_TOL}")
+            f"the endpoint's estimated step error {error:.3e} > {STEP_ERROR_TOL}")
     return Trajectory(times=t_start + np.arange(steps + 1) * h, a1=a1, a2=a2,
-                      halving_delta=diff)
+                      step_error=error)
 
 
 class ClosedForm:
@@ -407,7 +411,7 @@ class MatchResult:
     (1,0) and (0,1) at the anchor; max_deviation is the largest absolute
     difference between the closed form and the matched combination over the
     sample times; closed_form is the evaluator that was matched. norm_drift
-    and halving_delta are those of the RK basis trajectories."""
+    and step_error are those of the RK basis trajectories."""
 
     closed_form: ClosedForm
     max_deviation: float
@@ -420,7 +424,7 @@ class MatchResult:
     p1: np.ndarray
     p2: np.ndarray
     norm_drift: float
-    halving_delta: float
+    step_error: float
 
 
 def match_against_rk(model: LorentzianModel,
@@ -460,7 +464,7 @@ def match_against_rk(model: LorentzianModel,
                        mu=complex(mu), anchor=t_start, sample_times=ts,
                        closed=closed, combined=combined, p1=p1, p2=p2,
                        norm_drift=traj.norm_drift(),
-                       halving_delta=traj.halving_delta)
+                       step_error=traj.step_error)
 
 
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
