@@ -23,19 +23,19 @@ eval_series reports the tail honestly and raises when asked for more than
 the series can give.
 
 Basis memo: the walk and s0 do not depend on q, so every root of one
-q-spectrum, and every repeated z, reads the same basis values. Evaluation
+q-spectrum, and every repeated z, reads the same basis values. A scalar z
 at |s0 z| <= LARGE_X takes them from a bounded LRU memo of _LADDER_MEMO
-points: F_n = 1F1(alpha_n; gamma_n; s0 z) at the n with a_n != 0, and
-with derivatives also F_n' and F_n'' in x; then u' = sum (a_n s0) F_n'
-and u'' = sum ((a_n s0) s0) F_n''. A miss on more than three terms sums
-two seed basis functions and fills the rest of the ladder by the walk's
-three-term contiguous relation, checked against a direct sum at its far
-end (_contiguous_ladder): three eval_1f1 calls whatever N. On three terms
-or fewer, and where the walk meets a pole or an eval_1f1 error or the
-check fails, a miss makes one eval_1f1 call per nonzero term, which sums
-F_n, F_n' and F_n'' in one pass (_basis_sums). Beyond LARGE_X, where
-eval_1f1 warns, nothing is memoized; an array of z bypasses the memo;
-both take _basis_sums's one call per basis function.
+points: F_n = 1F1(alpha_n; gamma_n; s0 z), F_n' and F_n'' in x at the n
+with a_n != 0; then u' = sum (a_n s0) F_n', u'' = sum ((a_n s0) s0) F_n''
+and eval_series is eval_series_with_derivatives's u. A miss on more than
+three terms sums two seed basis functions and fills the rest of the ladder
+by the walk's three-term contiguous relation, checked against a direct sum
+at its far end (_contiguous_ladder): three eval_1f1 calls whatever N. On
+three terms or fewer, where the walk meets a pole or an eval_1f1 error or
+the check fails, and beyond LARGE_X, where eval_1f1 warns and nothing is
+memoized, one eval_1f1 call per nonzero term sums F_n, F_n' and F_n'' in
+one pass (_basis_sums). An array of z bypasses the memo: one values-only
+eval_1f1 call per basis function.
 """
 
 from __future__ import annotations
@@ -365,13 +365,18 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
     exceeds tol on a non-terminated solution, ValueError at a NaN tol, and
     NonConvergenceError where the value is not finite.
 
-    z may be an ndarray: value is then an array of its shape, each basis
-    function summed over every point by one eval_1f1 call (no memo), and
-    tail_estimate is the largest over the points.
+    At a scalar z the result is u and the tail of
+    eval_series_with_derivatives: only u must be finite, but a basis
+    function whose own derivative sum fails raises NonConvergenceError
+    naming 1F1' or 1F1''. z may be an ndarray: value is then an array of its
+    shape, each basis function summed over every point by one values-only
+    eval_1f1 call (no memo), and tail_estimate is the largest over the
+    points, 0 over none.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
-    value, _, _, tail = _eval_series_impl(sol, z, derivatives=False)
+    value, *_, tail = (_eval_points(sol, z) if getattr(z, "ndim", 0) > 0  # an ndarray of points
+                       else _eval_scalar(sol, complex(z), ("u",)))
     if not sol.terminated and tail > tol:
         raise TailTooLargeError(
             f"tail estimate {tail:.3e} exceeds tol={tol:.3e}; "
@@ -382,72 +387,69 @@ def eval_series(sol: SeriesSolution, z, tol: float = 1e-10):
 def eval_series_with_derivatives(sol: SeriesSolution, z):
     """(u, u', u'', tail_estimate) at one point z, each 1F1 summed with its
     first two derivatives in one pass (eval_1f1 sums derivatives for a
-    scalar x only). No tail gate is applied; callers inspect the tail.
+    scalar x only: an array z is a TypeError). No tail gate is applied.
     NonConvergenceError naming the first of u, u', u'' that is not finite."""
-    return _eval_series_impl(sol, z, derivatives=True)
+    return _eval_scalar(sol, complex(z), ("u", "u'", "u''"))
 
 
-def _eval_series_impl(sol: SeriesSolution, z, derivatives: bool):
-    array = getattr(z, "ndim", 0) > 0  # an ndarray of points
-    if not array:
-        z = complex(z)
+def _eval_scalar(sol: SeriesSolution, z: complex, checked: tuple):
+    """(u, u', u'', tail) at z; NonConvergenceError naming the first checked sum not finite."""
     x = sol.s0 * z
     nonzero, coeffs, as0, as0s0 = sol._terms
-    # a ladder that warns is not memoized, so every evaluation warns; an
-    # array of points is summed afresh, one eval_1f1 call per basis function
-    memo = not array and abs(x) <= LARGE_X
-    f0, *derivs = (_basis_ladder if memo else _basis_sums)(
-        sol.family, sol.alpha0, sol.gamma0, x, nonzero, derivatives)
+    # a ladder that warns is not memoized, so every evaluation warns
+    f0, f1, f2 = (_basis_ladder if abs(x) <= LARGE_X else _basis_sums)(
+        sol.family, sol.alpha0, sol.gamma0, x, nonzero)
     # sum from 0j adds left to right, and the products keep the per-term
     # order a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
-    if array:  # no derivatives: eval_1f1 sums those at a scalar x only
-        import numpy as np
-
-        # an overflow is reported below as NonConvergenceError, not as numpy's warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = sum(map(mul, coeffs, f0), 0j)
-            tail = 0.0 if sol.terminated or not nonzero else float(
-                (abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
-    else:
-        u = sum(map(mul, coeffs, f0), 0j)
-        tail = 0.0 if sol.terminated or not nonzero else (
-            abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(u)))
-    u1 = u2 = None
-    if derivatives:
-        f1, f2 = derivs
-        u1 = sum(map(mul, as0, f1), 0j)
-        u2 = sum(map(mul, as0s0, f2), 0j)
+    sums = (sum(map(mul, coeffs, f0), 0j), sum(map(mul, as0, f1), 0j),
+            sum(map(mul, as0s0, f2), 0j))
     # finite basis values can still overflow in a_n s0 F_n, and inf times 0 is NaN
-    for name, value in zip(("u", "u'", "u''"), (u, u1, u2)[:3 if derivatives else 1]):
-        at = z
-        if array:  # its first point that is not finite, else its first point
-            i = np.isfinite(value).argmin()
-            value, at = value.flat[i], z.flat[i]
+    for name, value in zip(checked, sums):
         if not cmath.isfinite(value):
             raise NonConvergenceError(f"{name} of the {sol.family.name} series is not "
-                                      f"finite at z={at}: {value}")
-    return u, u1, u2, tail
+                                      f"finite at z={z}: {value}")
+    tail = 0.0 if sol.terminated or not nonzero else (
+        abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(sums[0])))
+    return (*sums, tail)
+
+
+def _eval_points(sol: SeriesSolution, z):
+    """(u, tail) over the ndarray z; NonConvergenceError at its first u not finite."""
+    import numpy as np
+
+    nonzero, coeffs, _, _ = sol._terms
+    f0 = [eval_1f1(an, cn, sol.s0 * z)
+          for an, cn in _basis_walk(sol.family, sol.alpha0, sol.gamma0, nonzero)]
+    # an overflow is reported below as NonConvergenceError, not as numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = sum(map(mul, coeffs, f0), 0j)
+        tail = 0.0 if sol.terminated or not nonzero else float(
+            (abs(coeffs[-1] * f0[-1]) / abs(u).clip(1e-300)).max(initial=0.0))
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise NonConvergenceError(f"u of the {sol.family.name} series is not finite "
+                                  f"at z={z.flat[bad[0]]}: {u.flat[bad[0]]}")
+    return u, tail
 
 
 @functools.lru_cache(maxsize=_LADDER_MEMO)
-def _basis_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
-                  derivatives: bool) -> tuple:
+def _basis_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple) -> tuple:
     """_basis_sums's columns at n in nonzero, by the walk's contiguous
     relation (_contiguous_ladder) where that passes its check, else by
     _basis_sums itself; two seeds and a check save nothing on three."""
     if len(nonzero) > 3:
-        columns = _contiguous_ladder(family, alpha0, gamma0, x, nonzero, derivatives)
+        columns = _contiguous_ladder(family, alpha0, gamma0, x, nonzero)
         if columns is not None:
             return columns
-    return _basis_sums(family, alpha0, gamma0, x, nonzero, derivatives)
+    return _basis_sums(family, alpha0, gamma0, x, nonzero)
 
 
-def _basis_sums(family: Family, alpha0, gamma0, x, nonzero: tuple, derivatives: bool) -> tuple:
-    """(f0,) or (f0, f1, f2): 1F1(alpha_n; gamma_n; x) and its first two
-    derivatives in x, n in nonzero, one eval_1f1 call per n."""
-    sums = [eval_1f1(an, cn, x, derivatives=derivatives)
+def _basis_sums(family: Family, alpha0, gamma0, x, nonzero: tuple) -> tuple:
+    """(f0, f1, f2): 1F1(alpha_n; gamma_n; x) and its first two derivatives
+    in x, n in nonzero, one eval_1f1 call per n."""
+    sums = [eval_1f1(an, cn, x, derivatives=True)
             for an, cn in _basis_walk(family, alpha0, gamma0, nonzero)]
-    return (tuple(zip(*sums)) or ((), (), ())) if derivatives else (tuple(sums),)
+    return tuple(zip(*sums)) or ((), (), ())
 
 
 def _relations(family: Family, walk: list, x, forward: bool) -> list:
@@ -467,8 +469,7 @@ def _relations(family: Family, walk: list, x, forward: bool) -> list:
     return [(c * (c - 1), c * (1 - c + x), -a * x) for a, c in walk]
 
 
-def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple,
-                       derivatives: bool):
+def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tuple):
     """_basis_sums's columns from two seed sums and the walk's contiguous
     relation, or None where the per-n sums must decide: a non-finite
     parameter, a pole on the walk, an eval_1f1 error, or a check that fails.
@@ -491,9 +492,7 @@ def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tupl
         return None
     lo, top = nonzero[0], nonzero[-1]
     gamma_walk = family not in (Family.B4_FourTerm, Family.B3_ThreeTerm)
-    if gamma_walk and derivatives:
-        top += 2
-    walk = _basis_walk(family, alpha0, gamma0, range(lo, top + 1))
+    walk = _basis_walk(family, alpha0, gamma0, range(lo, top + (3 if gamma_walk else 1)))
     # gamma_n is lowest at lo, so one test finds any pole on the walk
     if nonpositive_int(walk[0][1]) is not None:
         return None
@@ -505,26 +504,25 @@ def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tupl
             return None
         walk.reverse()
     # from here the seeds are the last two rungs and the far end is rung 0
-    columns = 3 if derivatives and not gamma_walk else 1
-    rungs = [[0j] * len(walk) for _ in range(columns)]
+    rungs = [[0j] * len(walk) for _ in range(1 if gamma_walk else 3)]
     F = rungs[0]
     try:
         for i in (-1, -2):
-            sums = eval_1f1(*walk[i], x, derivatives=columns == 3)
-            for col, v in zip(rungs, sums if columns == 3 else (sums,)):
+            sums = eval_1f1(*walk[i], x, derivatives=not gamma_walk)
+            for col, v in zip(rungs, (sums,) if gamma_walk else sums):
                 col[i] = v
         relations = _relations(family, walk, x, forward)
-        G, H = rungs[1:] if columns == 3 else (None, None)
+        G, H = (None, None) if gamma_walk else rungs[1:]
         for i in range(len(walk) - 2, 0, -1):
             D, K1, K2 = relations[i]
             F[i - 1] = -(K1 * F[i] + K2 * F[i + 1]) / D
             if G:
                 G[i - 1] = -(K1 * G[i] + K2 * G[i + 1] + F[i]) / D
                 H[i - 1] = -(K1 * H[i] + K2 * H[i + 1] + 2 * G[i]) / D
-        check = eval_1f1(*walk[0], x, derivatives=columns == 3)
+        check = eval_1f1(*walk[0], x, derivatives=not gamma_walk)
     except NonConvergenceError:  # a polynomial above max_terms, or an overflow
         return None
-    for col, v in zip(rungs, check if columns == 3 else (check,)):
+    for col, v in zip(rungs, (check,) if gamma_walk else check):
         if not abs(col[0] - v) < _LADDER_CHECK * abs(v):  # NaN too
             return None
         col[0] = v
@@ -532,11 +530,9 @@ def _contiguous_ladder(family: Family, alpha0, gamma0, x: complex, nonzero: tupl
         for col in rungs:
             col.reverse()
     pick = [n - lo for n in nonzero]
-    f0 = tuple([F[i] for i in pick])
-    if not derivatives:
-        return (f0,)
     if not gamma_walk:
-        return (f0, *(tuple([col[i] for i in pick]) for col in rungs[1:]))
+        return tuple(tuple([col[i] for i in pick]) for col in rungs)
+    f0 = tuple([F[i] for i in pick])
     if family is Family.C_ThreeTerm:
         s = [1 - a / c for a, c in walk]
         F1 = [F[i] - s[i] * F[i + 1] for i in range(len(walk) - 1)]

@@ -116,7 +116,10 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
                                   f"a polynomial of degree {m:.15g}, above max_terms={max_terms}")
     if array:
         return _sum_array(a, c, x, m, tol, max_terms).reshape(shape)
-    return _sum_scalar(a, c, x, m, tol, max_terms, derivatives)
+    try:  # costs nothing until it raises: the loop tests no modulus for overflow
+        return _sum_scalar(a, c, x, m, tol, max_terms, derivatives)
+    except OverflowError:  # abs() of finite parts whose modulus passes the double range
+        raise NonConvergenceError(f"1F1({a}; {c}; {x}) overflows past the double range") from None
 
 
 def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = False):

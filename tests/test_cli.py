@@ -708,7 +708,10 @@ def test_huge_integers_in_error_messages_are_short(capsys, argv, error, text):
       "--alpha", "1e308", "--q=-1e308"], "ValueError", "parameter q "),
     (["two-state", "--u0", "1e200", "--delta0", "2", "--delta1=-2",
       "--steps", "100"], "ValueError", "overflows"),
-], ids=["rk-blow-up", "transform-overflow", "coupling-overflow"])
+    # abs() of a term past the double range raised OverflowError
+    (["eval-1f1", "--a", "1.5e308", "--c", "1", "--x", "1+1j"], "NonConvergenceError",
+     "overflows past the double range"),
+], ids=["rk-blow-up", "transform-overflow", "coupling-overflow", "1f1-term-modulus"])
 def test_non_finite_results_are_domain_errors(capsys, argv, error, text):
     code, record = run_json(capsys, argv)
     assert code == 1

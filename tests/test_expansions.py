@@ -391,6 +391,11 @@ def test_a_sum_that_is_not_finite_is_refused():
     with pytest.warns(LargeArgumentWarning), pytest.raises(
             NonConvergenceError, match=r"^u of the C_ThreeTerm series is not finite at z=0\.3: "):
         eval_series(sol, np.array([0.3, 0.47]), tol=math.inf)
+    # a basis term's modulus passes the double range (abs() raised OverflowError)
+    sol = build_series(params(2.3, -1, 1, 1e154, 2.3), Family.A2_ThreeTerm, 2)
+    for evaluate in (eval_series_with_derivatives, EVAL_SERIES_UNGATED):
+        with pytest.raises(NonConvergenceError, match="overflows past the double range"):
+            evaluate(sol, 5 + 3j)
 
 
 def test_untermininated_build_is_a_formal_object():
@@ -564,7 +569,8 @@ def beyond_large_x(sol: SeriesSolution) -> complex:
 def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
     """Bit for bit where the per-term sums remain: three or fewer terms, or
     a point beyond LARGE_X (None below). A longer ladder at small |x| runs
-    its contiguous relation, within LADDER_TOL of 30-digit mpmath."""
+    its contiguous relation, within LADDER_TOL of 30-digit mpmath. eval_series
+    is eval_series_with_derivatives's u and tail bit for bit everywhere."""
     # 0.3+0j and 0.3-0j give memo keys that compare equal; back to back,
     # each must still give its uncached result
     for z0 in (0.3 + 0j, complex(0.3, -0.0), 0.3 + 0j, 0.12, 0.47, None):
@@ -572,15 +578,13 @@ def test_memoized_evaluation_is_bit_identical_to_the_per_term_loop(sols):
             z = beyond_large_x(sol) if z0 is None else z0
             expect = reference_eval(sol, z)
             got = eval_series_with_derivatives(sol, z)
-            value, tail = eval_series(sol, z, tol=math.inf)
+            # eval_series at a scalar z is u and the tail of the same path
+            assert repr(eval_series(sol, z, tol=math.inf)) == repr((got[0], got[3]))
             if z0 is None or sum(1 for a_n in sol.coefficients if a_n != 0) <= 3:
                 assert repr(got) == repr(expect)
-                assert repr((value, tail)) == repr((expect[0], expect[3]))
             else:
                 assert_within_ladder_bound(sol, z, got[:3])
-                assert_within_ladder_bound(sol, z, (value,))
                 assert got[3] == pytest.approx(expect[3], rel=1e-9)
-                assert tail == pytest.approx(expect[3], rel=1e-9)
 
 
 @pytest.mark.parametrize("evaluate", [eval_series, eval_series_with_derivatives])
@@ -688,6 +692,10 @@ def test_an_array_of_points_is_one_1f1_call_per_term_and_skips_the_memo():
     assert tail == pytest.approx(max(t for _, t in scalar), rel=1e-12)
     with pytest.raises(TailTooLargeError):
         eval_series(sol, zs, tol=0.5 * tail)
+    # no points: no values, and a tail of 0 that passes the gate
+    for shape in ((0,), (0, 3)):
+        values, tail = eval_series(sol, np.zeros(shape, dtype=complex))
+        assert values.shape == shape and values.dtype == complex and tail == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -718,18 +726,16 @@ WALKS.append(pytest.param(*SPECTRUM_COMBOS[1], True, id="a2-DeltaInt-gapped"))
 
 @pytest.mark.parametrize("family, kind, choice, gapped", WALKS)
 def test_each_walk_matches_mpmath(family, kind, choice, gapped):
-    """F, F' and F'' of every rung, and F alone without derivatives, within
-    WALK_TOL of 30-digit mpmath; each ladder passes its check."""
+    """F, F' and F'' of every rung within WALK_TOL of 30-digit mpmath; each
+    ladder passes its check."""
     for alpha0, gamma0, x, nonzero in walk_draws(family, kind, choice, gapped):
         walk = expansions._basis_walk(family, alpha0, gamma0, nonzero)
-        for derivatives in (True, False):
-            columns = expansions._contiguous_ladder(family, alpha0, gamma0, x, nonzero,
-                                                    derivatives)
-            assert columns is not None and len(columns) == (3 if derivatives else 1)
-            for i, (a, c) in enumerate(walk):
-                for got, exact in zip(columns, mp_basis(a, c, x)):
-                    exact = complex(exact)
-                    assert abs(got[i] - exact) <= WALK_TOL * abs(exact), (a, c, x, got[i], exact)
+        columns = expansions._contiguous_ladder(family, alpha0, gamma0, x, nonzero)
+        assert columns is not None and len(columns) == 3
+        for i, (a, c) in enumerate(walk):
+            for got, exact in zip(columns, mp_basis(a, c, x)):
+                exact = complex(exact)
+                assert abs(got[i] - exact) <= WALK_TOL * abs(exact), (a, c, x, got[i], exact)
 
 
 EVAL_SERIES_UNGATED = functools.partial(eval_series, tol=math.inf)
@@ -745,13 +751,14 @@ def ladder_solutions() -> list:
 
 
 def test_a_memo_hit_is_bit_identical_to_its_miss():
+    """Each evaluator's hit repeats its miss, and eval_series hits the entry
+    that eval_series_with_derivatives filled: one miss in all."""
     for sol in ladder_solutions():
-        for evaluate in (eval_series_with_derivatives, EVAL_SERIES_UNGATED):
-            expansions._basis_ladder.cache_clear()
-            miss = evaluate(sol, 0.3)
-            hit = evaluate(sol, 0.3)
-            assert expansions._basis_ladder.cache_info()[:2] == (1, 1)
-            assert repr(hit) == repr(miss)
+        expansions._basis_ladder.cache_clear()
+        for i, evaluate in enumerate((eval_series_with_derivatives, EVAL_SERIES_UNGATED)):
+            first = evaluate(sol, 0.3)
+            assert repr(evaluate(sol, 0.3)) == repr(first)
+            assert expansions._basis_ladder.cache_info()[:2] == (2 * i + 1, 1)
 
 
 def test_a_failed_check_falls_back_to_the_per_term_sums(monkeypatch):
@@ -761,10 +768,8 @@ def test_a_failed_check_falls_back_to_the_per_term_sums(monkeypatch):
         assert repr(eval_series_with_derivatives(sol, 0.3)) == repr(reference_eval(sol, 0.3))
         nonzero = tuple(n for n, a_n in enumerate(sol.coefficients) if a_n != 0)
         key = (sol.family, sol.alpha0, sol.gamma0, sol.s0 * 0.47, nonzero)
-        for derivatives in (True, False):
-            assert expansions._contiguous_ladder(*key, derivatives) is None
-            assert (repr(expansions._basis_ladder(*key, derivatives))
-                    == repr(expansions._basis_sums(*key, derivatives)))
+        assert expansions._contiguous_ladder(*key) is None
+        assert repr(expansions._basis_ladder(*key)) == repr(expansions._basis_sums(*key))
 
 
 def test_an_array_of_points_keeps_the_per_term_sums():
@@ -818,6 +823,6 @@ def test_a_walk_that_meets_a_pole_a_zero_or_an_error_keeps_the_per_term_result(c
     expect = outcome(reference_eval, sol, 0.3)
     assert outcome(eval_series_with_derivatives, sol, 0.3) == expect
     if isinstance(expect, str):
-        u, _, _, tail = reference_eval(sol, 0.3)
+        u, _, _, tail = eval_series_with_derivatives(sol, 0.3)
         expect = repr((u, tail))
     assert outcome(EVAL_SERIES_UNGATED, sol, 0.3) == expect

@@ -136,6 +136,11 @@ def test_overflowed_sum_is_not_returned():
     with pytest.warns(LargeArgumentWarning), pytest.raises(NonConvergenceError,
                                                            match="overflows"):
         eval_1f1(1.0, 2.0, 800.0, derivatives=True)
+    # a term of finite parts whose modulus passes the double range, where
+    # abs() raised OverflowError: in 1F1's own terms, and in F' alone
+    for args in ((1.5e308, 1, 1 + 1j), (1e154, 1.3, -5 - 3j, 1e-14, 10000, True)):
+        with pytest.raises(NonConvergenceError, match="overflows past the double range"):
+            eval_1f1(*args)
 
 
 def test_bad_tol_rejected():
