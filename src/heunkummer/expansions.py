@@ -397,20 +397,30 @@ def _eval_scalar(sol: SeriesSolution, z: complex, checked: tuple):
     x = sol.s0 * z
     nonzero, coeffs, as0, as0s0 = sol._terms
     # a ladder that warns is not memoized, so every evaluation warns
-    f0, f1, f2 = (_basis_ladder if abs(x) <= LARGE_X else _basis_sums)(
+    f0, f1, f2 = (_basis_ladder if _modulus(x) <= LARGE_X else _basis_sums)(
         sol.family, sol.alpha0, sol.gamma0, x, nonzero)
     # sum from 0j adds left to right, and the products keep the per-term
     # order a_n s0 F1 and a_n s0 s0 F2: bit-identical to a loop over n
     sums = (sum(map(mul, coeffs, f0), 0j), sum(map(mul, as0, f1), 0j),
             sum(map(mul, as0s0, f2), 0j))
-    # finite basis values can still overflow in a_n s0 F_n, and inf times 0 is NaN
+    # finite basis values can still overflow in a_n s0 F_n, and inf times 0 is
+    # NaN; a modulus past the double range counts as not finite
     for name, value in zip(checked, sums):
-        if not cmath.isfinite(value):
+        if not _modulus(value) < math.inf:  # NaN fails too
             raise NonConvergenceError(f"{name} of the {sol.family.name} series is not "
                                       f"finite at z={z}: {value}")
     tail = 0.0 if sol.terminated or not nonzero else (
-        abs(coeffs[-1] * f0[-1]) / max(1e-300, abs(sums[0])))
+        _modulus(coeffs[-1] * f0[-1]) / max(1e-300, abs(sums[0])))
     return (*sums, tail)
+
+
+def _modulus(v: complex) -> float:
+    """abs(v), or inf where v's finite parts have a modulus past the double
+    range (abs() raises there)."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
 
 
 def _eval_points(sol: SeriesSolution, z):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import warnings
 
 from .errors import LargeArgumentWarning, NonConvergenceError, PoleAtLowerParameterError
@@ -104,7 +105,11 @@ def eval_1f1(a, c, x, tol: float = DEFAULT_TOL, max_terms: int = DEFAULT_MAX_TER
             bad = next(n for n, v in zip("acx", (a, c, x)) if not cmath.isfinite(v))
             raise ValueError(f"1F1 argument {bad} is not finite: {a=}, {c=}, {x=}")
         m = _check_lower_parameter(a, c)
-        large = abs(x) > LARGE_X and f"|x|={abs(x):.3g} > {LARGE_X}"
+        try:  # costs nothing until it raises
+            size = abs(x)
+        except OverflowError:  # finite parts whose modulus passes the double range
+            size = math.inf
+        large = size > LARGE_X and f"|x|={size:.3g} > {LARGE_X}"
     if large:
         warnings.warn(
             f"{large}: direct 1F1 series may lose accuracy",
@@ -138,9 +143,10 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
     those of the plain sum, so F is the same bits with or without
     derivatives. x = 0 gives 1, or with derivatives _at_zero's sums for a
     series, before the loop: for any max_terms. NonConvergenceError where a
-    sum does not stop or is not finite. t <= tol or t <= tol |sum| is
-    t <= tol max(1, |sum|), NaN too; with derivatives a NaN term counts as
-    small, so a sum that has overflowed stops and is reported as such."""
+    sum does not stop or is not finite. Every stop test reads "not
+    (t > tol and t > tol |sum|)", which is t <= tol max(1, |sum|) on finite
+    values and counts a NaN term as small, so a sum that has overflowed
+    stops and is reported as such."""
     series = m is None
     if x == 0 and (series or not derivatives):
         return _at_zero(a, c) if derivatives else 1 + 0j
@@ -158,7 +164,7 @@ def _sum_scalar(a, c, x, m, tol: float, max_terms: int, derivatives: bool = Fals
         total += term
         if plain:
             t = abs(term)
-            if t <= tol or t <= tol * abs(total):
+            if not (t > tol and t > tol * abs(total)):  # a NaN term is small
                 if small:
                     break
                 small = True
@@ -232,13 +238,13 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
     one rectangular numpy pass: every point runs every step until the last
     one stops. Each step multiplies the terms by (a+k)/((c+k)(k+1)) x. A
     point stops, and is frozen there, after two consecutive terms below
-    tol max(1, |sum|); a series at a point x = 0 is settled to 1 before the
-    loop. The stop is tested once per block of _BLOCK steps; a = -m runs
-    its m steps through the same blocks with no stop test (eval_1f1 has
-    refused m above max_terms). numpy rounds each point of two or more
-    alike wherever it sits, so a point's value does not depend on the
-    others; a one-point array takes numpy's one-element loop, without the
-    fused multiply-add.
+    tol max(1, |sum|), a NaN term counting as below as in the scalar loop;
+    a series at a point x = 0 is settled to 1 before the loop. The stop is
+    tested once per block of _BLOCK steps; a = -m runs its m steps through
+    the same blocks with no stop test (eval_1f1 has refused m above
+    max_terms). numpy rounds each point of two or more alike wherever it
+    sits, so a point's value does not depend on the others; a one-point
+    array takes numpy's one-element loop, without the fused multiply-add.
     """
     import numpy as np
 
@@ -262,7 +268,7 @@ def _sum_array(a: complex, c: complex, x, m, tol: float, max_terms: int):
                 total = np.add(total, term, out=totals[row])
             start += len(terms)
             if series:
-                small = np.abs(terms) <= tol * np.maximum(1.0, np.abs(totals))
+                small = ~(np.abs(terms) > tol * np.maximum(1.0, np.abs(totals)))  # NaN too
                 # each point's first stopping row, len(terms) where it runs on
                 stops = np.vstack((small & np.vstack((was_small, small[:-1])),
                                    np.ones_like(was_small))).argmax(axis=0)

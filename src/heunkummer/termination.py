@@ -5,7 +5,7 @@ detected here as an integer condition) together with a_{N+1} = 0, which is a
 polynomial equation of degree N+1 in q. Its roots are the q-spectrum; for
 each root the recurrence then keeps every later coefficient at zero. The
 roots are eigenvalues of the equation's own power-series tridiagonal
-(recurrence_tridiagonal). q enters the three-term ladders only as Q_n - q and
+(condition_tridiagonal). q enters the three-term ladders only as Q_n - q and
 no condition reads q, so a spectrum checks and builds its ladder once, and one
 solve_ladder pass runs the recurrence over the column of its roots. Each
 root's row, its coefficients and verdict, goes into the spectrum's root
@@ -15,14 +15,13 @@ table, which terminated_solution and finite_solution read there.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .che_core import CheParams, transform_1_minus_z
+from .che_core import CheParams
 from .errors import ConditionNotMetError
 from .expansions import (
     GAMMA_CHOICE,
@@ -140,9 +139,9 @@ def recurrence_tridiagonal(params: CheParams, N: int) -> np.ndarray:
             + np.diag(-(k[:-1] + 1) * (k[:-1] + g), 1))
 
 
-def _eigenproblem(params: CheParams, kind: str):
-    """(p, shift): the spectrum of the condition kind is shift plus the
-    eigenvalues of recurrence_tridiagonal(p, N).
+def condition_tridiagonal(params: CheParams, condition: TerminationCondition):
+    """(T, shift): the condition's q-spectrum is shift + eig(T), T a
+    recurrence_tridiagonal (ValueError where it overflows); reads no q.
 
     AlphaOverEps: alpha = -N eps cuts row N+1's coupling to c_N, so
     c_{N+1} = 0 ends a degree-N polynomial solution. GammaDeltaAlpha:
@@ -150,12 +149,20 @@ def _eigenproblem(params: CheParams, kind: str):
     series terminates where the solution has no logarithm at z = 1; after
     z -> 1-z, gamma' = -N cuts row N's coupling to c_{N+1}.
     """
-    if kind == KIND_ALPHA_OVER_EPS:
-        return params, 0
-    if kind == KIND_DELTA_INT:
-        return transform_1_minus_z(params), params.alpha
-    g, d, e = params.gamma, params.delta, params.epsilon  # GammaDeltaAlpha
-    return CheParams(g, d, -e, params.alpha - e * (g + d), 0), e * g
+    import numpy as np
+
+    g, d, e, al = params.gamma, params.delta, params.epsilon, params.alpha
+    p, shift = params, 0  # AlphaOverEps
+    if condition.kind == KIND_DELTA_INT:  # z -> 1-z as che_core.transform_1_minus_z
+        p, shift = CheParams(d, g, -e, -al, 0), al
+    elif condition.kind == KIND_GAMMA_DELTA_ALPHA:
+        p, shift = CheParams(g, d, -e, al - e * (g + d), 0), e * g
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        T = recurrence_tridiagonal(p, condition.N)
+    if not np.isfinite(T).all():
+        raise ValueError(f"the {condition.family.name} {condition.kind} N = {condition.N} "
+                         f"spectrum overflows: its recurrence tridiagonal is not finite")
+    return T, shift
 
 
 def q_spectrum(params: CheParams, family: Family,
@@ -164,7 +171,7 @@ def q_spectrum(params: CheParams, family: Family,
 
     The q field of params is ignored; check_condition's errors unless the
     parameters meet condition. The roots are numpy's eigenvalues of the
-    condition's recurrence_tridiagonal. One solve_ladder pass over the
+    condition_tridiagonal, shifted. One solve_ladder pass over the
     column of roots runs each to a_{N+5} and gives its residual |a_{N+1}|
     and verdict, which the spectrum's root table keeps for
     terminated_solution. An R_n = 0 step up to N+1 stops the spectrum with
@@ -176,12 +183,7 @@ def q_spectrum(params: CheParams, family: Family,
 
     *_, steps, table = _q_free_ladder(_parts(params), family, condition, alpha0_choice)
     N = condition.N
-    p_eig, shift = _eigenproblem(dataclasses.replace(params, q=0), condition.kind)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        T = recurrence_tridiagonal(p_eig, N)
-    if not np.isfinite(T).all():
-        raise ValueError(f"the {family.name} {condition.kind} N = {N} spectrum overflows: "
-                         f"its recurrence tridiagonal is not finite")
+    T, shift = condition_tridiagonal(params, condition)
     roots = [complex(lam + shift) for lam in np.linalg.eigvals(T)]
     found = []  # (root, its verdict, |a_{N+1}| there)
     for r, (a, error) in zip(roots, solve_ladder(family, steps, N + 5, roots)):
@@ -191,11 +193,8 @@ def q_spectrum(params: CheParams, family: Family,
         table[_q_key(r)] = (None if error else a, terminates)
         finite = error is None or all(map(cmath.isfinite, a[:N + 2]))
         found.append((r, terminates, abs(a[N + 1]) if finite else math.inf))
-    found.sort(key=lambda f: (f[0].real, f[0].imag))
-    return QSpectrum(condition=condition,
-                     roots=tuple(f[0] for f in found),
-                     verified=tuple(f[1] for f in found),
-                     root_residuals=tuple(f[2] for f in found))
+    roots, verified, residuals = zip(*sorted(found, key=lambda f: (f[0].real, f[0].imag)))
+    return QSpectrum(condition, roots, verified, residuals)
 
 
 def check_condition(params: CheParams, family: Family,

@@ -31,12 +31,12 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .che_core import CheParams, transform_1_minus_z
+from .che_core import CheParams
 from .errors import ConditionNotMetError, StepTooCoarseError
 from .expansions import (Family, SeriesSolution, eval_series,
                          eval_series_with_derivatives)
 from .termination import (KIND_DELTA_INT, TerminationCondition, check_condition,
-                          finite_solution, q_spectrum, recurrence_tridiagonal)
+                          condition_tridiagonal, finite_solution)
 
 if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
     import numpy as np
@@ -469,17 +469,19 @@ def match_against_rk(model: LorentzianModel,
 
 def return_spectrum_relation(model: LorentzianModel, N: int) -> float:
     """Distance of the model's q from the termination spectrum of the
-    reduced equation, normalized by the spectrum scale.
-
-    ConditionNotMetError from q_spectrum unless R = N+1 (delta = 1-R = -N).
-    A near-zero value certifies a point where the series genuinely
-    terminates: a return-spectrum point.
+    reduced equation (q_spectrum's roots, read off condition_tridiagonal
+    with no series built), normalized by the spectrum scale: near zero
+    where the series genuinely terminates. ConditionNotMetError unless
+    R = N+1 (delta = 1-R = -N).
     """
-    red = reduce_to_che(model)
-    spec = q_spectrum(red.che, Family.B3_ThreeTerm,
-                      TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
-    scale = max(1.0, max(abs(r) for r in spec.roots))
-    return min(abs(red.che.q - r) for r in spec.roots) / scale
+    import numpy as np
+
+    che = reduce_to_che(model).che
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
+    check_condition(che, Family.B3_ThreeTerm, cond)
+    T, shift = condition_tridiagonal(che, cond)
+    roots = [complex(lam + shift) for lam in np.linalg.eigvals(T)]
+    return min(abs(che.q - r) for r in roots) / max(1.0, max(abs(r) for r in roots))
 
 
 def return_points(U0: float, Delta1: float, N: int) -> list[float]:
@@ -487,25 +489,23 @@ def return_points(U0: float, Delta1: float, N: int) -> list[float]:
     for fixed (U0, Delta1): the return points and the trivial Delta0 = 0.
 
     ConditionNotMetError unless R = N+1, before any matrix is built. The
-    condition is det M = 0, M = T - (q - alpha) I with T the
-    recurrence_tridiagonal of the reduced equation after z -> 1-z. At
-    alpha = 0, M = A + Delta0 B, read off at Delta0 = +-1. Column 0 of A is
-    zero and B_00 = R + Delta1/2 > 0, which splits off Delta0 = 0; the rest
-    are 1/mu for the nonzero eigenvalues mu of -A'^-1 B' (row and column 0
-    dropped). A' is upper triangular with diagonal k(k+1), never singular.
-    An eigenvalue with |mu| <= (N+1) 2^-52 max|mu| counts as zero: B' is
-    singular to rounding there (sqrt(8), -2, N = 2 rounds R to 3 + 4e-16),
-    and Delta0 = inf is no point. A point within RELATION_TOL of the real
-    axis counts as real.
+    condition is det M = 0, M = T - (q - shift) I with (T, shift) its
+    condition_tridiagonal. At alpha = 0, M = A + Delta0 B, read off at
+    Delta0 = +-1. Column 0 of A is zero and B_00 = R + Delta1/2 > 0, which
+    splits off Delta0 = 0; the rest are 1/mu for the nonzero eigenvalues mu
+    of -A'^-1 B' (row and column 0 dropped). A' is upper triangular with
+    diagonal k(k+1), never singular. An eigenvalue with |mu| <= (N+1) 2^-52
+    max|mu| counts as zero: B' is singular to rounding there (sqrt(8), -2,
+    N = 2 rounds R to 3 + 4e-16), and Delta0 = inf is no point. A point
+    within RELATION_TOL of the real axis counts as real.
     """
     import numpy as np
 
-    reductions = [reduce_to_che(LorentzianModel(U0, d0, Delta1))
-                  for d0 in (1.0, -1.0)]
-    check_condition(reductions[0].che, Family.B3_ThreeTerm,
-                    TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
-    up, down = (recurrence_tridiagonal(p, N) - p.q * np.eye(N + 1)
-                for p in (transform_1_minus_z(red.che) for red in reductions))
+    cond = TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N)
+    ches = [reduce_to_che(LorentzianModel(U0, d0, Delta1)).che for d0 in (1.0, -1.0)]
+    check_condition(ches[0], Family.B3_ThreeTerm, cond)
+    up, down = (T - (che.q - shift) * np.eye(N + 1)
+                for che in ches for T, shift in [condition_tridiagonal(che, cond)])
     A, B = (up + down) / 2, (up - down) / 2
     mu = np.linalg.eigvals(-np.linalg.solve(A[1:, 1:], B[1:, 1:]))
     floor = (N + 1) * 2.0 ** -52 * np.max(np.abs(mu), initial=0.0)

@@ -711,12 +711,35 @@ def test_huge_integers_in_error_messages_are_short(capsys, argv, error, text):
     # abs() of a term past the double range raised OverflowError
     (["eval-1f1", "--a", "1.5e308", "--c", "1", "--x", "1+1j"], "NonConvergenceError",
      "overflows past the double range"),
-], ids=["rk-blow-up", "transform-overflow", "coupling-overflow", "1f1-term-modulus"])
+    # and of the argument x itself, before any sum
+    (["eval-1f1", "--a", "1", "--c", "1", "--x", "1.5e308+1.5e308i"], "NonConvergenceError",
+     "overflows past the double range"),
+    # and of the series sum u, where the tail took abs(u)
+    (["che-series", "--family", "a2", "--gamma", "0.7951677630328056",
+      "--delta", "0.19263693818962668", "--eps", "0.6428462738774547",
+      "--alpha", "0.9194703446313179", "--q=-1.270769449191852e+308",
+      "--z=-0.4884229078706359-1.3256096847820813i", "--n-terms", "1"],
+     "NonConvergenceError", "u of the A2_ThreeTerm series is not finite at z="),
+    # and of the basis argument s0 z, where the evaluator took abs(s0 z)
+    (["che-series", "--family", "a2", "--gamma", "0.9029990242178598",
+      "--delta", "0.325889799238422", "--eps=-1.0862812886392055e+308",
+      "--alpha", "0.487995893650208", "--q", "0.6195150987873309",
+      "--z=1.3185193030829372+1.6280136781958614i", "--n-terms", "1"],
+     "NonConvergenceError", "overflows to (nan+nanj)"),
+], ids=["rk-blow-up", "transform-overflow", "coupling-overflow", "1f1-term-modulus",
+        "1f1-argument-modulus", "series-modulus", "series-argument-modulus"])
 def test_non_finite_results_are_domain_errors(capsys, argv, error, text):
     code, record = run_json(capsys, argv)
     assert code == 1
     assert record["error"]["type"] == error
     assert text in record["error"]["message"]
+
+
+def test_a_polynomial_1f1_at_an_argument_past_the_double_range_is_one(capsys):
+    code, record = run_json(capsys, ["eval-1f1", "--a", "0", "--c", "1",
+                                     "--x", "1.5e308+1.5e308i"])
+    assert code == 0
+    assert record["results"]["value"] == {"re": 1.0, "im": 0.0}
 
 
 ALPHA_OVER_EPS_OVERFLOWS = ["--family", "a2", "--gamma", "2.3", "--delta=-3", "--eps", "1e-320",

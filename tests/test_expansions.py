@@ -398,6 +398,29 @@ def test_a_sum_that_is_not_finite_is_refused():
             evaluate(sol, 5 + 3j)
 
 
+def test_a_sum_whose_modulus_overflows_is_not_finite():
+    """a2 at N = 1 with q near -1e308: u, or a_N F_N in the tail, can have
+    finite parts and a modulus past the double range, where abs() raised
+    OverflowError. Every draw gives finite values or a domain error."""
+    rng = random.Random("a2-modulus-box")
+    refused = 0
+    for _ in range(3000):
+        p = params(*(rng.random() for _ in range(4)), -rng.uniform(0.85, 1.7) * 1e308)
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        try:
+            sol = build_series(p, Family.A2_ThreeTerm, 1)
+        except NonConvergenceError:
+            continue
+        for evaluate in (eval_series_with_derivatives, EVAL_SERIES_UNGATED):
+            try:
+                values = evaluate(sol, z)
+            except NonConvergenceError as exc:
+                refused += "series is not finite at z=" in str(exc)
+                continue
+            assert all(abs(v) < math.inf for v in values), (p, z)
+    assert refused > 0  # the box reaches the overflow
+
+
 def test_untermininated_build_is_a_formal_object():
     # the partial sum is NOT proportional to the actual solution: the ratio
     # drifts at the percent level between nearby points

@@ -39,10 +39,11 @@ def test_only_termination_decides_a_finite_sum(path):
     assert decider_calls(tree) == []
 
 
-# One spectrum path: the q-spectrum and the return points are eigenvalues
-# of termination.recurrence_tridiagonal, never roots of a second, monomial
-# representation of the ladder.
-SPECTRUM_BUILDERS = {"termination.py", "twostate.py"}
+# One spectrum path: the q-spectrum, the return points and the return
+# relation are eigenvalues of termination.recurrence_tridiagonal, built in
+# termination.py alone (condition_tridiagonal), never roots of a second,
+# monomial representation of the ladder.
+SPECTRUM_BUILDERS = {"termination.py"}
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
 

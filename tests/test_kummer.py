@@ -143,6 +143,27 @@ def test_overflowed_sum_is_not_returned():
             eval_1f1(*args)
 
 
+def test_an_overflowed_plain_sum_stops_at_once():
+    # the terms turn NaN by k = 2; a NaN term never counted as small, so
+    # both kernels ran every step and reported "did not reach tol"
+    with pytest.warns(LargeArgumentWarning), pytest.raises(
+            NonConvergenceError, match=r"\) overflows to \(nan\+nanj\)$"):
+        eval_1f1(1, 1e154, -1e308)
+    with pytest.warns(LargeArgumentWarning), pytest.raises(
+            NonConvergenceError, match=r"overflows at 1 of 2 points, first x=\(-1e\+308\+0j\)"):
+        eval_1f1(1, 1e154, np.array([-1e308, 0.5]))
+
+
+def test_an_argument_modulus_past_the_double_range():
+    # abs(x) > LARGE_X raised OverflowError before any sum
+    x = 1.5e308 + 1.5e308j
+    with pytest.warns(LargeArgumentWarning, match=r"\|x\|=inf"), pytest.raises(
+            NonConvergenceError, match="overflows past the double range"):
+        eval_1f1(1, 1, x)
+    with pytest.warns(LargeArgumentWarning):
+        assert eval_1f1(0, 1, x) == 1
+
+
 def test_bad_tol_rejected():
     # NaN compares false with everything: it used to pass the check, sum
     # max_terms terms and only then fail to converge

@@ -1,13 +1,13 @@
 """The two 1F1 kernels against frozen step-by-step copies of themselves.
 
-`kummer._sum_scalar` tests its stop as t <= tol or t <= tol |sum|, with no
-max() call, and `kummer._sum_array` tests it once per block of steps. The
-loops below test it at every step with max(), and are the reference; the
-array one runs every point at full width until the last one stops, and the
-scalar pass with derivatives keeps its three sums in lists. Every value
-must agree bit for bit, and every error in type and message, including the
-count of points left and the first x. 1F1 summed with its derivatives is
-the same bits as 1F1 summed alone.
+`kummer._sum_scalar` tests its stop as not (t > tol and t > tol |sum|),
+which counts a NaN term as small, and `kummer._sum_array` tests it once per
+block of steps. The loops below test it at every step, and are the
+reference; the array one runs every point at full width until the last one
+stops, and the scalar pass with derivatives keeps its three sums in lists.
+Every value must agree bit for bit, and every error in type and message,
+including the count of points left and the first x. 1F1 summed with its
+derivatives is the same bits as 1F1 summed alone.
 Inputs with a polynomial beyond max_terms are left out: the kernels refuse
 those (tests/test_kummer.py), where the frozen loops summed them.
 """
@@ -37,7 +37,8 @@ def frozen_sum_scalar(a, c, x, m, tol, max_terms):
     for k in range(max_terms if m is None else m):
         term *= (a + k) * x / ((c + k) * (k + 1))
         total += term
-        if m is None and abs(term) <= tol * max(1.0, abs(total)):
+        t = abs(term)
+        if m is None and not (t > tol and t > tol * abs(total)):  # NaN is small
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -104,7 +105,7 @@ def frozen_pass(a, c, x, m, tol, steps):
             term *= (a + k) / ((c + k) * (k + 1)) * x
             total += term
             if m is None:
-                small = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
+                small = ~(np.abs(term) > tol * np.maximum(1.0, np.abs(total)))  # NaN too
                 done = (stop == steps) & small & was_small
                 out[done], stop[done] = total[done], k
                 was_small = small

@@ -626,6 +626,32 @@ def reference_ladder(family, steps, N, q):
     return tuple(coeffs), None if scale < math.inf else "overflows"
 
 
+@pytest.mark.parametrize("family, kind, choice", SPECTRUM_COMBOS,
+                         ids=[f"{f.value}-{k}" for f, k, _ in SPECTRUM_COMBOS])
+def test_the_condition_tridiagonal_gives_the_spectrum_roots(family, kind, choice):
+    """shift + eig(T) is q_spectrum's roots, bit for bit, as a multiset, and
+    params.q is not read."""
+    import numpy as np
+    rng = random.Random(f"condition-tridiagonal-{family.value}-{kind}")
+    for N in (0, 5, 15):
+        cond = TerminationCondition(family, kind, N)
+        for _ in range(3):
+            p = draw_on_condition(rng, kind, N)
+            T, shift = termination.condition_tridiagonal(
+                dataclasses.replace(p, q=rng.uniform(-1e300, 1e300)), cond)
+            assert T.shape == (N + 1, N + 1)
+            roots = [complex(lam + shift) for lam in np.linalg.eigvals(T)]
+            spec = q_spectrum(p, family, cond, choice)
+            assert sorted(map(repr, roots)) == sorted(map(repr, spec.roots))
+
+
+def test_a_condition_tridiagonal_that_overflows_is_refused():
+    cond = TerminationCondition(Family.A2_ThreeTerm, KIND_ALPHA_OVER_EPS, 3)
+    with pytest.raises(ValueError, match=r"^the A2_ThreeTerm AlphaOverEps N = 3 spectrum "
+                                         r"overflows: its recurrence tridiagonal is not finite$"):
+        termination.condition_tridiagonal(params(1.5, 0.5, 1e308, -0.75e308), cond)
+
+
 DIFFERENTIAL_CASES = [
     pytest.param(f, k, c, draw_on_condition(random.Random(3100 + N), k, N), N,
                  id=f"{f.value}-{k}-N{N}")
@@ -649,10 +675,9 @@ def test_the_column_pass_is_the_per_root_loop_bit_for_bit(family, kind, choice, 
         spec = None
     *_, steps, table = termination._q_free_ladder(termination._parts(p),
                                                   family, cond, choice)
-    p_eig, shift = termination._eigenproblem(dataclasses.replace(p, q=0), kind)
+    T, shift = termination.condition_tridiagonal(p, cond)
     import numpy as np
-    roots = [complex(lam + shift)
-             for lam in np.linalg.eigvals(termination.recurrence_tridiagonal(p_eig, N))]
+    roots = [complex(lam + shift) for lam in np.linalg.eigvals(T)]
     columns = termination.solve_ladder(family, steps, N + 5, roots)
     stops = []
     for r, (a, error) in zip(roots, columns):

@@ -24,7 +24,9 @@ from heunkummer import (
     return_spectrum_relation,
     scan_return_delta0,
 )
+from heunkummer import Family, TerminationCondition, q_spectrum, termination
 from heunkummer import expansions, twostate
+from heunkummer.termination import KIND_DELTA_INT
 
 from conftest import abs_term_sum
 
@@ -590,6 +592,47 @@ def test_return_spectrum_relation_off_the_manifold():
     # same R = 2 coincidence, wrong detuning slope
     off = LorentzianModel(U0=math.sqrt(3.0), Delta0=0.9, Delta1=-2.0)
     assert return_spectrum_relation(off, 1) > 1e-2
+
+
+def seeded_return_models(seed=34, count=24):
+    """`count` seeded (model, N): R = N+1 for N in 1..3, Delta1 in
+    [-2, 1.5], Delta0 a return point for every other model and uniform on
+    [-3, 3] for the rest."""
+    rng = random.Random(seed)
+    models = []
+    for k in range(count):
+        N = 1 + k % 3
+        delta1 = rng.uniform(-2.0, 1.5)
+        u0 = math.sqrt((N + 1) ** 2 - delta1 ** 2 / 4)
+        d0 = rng.choice(return_points(u0, delta1, N)) if k % 2 else rng.uniform(-3, 3)
+        models.append((LorentzianModel(u0, d0 or 0.5, delta1), N))
+    return models
+
+
+@pytest.mark.parametrize("model, N", seeded_return_models())
+def test_the_relation_reads_the_spectrum_roots(model, N):
+    """The relation is the formula it had on q_spectrum's roots, bit for bit."""
+    che = reduce_to_che(model).che
+    spec = q_spectrum(che, Family.B3_ThreeTerm,
+                      TerminationCondition(Family.B3_ThreeTerm, KIND_DELTA_INT, N))
+    scale = max(1.0, max(abs(r) for r in spec.roots))
+    expected = min(abs(che.q - r) for r in spec.roots) / scale
+    assert repr(return_spectrum_relation(model, N)) == repr(expected)
+
+
+def test_the_relation_and_the_scan_build_no_series(monkeypatch):
+    """No recurrence pass runs and no q-free ladder is made or read."""
+    calls = []
+    for module in (termination, expansions):
+        solve = module.solve_ladder
+        monkeypatch.setattr(module, "solve_ladder",
+                            lambda *args, solve=solve: calls.append(args) or solve(*args))
+    before = termination._q_free_ladder.cache_info()
+    return_spectrum_relation(TERMINATING, 1)
+    return_spectrum_relation(LorentzianModel(math.sqrt(3.0), 0.9, -2.0), 1)
+    scan_return_delta0(math.sqrt(9 - 0.3 ** 2 / 4), 0.3, 2, 3.9, 4.4, points=11)
+    assert calls == []
+    assert termination._q_free_ladder.cache_info() == before
 
 
 def test_return_spectrum_relation_needs_natural_R():
